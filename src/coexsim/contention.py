@@ -2,23 +2,30 @@
 
 Models the slotted carrier-sense medium that Wi-Fi stations (and, in the
 duty-cycled baseline, LTE-U nodes) contend on. Rather than ticking every
-9 µs slot, the driver jumps straight to the next decision point: the
-smallest effective backoff over all participants. Everyone with that
-counter transmits, everyone else freezes, and the medium stays busy for
-the exchange duration with the post-exchange spacing folded in, so idle
-time advances in exact slot multiples. A busy period consumes one
-backoff slot of every frozen participant, the same convention as the
-slotted renewal chain behind the analytical saturation model.
+slot (``MacTiming.slot_us`` long), the driver jumps straight to the next
+decision point: the smallest effective backoff over all participants.
+Everyone with that counter transmits, everyone else freezes, and the
+medium stays busy for the exchange duration with the post-exchange
+spacing folded in, so idle time advances in exact slot multiples.
+
+One rule runs the counters down: k slots take k from every station and
+max(0, k - lead) from every LTE-U node. An exchange after s idle slots
+consumes s + 1, because a busy period counts as one backoff slot, the
+convention of the slotted renewal chain behind the analytical saturation
+model. A window that closes idle consumes its whole idle slots, never
+more than the smallest effective backoff. Winners redraw after their
+exchange.
 
 Windows: the run loop opens the medium for a span (a whole run, or one
 contention period between beacons) and either lets the final exchange
 overrun the window (the next beacon then defers to the busy boundary) or
 forbids transmissions that cannot finish inside it.
 
-Effective backoff of an LTE-U node counts from its duty-off wake plus a
-clear-channel assessment, aligned up to the shared slot grid; Wi-Fi
-stations count from the window anchor. Backoff draws come from
-per-entity streams, so outcomes do not depend on participant interleave.
+An LTE-U node's lead is its duty-off wake plus a clear-channel
+assessment, counted from the window anchor and rounded up to whole
+slots; its effective backoff is lead + counter. Wi-Fi stations have no
+lead. Backoff draws come from per-entity streams, so outcomes do not
+depend on participant interleave.
 """
 
 from __future__ import annotations
@@ -28,13 +35,6 @@ from .dcf import ExchangeDurations, MacTiming, WifiStation
 from .engine import Simulator
 from .lbt import LbtNode, burst_transmit
 from .radio import ChannelParams
-
-SLOT_US = 9
-
-
-def _ceil_slots(span_us: int) -> int:
-    return -(-span_us // SLOT_US)
-
 
 class ContentionDriver:
     """Owns the medium during contention phases of one run."""
@@ -63,7 +63,7 @@ class ContentionDriver:
         self.allow_overrun = False
         self.busy_until = 0
         self._pending = None        # scheduled decision event, if any
-        self._inflight = None       # (s_min, offsets, winners, dur, kinds)
+        self._inflight = None       # (s_min, wifi_w, lte_w, duration)
         self._frozen_smin = None    # set when the next tx cannot fit
 
         # Busy-period log: (start, end, wifi_involved, lte_involved).
@@ -92,10 +92,10 @@ class ContentionDriver:
             return
         self._cancel_pending()
         elapsed = t_us - self.phase_start
-        k = elapsed // SLOT_US
+        k = elapsed // self.timing.slot_us
         if self._frozen_smin is not None:
             k = min(k, self._frozen_smin)
-        self._decrement_all(k)
+        self._consume(k)
         self.metrics.idle_us += elapsed
         self.phase_open = False
         self._frozen_smin = None
@@ -111,37 +111,42 @@ class ContentionDriver:
 
     # -- decision mechanics ---------------------------------------------
 
-    def _effective_backoffs(self):
-        """(slots-from-phase-start, offset) per participant, stations
-        first then LTE-U nodes, mirroring the participant list order."""
-        rows = []
+    def _lead_slots(self, node: LbtNode) -> int:
+        """Whole slots from the window anchor to the node's wake + CCA."""
+        lead = node.wake_at_us + node.params.cca_us - self.phase_start
+        return max(0, -(-lead // self.timing.slot_us))
+
+    def _consume(self, k: int) -> None:
+        """Run k slots off every counter; LTE-U nodes skip their lead.
+
+        k never exceeds s_min + 1, so only the winners of the exchange,
+        which redraw next, can pass zero.
+        """
         for st in self.stations:
-            rows.append((st.counter, 0))
+            st.counter -= k
         for node in self.lbt_nodes:
-            lead = node.wake_at_us + node.params.cca_us - self.phase_start
-            offset = _ceil_slots(lead) if lead > 0 else 0
-            rows.append((node.counter + offset, offset))
-        return rows
+            node.counter -= max(0, k - self._lead_slots(node))
 
     def _arm(self) -> None:
-        rows = self._effective_backoffs()
-        if not rows:
+        eff = [st.counter for st in self.stations]
+        eff += [node.counter + self._lead_slots(node)
+                for node in self.lbt_nodes]
+        if not eff:
             return
-        s_min = min(r[0] for r in rows)
-        tx_time = self.phase_start + s_min * SLOT_US
+        s_min = min(eff)
+        tx_time = self.phase_start + s_min * self.timing.slot_us
         if tx_time >= self.window_end:
             return   # window closes first; counters settled at close
-        winners = [i for i, r in enumerate(rows) if r[0] == s_min]
+        winners = [i for i, e in enumerate(eff) if e == s_min]
         wifi_w = [i for i in winners if i < self.n_wifi]
         lte_w = [i - self.n_wifi for i in winners if i >= self.n_wifi]
         duration = self._busy_duration(wifi_w, lte_w)
         if not self.allow_overrun and tx_time + duration > self.window_end:
             self._frozen_smin = s_min
             return
-        offsets = [r[1] for r in rows]
         self._pending = self.sim.schedule(
             tx_time, "slot-boundary", "medium",
-            lambda: self._fire(s_min, offsets, wifi_w, lte_w, duration))
+            lambda: self._fire(s_min, wifi_w, lte_w, duration))
 
     def _busy_duration(self, wifi_w: list[int], lte_w: list[int]) -> int:
         if lte_w:
@@ -153,35 +158,23 @@ class ContentionDriver:
             return self.durations.t_collision_ticks
         return self.durations.t_success_ticks
 
-    def _fire(self, s_min, offsets, wifi_w, lte_w, duration) -> None:
+    def _fire(self, s_min, wifi_w, lte_w, duration) -> None:
         now = self.sim.now
         self.metrics.idle_us += now - self.phase_start
         self.busy_until = now + duration
         self._pending = None
-        self._inflight = (s_min, offsets, wifi_w, lte_w, duration)
+        self._inflight = (s_min, wifi_w, lte_w, duration)
         self.tx_intervals.append(
             (now, self.busy_until, bool(wifi_w), bool(lte_w)))
         self.sim.schedule(self.busy_until, "tx-end", "medium", self._tx_end)
 
     def _tx_end(self) -> None:
-        s_min, offsets, wifi_w, lte_w, duration = self._inflight
+        s_min, wifi_w, lte_w, duration = self._inflight
         self._inflight = None
         now = self.sim.now
         collision = len(wifi_w) + len(lte_w) > 1
-
-        # Bystanders consumed s_min idle slots plus the busy slot itself;
-        # counting the busy period as one backoff slot is what the
-        # fixed-point oracle's chain assumes.
-        winner_set = set(wifi_w)
-        for i, st in enumerate(self.stations):
-            if i in winner_set:
-                continue
-            st.counter -= max(0, s_min + 1 - offsets[i])
-        lte_winner_set = set(lte_w)
-        for j, node in enumerate(self.lbt_nodes):
-            if j in lte_winner_set:
-                continue
-            node.counter -= max(0, s_min + 1 - offsets[self.n_wifi + j])
+        # the s_min idle slots plus the busy one; winners redraw below
+        self._consume(s_min + 1)
 
         if collision:
             self.metrics.collision_us += duration
@@ -199,11 +192,8 @@ class ContentionDriver:
 
         for j in lte_w:
             node = self.lbt_nodes[j]
-            node.burst_count += 1
             self.metrics.add_lte_airtime(node.node_id, node.params.burst_us)
-            if collision:
-                node.collision_count += 1
-            else:
+            if not collision:
                 self.metrics.add_lte_bits(
                     node.node_id, burst_transmit(node, self.channel))
             node.start_duty_off(now, self.m_lte, self.n_wifi)
@@ -214,16 +204,6 @@ class ContentionDriver:
             self._arm()
         else:
             self.phase_open = False
-
-    def _decrement_all(self, k: int) -> None:
-        if k <= 0:
-            return
-        rows = self._effective_backoffs()
-        for i, st in enumerate(self.stations):
-            st.counter -= max(0, min(k, rows[i][0]) - rows[i][1])
-        for j, node in enumerate(self.lbt_nodes):
-            row = rows[self.n_wifi + j]
-            node.counter -= max(0, min(k, row[0]) - row[1])
 
     def _cancel_pending(self) -> None:
         if self._pending is not None:

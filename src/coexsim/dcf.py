@@ -35,6 +35,8 @@ class MacTiming:
     max_backoff_stage: int = 6
 
     def __post_init__(self):
+        if self.slot_us < 1:
+            raise ValueError("slot_us must be >= 1")
         if self.cw_min < 1 or self.cw_max < self.cw_min:
             raise ValueError("need 1 <= cw_min <= cw_max")
         if self.max_backoff_stage < 0:
@@ -106,7 +108,7 @@ class WifiStation:
     """Saturated DCF station: always has a frame queued."""
 
     __slots__ = ("station_id", "timing", "rng", "stage", "counter",
-                 "delivered_bits", "success_count", "collision_count")
+                 "success_count", "collision_count")
 
     def __init__(self, station_id: str, timing: MacTiming, rng: np.random.Generator):
         self.station_id = station_id
@@ -114,12 +116,10 @@ class WifiStation:
         self.rng = rng
         self.stage = 0
         self.counter = draw_backoff(rng, 0, timing)
-        self.delivered_bits = 0
         self.success_count = 0
         self.collision_count = 0
 
     def on_success(self) -> None:
-        self.delivered_bits += self.timing.payload_bits
         self.success_count += 1
         self.stage = 0
         self.counter = draw_backoff(self.rng, self.stage, self.timing)

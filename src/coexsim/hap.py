@@ -24,14 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .radio import ChannelParams, LinkBudget, fading_gains, lte_rate
+from .radio import (FRAME_ACK_US, FRAME_HEADER_US, FRAME_SUBFRAMES,
+                    SUBFRAME_US, ChannelParams, LinkBudget, fading_gains,
+                    lte_rate)
 
 TXOP_QUANTUM_US = 32
 TXOP_MAX_US = 8160
-SUBFRAME_US = 1000
-FRAME_SUBFRAMES = 10
-SA_HEADER_US = 32
-SA_ACK_US = 32
 SA_N_CHOICES = (8, 7, 6)    # largest first: fewer headers per subframe
 
 DEFAULT_INTERVAL_US = 100_000
@@ -51,7 +49,7 @@ def round_txop(requested_us: int) -> int:
 
 
 def sa_txop_duration(n_subframes: int) -> int:
-    return round_txop(SA_HEADER_US + n_subframes * SUBFRAME_US + SA_ACK_US)
+    return round_txop(FRAME_HEADER_US + n_subframes * SUBFRAME_US + FRAME_ACK_US)
 
 
 @dataclass(frozen=True)
@@ -60,8 +58,8 @@ class ShortenedFrame:
 
     n_active: int
     mask: tuple[bool, ...]
-    header_us: int = SA_HEADER_US
-    ack_us: int = SA_ACK_US
+    header_us: int = FRAME_HEADER_US
+    ack_us: int = FRAME_ACK_US
 
     def __post_init__(self):
         if len(self.mask) != FRAME_SUBFRAMES:
@@ -85,7 +83,7 @@ def shorten_frame(n: int, mode: str = "standalone") -> ShortenedFrame:
     if mode == "standalone":
         if not 6 <= n <= 8:
             raise ValueError(f"standalone frame needs 6 <= n <= 8, got {n}")
-        header, ack = SA_HEADER_US, SA_ACK_US
+        header, ack = FRAME_HEADER_US, FRAME_ACK_US
     elif mode == "uca":
         if not 1 <= n <= FRAME_SUBFRAMES:
             raise ValueError(f"uca frame needs 1 <= n <= 10, got {n}")
@@ -93,10 +91,7 @@ def shorten_frame(n: int, mode: str = "standalone") -> ShortenedFrame:
     else:
         raise ValueError(f"unknown mode {mode!r}")
     mask = tuple(i < n for i in range(FRAME_SUBFRAMES))
-    frame = ShortenedFrame(n, mask, header_us=header, ack_us=ack)
-    if mode == "standalone":
-        assert frame.mask[0] and frame.mask[5]
-    return frame
+    return ShortenedFrame(n, mask, header_us=header, ack_us=ack)
 
 
 @dataclass(frozen=True)
@@ -258,8 +253,8 @@ def build_superframe(m_lte: int, n_wifi: int,
                        interval_us - beacon_us - cfp_len)
     beacon = Beacon(start_us, cfp_len,
                     tuple((g.start_us, g.duration_us) for g in grants))
-    for a, b in zip(grants, grants[1:]):
-        assert a.end_us <= b.start_us, "planner produced overlapping grants"
+    if any(a.end_us > b.start_us for a, b in zip(grants, grants[1:])):
+        raise RuntimeError("planner produced overlapping grants")
     return SuperframePlan(frame, beacon, tuple(grants),
                           budget - cfp_len, next_rotation)
 

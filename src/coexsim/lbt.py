@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radio import ChannelParams, LinkBudget, fading_gains, lte_rate
-
-SUBFRAME_US = 1000
-BURST_HEADER_US = 32
-BURST_ACK_US = 32
+from .radio import (FRAME_ACK_US, FRAME_HEADER_US, SUBFRAME_US,
+                    ChannelParams, LinkBudget, fading_gains, lte_rate)
 
 
 @dataclass(frozen=True)
@@ -41,14 +38,13 @@ class LbtParams:
 
     @property
     def data_subframes(self) -> int:
-        return max((self.burst_us - BURST_HEADER_US - BURST_ACK_US) // SUBFRAME_US, 0)
+        return max((self.burst_us - FRAME_HEADER_US - FRAME_ACK_US) // SUBFRAME_US, 0)
 
 
 class LbtNode:
     """Contention state for one LTE-U node."""
 
-    __slots__ = ("node_id", "params", "link", "rng", "counter",
-                 "wake_at_us", "contending", "burst_count", "collision_count")
+    __slots__ = ("node_id", "params", "link", "rng", "counter", "wake_at_us")
 
     def __init__(self, node_id: str, params: LbtParams, link: LinkBudget,
                  rng: np.random.Generator):
@@ -58,15 +54,11 @@ class LbtNode:
         self.rng = rng
         self.counter = 0
         self.wake_at_us = 0          # eligible to start sensing at this time
-        self.contending = False
-        self.burst_count = 0
-        self.collision_count = 0
 
     def draw_backoff(self) -> None:
         self.counter = int(self.rng.integers(0, self.params.contention_window))
 
     def start_duty_off(self, burst_end_us: int, m_lte: int, n_wifi: int) -> None:
-        self.contending = False
         self.wake_at_us = burst_end_us + self.params.duty_off_us(m_lte, n_wifi)
 
 

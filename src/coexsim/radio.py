@@ -14,6 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# LTE frame layout shared by LBT bursts and coordinated grants: 1 ms
+# subframes, 10 to a frame, and a standalone burst wraps its data
+# subframes in a 32 µs header and a 32 µs acknowledgement.
+SUBFRAME_US = 1000
+FRAME_SUBFRAMES = 10
+FRAME_HEADER_US = 32
+FRAME_ACK_US = 32
+
 
 @dataclass(frozen=True)
 class ChannelParams:

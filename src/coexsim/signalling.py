@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-FRAME_SUBFRAMES = 10
+from .radio import FRAME_SUBFRAMES
 
 # States from which a machine may hold an active data transfer.
 DATA_STATES = frozenset({"aggregating", "transferring", "receiving"})

@@ -15,10 +15,10 @@ from .analytics import MetricsAccumulator
 from .contention import ContentionDriver
 from .dcf import WifiStation, exchange_durations
 from .engine import Simulator
-from .hap import (SA_HEADER_US, SUBFRAME_US, FRAME_SUBFRAMES, build_superframe,
-                  cfp_transmit, shorten_frame)
+from .hap import build_superframe, cfp_transmit, shorten_frame
 from .lbt import LbtNode
-from .radio import link_budget, place_users
+from .radio import (FRAME_HEADER_US, FRAME_SUBFRAMES, SUBFRAME_US,
+                    link_budget, place_users)
 from .scenario import ScenarioConfig
 from .signalling import (GrantRecord, SaDrxFsm, SaDtxFsm, SignallingTrace,
                          UcaFsm, fsm_step)
@@ -158,7 +158,8 @@ class _HapRun:
         self.rotation = plan.next_rotation
         cfp_end = beacon_end + plan.superframe.cfp_us
         next_tbtt = min((k + 1) * self.cfg.interval_us, self.t_end)
-        assert cfp_end <= next_tbtt, "CFP ran into the next beacon"
+        if cfp_end > next_tbtt:
+            raise RuntimeError("CFP ran into the next beacon")
         self.metrics.cfp_us += plan.superframe.cfp_us
         if plan.grants:
             self.cfp_intervals.append((beacon_end, cfp_end))
@@ -173,7 +174,7 @@ class _HapRun:
         if self.mode == "standalone":
             n = grant.n_subframes
             fsm_step(fsm, "data-request", grant.start_us, n=n)
-            data_start = grant.start_us + SA_HEADER_US
+            data_start = grant.start_us + FRAME_HEADER_US
             data_end = data_start + n * SUBFRAME_US
             for j in range(FRAME_SUBFRAMES):
                 # n active ticks inside the grant, 10-n sleep ticks after

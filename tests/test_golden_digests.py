@@ -1,0 +1,63 @@
+"""Golden digests: refactors must leave every run byte-identical.
+
+Each case pins the event-trace hash and the CSV row of one short run.
+The matrix covers all four schemes under both access modes, an LBT
+duty-off override and a coordinated run without LTE users. A change
+that is meant to alter behaviour re-records the file with
+
+    PYTHONPATH=src python tests/test_golden_digests.py
+
+and says why in its change notes.
+"""
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+
+from coexsim.radio import ChannelParams
+from coexsim.scenario import ScenarioConfig
+from coexsim.simulate import run_scenario
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+NEAR = ChannelParams(pathloss_exponent=2.0)
+SCHEMES = ("wifi-only", "lbt", "hap-sa", "hap-uca")
+
+
+def _cases() -> dict[str, tuple[ScenarioConfig, int]]:
+    cases = {}
+    for scheme in SCHEMES:
+        m = 0 if scheme == "wifi-only" else 5
+        for mode in ("basic", "rts-cts"):
+            cfg = ScenarioConfig(scheme=scheme, n_wifi=10, m_lte=m,
+                                 duration_s=1.0, access_mode=mode,
+                                 channel=NEAR)
+            for seed in (1, 2):
+                cases[f"{scheme}-{mode}-s{seed}"] = (cfg, seed)
+    lbt = dataclasses.replace(ScenarioConfig().lbt, duty_off_factor=3)
+    cases["lbt-duty-off-3"] = (ScenarioConfig(
+        scheme="lbt", n_wifi=10, m_lte=5, duration_s=1.0, channel=NEAR,
+        lbt=lbt), 1)
+    cases["hap-sa-m0"] = (ScenarioConfig(
+        scheme="hap-sa", n_wifi=10, m_lte=0, duration_s=1.0,
+        channel=NEAR), 1)
+    return cases
+
+
+def _digest(cfg: ScenarioConfig, seed: int) -> dict:
+    res = run_scenario(cfg, seed)
+    return {"trace_hash": res.trace_hash, "csv": res.row.csv_values()}
+
+
+@pytest.mark.parametrize("name", sorted(_cases()))
+def test_run_matches_golden_digest(name):
+    golden = json.loads(GOLDEN.read_text())
+    assert set(golden) == set(_cases())
+    assert _digest(*_cases()[name]) == golden[name]
+
+
+if __name__ == "__main__":
+    rows = [f" {json.dumps(name)}: {json.dumps(_digest(cfg, seed))}"
+            for name, (cfg, seed) in sorted(_cases().items())]
+    GOLDEN.write_text("{\n" + ",\n".join(rows) + "\n}\n")

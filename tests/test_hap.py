@@ -212,6 +212,14 @@ def test_packing_conserves_budget_and_never_overlaps(m, n, mode, rotation):
             + plan.superframe.cp_us == 100_000)
 
 
+def test_overlapping_grants_raise(monkeypatch):
+    import coexsim.hap as hap
+    monkeypatch.setattr(hap, "_pack_uca", lambda budget, ids, start: [
+        TxopGrant(ids[0], start, 64), TxopGrant(ids[1], start + 32, 64)])
+    with pytest.raises(RuntimeError, match="overlapping"):
+        build_superframe(2, 2, mode="uca")
+
+
 # -- delivery --------------------------------------------------------------
 
 def test_cfp_transmit_standalone_without_fading():

@@ -46,11 +46,9 @@ def test_backoff_draw_range_is_fixed_window():
     assert draws == set(range(16))
 
 
-def test_duty_off_updates_wake_time_and_contention_flag():
+def test_duty_off_updates_wake_time():
     node = LbtNode("lte-00", LbtParams(), _link(), np.random.default_rng(0))
-    node.contending = True
     node.start_duty_off(100_000, m_lte=10, n_wifi=30)
-    assert node.contending is False
     assert node.wake_at_us == 100_000 + 8064 * 39
 
 

@@ -9,6 +9,7 @@ import dataclasses
 import pytest
 
 from coexsim.analytics import saturation_throughput
+from coexsim.dcf import MacTiming
 from coexsim.radio import ChannelParams
 from coexsim.scenario import ScenarioConfig
 from coexsim.signalling import conformance_check
@@ -33,12 +34,15 @@ def test_csv_columns_fixed():
         "airtime_collision_frac", "airtime_cfp_frac", "airtime_beacon_frac")
 
 
-def test_single_station_throughput_near_oracle():
-    res = _run("wifi-only", 1, 0, 2.0)
+@pytest.mark.parametrize("timing", [MacTiming(slot_us=9),
+                                    MacTiming(slot_us=20)],
+                         ids=["slot9", "slot20"])
+def test_single_station_throughput_near_oracle(timing):
+    res = _run("wifi-only", 1, 0, 2.0, timing=timing)
     # no collisions possible, so even 2 s sits tight on the fixed point
     assert res.row.collision_rate == 0.0
     assert res.row.wifi_aggregate_bps == pytest.approx(
-        saturation_throughput(1), rel=0.01)
+        saturation_throughput(1, timing), rel=0.01)
 
 
 def test_airtime_ledger_exact_for_every_scheme():
