@@ -18,8 +18,8 @@ print(f"interval 100000 us, beacon 500 us, budget for LTE: {budget} us "
 
 for mode in ("standalone", "uca"):
     plan = build_superframe(M, N, mode=mode)
-    sf = plan.superframe
-    print(f"{mode}: beacon {sf.beacon_us} | CFP {sf.cfp_us} | CP {sf.cp_us}"
+    cp_us = 100_000 - 500 - plan.cfp_us
+    print(f"{mode}: beacon 500 | CFP {plan.cfp_us} | CP {cp_us}"
           f"  (remainder {plan.remainder_us} us handed to the CP)")
     for g in plan.grants[:6]:
         tag = f"n={g.n_subframes}" if g.n_subframes else "chunk"

@@ -30,8 +30,7 @@ from .analytics import (FixedPointError, MetricsAccumulator, aggregate,
                         saturation_throughput, solve_fixed_point)
 from .dcf import MacTiming, WifiStation, exchange_durations
 from .engine import SchedulingError, SimEvent, Simulator, make_stream
-from .hap import (Beacon, DtxDrxCycle, ShortenedFrame, Superframe, TxopGrant,
-                  build_superframe, cfp_transmit, round_txop, shorten_frame)
+from .hap import TxopGrant, build_superframe, cfp_transmit, round_txop
 from .lbt import LbtNode, LbtParams, burst_transmit
 from .radio import (ChannelParams, LinkBudget, NodePosition, lte_rate,
                     link_budget, path_loss_db, place_users)
@@ -47,8 +46,7 @@ __all__ = [
     "saturation_throughput", "solve_fixed_point",
     "MacTiming", "WifiStation", "exchange_durations",
     "SchedulingError", "SimEvent", "Simulator", "make_stream",
-    "Beacon", "DtxDrxCycle", "ShortenedFrame", "Superframe", "TxopGrant",
-    "build_superframe", "cfp_transmit", "round_txop", "shorten_frame",
+    "TxopGrant", "build_superframe", "cfp_transmit", "round_txop",
     "LbtNode", "LbtParams", "burst_transmit",
     "ChannelParams", "LinkBudget", "NodePosition", "lte_rate",
     "link_budget", "path_loss_db", "place_users",

@@ -138,9 +138,12 @@ class AggregateRow:
     ci95: dict[str, float]
 
 
-def aggregate(rows: Sequence, metrics: Iterable[str] = (
-        "per_user_wifi_throughput_bps", "wifi_aggregate_bps",
-        "lte_aggregate_bps", "total_bps", "collision_rate")) -> list[AggregateRow]:
+AGG_METRICS = ("per_user_wifi_throughput_bps", "wifi_aggregate_bps",
+               "lte_aggregate_bps", "total_bps", "collision_rate")
+
+
+def aggregate(rows: Sequence,
+              metrics: Iterable[str] = AGG_METRICS) -> list[AggregateRow]:
     """Mean and 95% normal-approximation CI per metric, grouped by scenario.
 
     Rows may be ResultRow instances or dicts with the same field names.

@@ -18,6 +18,7 @@ seeds always produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -26,13 +27,11 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .analytics import aggregate, saturation_throughput, solve_fixed_point
+from .analytics import (AGG_METRICS, aggregate, saturation_throughput,
+                        solve_fixed_point)
 from .scenario import (ConfigError, ScenarioConfig, expand_sweep, load_config,
                        SCHEMES)
 from .simulate import CSV_COLUMNS, ResultRow, run_scenario
-
-AGG_METRICS = ("per_user_wifi_throughput_bps", "wifi_aggregate_bps",
-               "lte_aggregate_bps", "total_bps", "collision_rate")
 
 
 def _int_list(text: str) -> list[int]:
@@ -47,6 +46,19 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _emit_table(out: str | None, name: str, header: list[str],
+                body: list[list[str]]) -> None:
+    """Write a table to ``<out>/<name>``, or to stdout when out is unset."""
+    if out:
+        path = Path(out) / name
+        _write_csv(path, header, body)
+        print(f"wrote {path}", file=sys.stderr)
+    else:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(body)
 
 
 def _write_meta(path: Path, config: ScenarioConfig | None,
@@ -64,18 +76,12 @@ def _run_point(point: tuple[ScenarioConfig, int]) -> ResultRow:
 
 def _run_all(points: list[tuple[ScenarioConfig, int]],
              parallel: int) -> list[ResultRow]:
-    total = len(points)
     rows: list[ResultRow] = []
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            for i, row in enumerate(pool.map(_run_point, points)):
-                print(f"[{i + 1}/{total}] {row.scheme} N={row.n_wifi} "
-                      f"M={row.m_lte} seed={row.seed}", file=sys.stderr)
-                rows.append(row)
-    else:
-        for i, point in enumerate(points):
-            row = _run_point(point)
-            print(f"[{i + 1}/{total}] {row.scheme} N={row.n_wifi} "
+    with (ProcessPoolExecutor(max_workers=parallel) if parallel > 1
+          else contextlib.nullcontext()) as pool:
+        results = (pool.map if pool else map)(_run_point, points)
+        for i, row in enumerate(results, 1):
+            print(f"[{i}/{len(points)}] {row.scheme} N={row.n_wifi} "
                   f"M={row.m_lte} seed={row.seed}", file=sys.stderr)
             rows.append(row)
     rows.sort(key=lambda r: (r.scheme, r.n_wifi, r.m_lte, r.seed))
@@ -95,7 +101,7 @@ def _agg_table(rows) -> tuple[list[str], list[list[str]]]:
     for name in AGG_METRICS:
         header += [f"{name}_mean", f"{name}_ci95"]
     body = []
-    for agg in aggregate(rows, metrics=AGG_METRICS):
+    for agg in aggregate(rows):
         line = [agg.scheme, str(agg.n_wifi), str(agg.m_lte),
                 str(agg.n_seeds)]
         for name in AGG_METRICS:
@@ -147,13 +153,7 @@ def _cmd_oracle(args) -> int:
         tau, p = solve_fixed_point(n)
         s = saturation_throughput(n, access_mode=args.access_mode)
         body.append([str(n), f"{tau:.9f}", f"{p:.9f}", f"{s:.6f}"])
-    if args.out:
-        _write_csv(Path(args.out) / "oracle.csv", header, body)
-        print(f"wrote {Path(args.out) / 'oracle.csv'}", file=sys.stderr)
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(body)
+    _emit_table(args.out, "oracle.csv", header, body)
     return 0
 
 
@@ -170,13 +170,7 @@ def _cmd_report(args) -> int:
                     row[key] = float(row[key])
             raw.append(row)
     header, body = _agg_table(raw)
-    if args.out:
-        _write_csv(Path(args.out) / "report.csv", header, body)
-        print(f"wrote {Path(args.out) / 'report.csv'}", file=sys.stderr)
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(body)
+    _emit_table(args.out, "report.csv", header, body)
     return 0
 
 

@@ -37,6 +37,13 @@ class MacTiming:
     def __post_init__(self):
         if self.slot_us < 1:
             raise ValueError("slot_us must be >= 1")
+        if not self.bit_rate_mbps > 0:
+            raise ValueError("bit_rate_mbps must be positive")
+        for name in ("sifs_us", "difs_us", "prop_delay_us", "phy_header_bits",
+                     "mac_header_bits", "ack_bits", "cts_bits", "rts_bits",
+                     "payload_bytes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.cw_min < 1 or self.cw_max < self.cw_min:
             raise ValueError("need 1 <= cw_min <= cw_max")
         if self.max_backoff_stage < 0:

@@ -7,12 +7,15 @@ sized on a 32 µs grid and capped at 8160 µs; the CP runs plain DCF.
 
 Two user classes:
 
-* standalone: whole shortened LTE frames ride the CFP, each TXOP being
-  header + n subframes + ack with n in [6, 8] so the sync subframes
-  (0 and 5) stay active. Users rotate across superframes and honour the
-  n active / 10-n sleep duty cycle between grants.
+* standalone: each TXOP carries one shortened LTE frame, header +
+  n subframes + ack with n in [6, 8] so the sync subframes (0 and 5)
+  stay active. Users rotate across superframes and honour the n active
+  / 10-n sleep duty cycle between grants.
 * uca (carrier aggregation): control stays licensed, so the CFP budget
   is split evenly across all users with no header, ack, or sync cost.
+
+``TxopGrant`` is the one home of this layout: it checks n when built
+and reports the data window (``data_us``) that delivery reads.
 
 This module is pure planning and payload arithmetic; event wiring lives
 in the run loop.
@@ -20,13 +23,12 @@ in the run loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .radio import (FRAME_ACK_US, FRAME_HEADER_US, FRAME_SUBFRAMES,
-                    SUBFRAME_US, ChannelParams, LinkBudget, fading_gains,
-                    lte_rate)
+from .radio import (FRAME_ACK_US, FRAME_HEADER_US, SUBFRAME_US, ChannelParams,
+                    LinkBudget, fading_gains, lte_rate)
 
 TXOP_QUANTUM_US = 32
 TXOP_MAX_US = 8160
@@ -53,68 +55,16 @@ def sa_txop_duration(n_subframes: int) -> int:
 
 
 @dataclass(frozen=True)
-class ShortenedFrame:
-    """LTE frame truncated to its first n subframes."""
-
-    n_active: int
-    mask: tuple[bool, ...]
-    header_us: int = FRAME_HEADER_US
-    ack_us: int = FRAME_ACK_US
-
-    def __post_init__(self):
-        if len(self.mask) != FRAME_SUBFRAMES:
-            raise ValueError("mask must cover 10 subframes")
-        if sum(self.mask) != self.n_active:
-            raise ValueError("mask population differs from n_active")
-
-    @property
-    def airtime_us(self) -> int:
-        return self.header_us + self.n_active * SUBFRAME_US + self.ack_us
-
-
-def shorten_frame(n: int, mode: str = "standalone") -> ShortenedFrame:
-    """Build the frame mask for an n-subframe grant.
-
-    Standalone mode needs 6 <= n <= 8: at least 6 so subframes 0 and 5
-    (sync positions) stay active, at most 8 so header + data + ack fits
-    under the TXOP cap. Aggregation mode allows any 1 <= n <= 10 and
-    carries no header or ack on this band.
-    """
-    if mode == "standalone":
-        if not 6 <= n <= 8:
-            raise ValueError(f"standalone frame needs 6 <= n <= 8, got {n}")
-        header, ack = FRAME_HEADER_US, FRAME_ACK_US
-    elif mode == "uca":
-        if not 1 <= n <= FRAME_SUBFRAMES:
-            raise ValueError(f"uca frame needs 1 <= n <= 10, got {n}")
-        header, ack = 0, 0
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    mask = tuple(i < n for i in range(FRAME_SUBFRAMES))
-    return ShortenedFrame(n, mask, header_us=header, ack_us=ack)
-
-
-@dataclass(frozen=True)
-class DtxDrxCycle:
-    """n active subframes then 10-n asleep, one LTE frame per cycle."""
-
-    n: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= FRAME_SUBFRAMES:
-            raise ValueError("cycle needs 1 <= n <= 10")
-
-    @property
-    def sleep(self) -> int:
-        return FRAME_SUBFRAMES - self.n
-
-    @property
-    def sleep_us(self) -> int:
-        return self.sleep * SUBFRAME_US
-
-
-@dataclass(frozen=True)
 class TxopGrant:
+    """One scheduled window of the contention-free period.
+
+    A standalone grant (``n_subframes`` set) carries one shortened LTE
+    frame: header, n subframes of data and ack, padded to the 32 µs grid.
+    n must be one of ``SA_N_CHOICES``, so the sync subframes 0 and 5 stay
+    active. An aggregation grant (``n_subframes`` None) carries data
+    over its whole duration.
+    """
+
     user_id: str
     start_us: int
     duration_us: int
@@ -125,36 +75,33 @@ class TxopGrant:
             raise ValueError("grant duration off the 32 µs grid")
         if not TXOP_QUANTUM_US <= self.duration_us <= TXOP_MAX_US:
             raise ValueError("grant duration outside [32, 8160] µs")
+        n = self.n_subframes
+        if n is not None:
+            if n not in SA_N_CHOICES:
+                raise ValueError(
+                    f"standalone grant needs 6 <= n <= 8, got {n}")
+            if self.duration_us != sa_txop_duration(n):
+                raise ValueError(
+                    f"standalone grant of {n} subframes must last "
+                    f"{sa_txop_duration(n)} µs, got {self.duration_us}")
 
     @property
     def end_us(self) -> int:
         return self.start_us + self.duration_us
 
-
-@dataclass(frozen=True)
-class Superframe:
-    interval_us: int = DEFAULT_INTERVAL_US
-    beacon_us: int = DEFAULT_BEACON_US
-    cfp_us: int = 0
-    cp_us: int = 0
-
-    def __post_init__(self):
-        if self.beacon_us + self.cfp_us + self.cp_us != self.interval_us:
-            raise ValueError("beacon + CFP + CP must equal the interval")
-
-
-@dataclass(frozen=True)
-class Beacon:
-    time_stamp_us: int
-    cfp_length_us: int
-    txop_schedule: tuple[tuple[int, int], ...]   # (start, max-length)
+    @property
+    def data_us(self) -> int:
+        """Airtime that carries LTE data: the n subframes of a standalone
+        frame, or the whole of an aggregation grant."""
+        if self.n_subframes is None:
+            return self.duration_us
+        return self.n_subframes * SUBFRAME_US
 
 
 @dataclass(frozen=True)
 class SuperframePlan:
-    superframe: Superframe
-    beacon: Beacon
     grants: tuple[TxopGrant, ...]
+    cfp_us: int              # summed grant airtime, from the beacon's end
     remainder_us: int        # unused budget handed back to the CP
     next_rotation: int       # round-robin cursor for the next interval
 
@@ -249,28 +196,22 @@ def build_superframe(m_lte: int, n_wifi: int,
         grants = _pack_uca(budget, user_ids, cfp_start)
 
     cfp_len = sum(g.duration_us for g in grants)
-    frame = Superframe(interval_us, beacon_us, cfp_len,
-                       interval_us - beacon_us - cfp_len)
-    beacon = Beacon(start_us, cfp_len,
-                    tuple((g.start_us, g.duration_us) for g in grants))
     if any(a.end_us > b.start_us for a, b in zip(grants, grants[1:])):
         raise RuntimeError("planner produced overlapping grants")
-    return SuperframePlan(frame, beacon, tuple(grants),
-                          budget - cfp_len, next_rotation)
+    return SuperframePlan(tuple(grants), cfp_len, budget - cfp_len,
+                          next_rotation)
 
 
-def cfp_transmit(grant: TxopGrant, frame: ShortenedFrame, link: LinkBudget,
-                 channel: ChannelParams, rng: np.random.Generator) -> float:
+def cfp_transmit(grant: TxopGrant, link: LinkBudget, channel: ChannelParams,
+                 rng: np.random.Generator) -> float:
     """Delivered bits for one grant: fresh fading per subframe segment.
 
-    The data window is the grant minus header and ack. Standalone grants
-    hold exactly n full subframes; aggregation grants may end mid
-    subframe, in which case the tail segment delivers pro rata.
+    The data window is ``grant.data_us``. A standalone grant delivers
+    exactly its n subframes; header, ack and grid padding carry no bits.
+    An aggregation grant may end mid subframe, in which case the tail
+    segment delivers pro rata.
     """
-    data_us = grant.duration_us - frame.header_us - frame.ack_us
-    if data_us < 0:
-        raise ValueError("grant shorter than header + ack")
-    full, tail = divmod(data_us, SUBFRAME_US)
+    full, tail = divmod(grant.data_us, SUBFRAME_US)
     segments = [SUBFRAME_US] * full + ([tail] if tail else [])
     gains = fading_gains(rng, len(segments), channel)
     return sum(lte_rate(link.mean_snr * float(g), channel) * (seg * 1e-6)

@@ -147,14 +147,12 @@ class _CycleFsm(_Fsm):
 
     def __init__(self, ue_id: str, trace: SignallingTrace | None = None):
         super().__init__(ue_id, trace)
-        self.n = 0
         self.active_remaining = 0
         self.sleep_remaining = 0
 
     def _on_data_request(self, n: int = 0, **_ignored) -> str:
         if not 1 <= n <= FRAME_SUBFRAMES:
             raise ValueError(f"cycle length n={n} outside [1, {FRAME_SUBFRAMES}]")
-        self.n = n
         self.active_remaining = n
         self.sleep_remaining = FRAME_SUBFRAMES - n
         return self.ACTIVE_STATE

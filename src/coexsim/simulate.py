@@ -15,7 +15,7 @@ from .analytics import MetricsAccumulator
 from .contention import ContentionDriver
 from .dcf import WifiStation, exchange_durations
 from .engine import Simulator
-from .hap import build_superframe, cfp_transmit, shorten_frame
+from .hap import build_superframe, cfp_transmit
 from .lbt import LbtNode
 from .radio import (FRAME_HEADER_US, FRAME_SUBFRAMES, SUBFRAME_US,
                     link_budget, place_users)
@@ -96,7 +96,6 @@ class _HapRun:
         self.rotation = 0
         self.eligible_at = {uid: 0 for uid in user_ids}
         self.t_end = cfg.duration_us
-        self.lte_intervals: list[tuple[int, int]] = []
         self.cfp_intervals: list[tuple[int, int]] = []
         self.beacon_intervals: list[tuple[int, int]] = []
 
@@ -156,11 +155,11 @@ class _HapRun:
             rotation=self.rotation, user_ids=self.user_ids,
             eligible_at=self.eligible_at)
         self.rotation = plan.next_rotation
-        cfp_end = beacon_end + plan.superframe.cfp_us
+        cfp_end = beacon_end + plan.cfp_us
         next_tbtt = min((k + 1) * self.cfg.interval_us, self.t_end)
         if cfp_end > next_tbtt:
             raise RuntimeError("CFP ran into the next beacon")
-        self.metrics.cfp_us += plan.superframe.cfp_us
+        self.metrics.cfp_us += plan.cfp_us
         if plan.grants:
             self.cfp_intervals.append((beacon_end, cfp_end))
         for grant in plan.grants:
@@ -172,30 +171,24 @@ class _HapRun:
         uid = grant.user_id
         fsm = self.fsms[uid]
         if self.mode == "standalone":
-            n = grant.n_subframes
-            fsm_step(fsm, "data-request", grant.start_us, n=n)
+            fsm_step(fsm, "data-request", grant.start_us, n=grant.n_subframes)
             data_start = grant.start_us + FRAME_HEADER_US
-            data_end = data_start + n * SUBFRAME_US
-            for j in range(FRAME_SUBFRAMES):
+            for j in range(1, FRAME_SUBFRAMES + 1):
                 # n active ticks inside the grant, 10-n sleep ticks after
-                self.sim.schedule(data_start + (j + 1) * SUBFRAME_US,
+                self.sim.schedule(data_start + j * SUBFRAME_US,
                                   "timer", uid,
                                   lambda u=uid: self._tick(u))
-            self.eligible_at[uid] = data_end + (FRAME_SUBFRAMES - n) * SUBFRAME_US
-            frame = shorten_frame(n, "standalone")
-        else:
-            frame = shorten_frame(-(-grant.duration_us // SUBFRAME_US), "uca")
+            self.eligible_at[uid] = data_start + FRAME_SUBFRAMES * SUBFRAME_US
         self.trace.record_grant(GrantRecord(
             uid, grant.start_us, grant.end_us, grant.n_subframes))
-        self.lte_intervals.append((grant.start_us, grant.end_us))
         self.sim.schedule(grant.end_us, "txop-end", uid,
-                          lambda g=grant, f=frame: self._deliver(g, f))
+                          lambda g=grant: self._deliver(g))
 
     def _tick(self, uid: str) -> None:
         fsm_step(self.fsms[uid], "subframe-tick", self.sim.now)
 
-    def _deliver(self, grant, frame) -> None:
-        bits = cfp_transmit(grant, frame, self.links[grant.user_id],
+    def _deliver(self, grant) -> None:
+        bits = cfp_transmit(grant, self.links[grant.user_id],
                             self.cfg.channel, self.user_rngs[grant.user_id])
         self.metrics.add_lte_bits(grant.user_id, bits)
         self.metrics.add_lte_airtime(grant.user_id, grant.duration_us)
@@ -274,8 +267,8 @@ def run_scenario(config: ScenarioConfig, seed: int) -> RunResult:
     wifi_tx = [(a, b) for a, b, w, _l in driver.tx_intervals if w]
     if config.scheme == "lbt":
         lte_tx = [(a, b) for a, b, _w, l in driver.tx_intervals if l]
-    elif hap is not None:
-        lte_tx = hap.lte_intervals
+    elif trace is not None:
+        lte_tx = [(g.start_us, g.end_us) for g in trace.grants]
     else:
         lte_tx = []
     return RunResult(

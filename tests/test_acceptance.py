@@ -20,7 +20,7 @@ from scipy import stats
 
 from coexsim.analytics import saturation_throughput
 from coexsim.dcf import MacTiming, WifiStation, contention_window
-from coexsim.hap import DtxDrxCycle, shorten_frame
+from coexsim.hap import TxopGrant, sa_txop_duration
 from coexsim.radio import ChannelParams
 from coexsim.scenario import ScenarioConfig
 from coexsim.signalling import conformance_check
@@ -305,13 +305,16 @@ def test_criterion_8_structural_suite(criterion_log):
             if rec.cycles_checked == 0:
                 failures.append(f"no cycles audited {key}")
 
-    # subframes 0 and 5 stay active in every legal shortened frame
-    for n in (6, 7, 8):
-        mask = shorten_frame(n).mask
-        if not (mask[0] and mask[5]):
-            failures.append(f"sync subframes inactive at n={n}")
-        if DtxDrxCycle(n).sleep != 10 - n:
-            failures.append(f"cycle arithmetic n={n}")
+    # a standalone grant refuses any n that would drop sync subframe 5
+    # (n < 6) or overrun the TXOP cap (n > 8)
+    for n in range(11):
+        try:
+            TxopGrant("lte-00", 0, sa_txop_duration(min(n, 8)), n_subframes=n)
+            accepted = True
+        except ValueError:
+            accepted = False
+        if accepted != (n in (6, 7, 8)):
+            failures.append(f"standalone grant n={n} accepted={accepted}")
 
     # replay determinism on representative runs
     for scheme, n, m in (("hap-sa", 30, 10), ("wifi-only", 30, 0)):

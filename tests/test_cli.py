@@ -148,3 +148,11 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_zero_bit_rate_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"timing": {"bit_rate_mbps": 0}}))
+    rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error: timing: bit_rate_mbps" in capsys.readouterr().err

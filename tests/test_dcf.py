@@ -69,6 +69,15 @@ def test_mac_timing_validation():
         MacTiming(max_backoff_stage=-1)
     with pytest.raises(ValueError, match="slot_us"):
         MacTiming(slot_us=0)
+    for rate in (0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="bit_rate_mbps"):
+            MacTiming(bit_rate_mbps=rate)
+    for name in ("sifs_us", "difs_us", "prop_delay_us", "phy_header_bits",
+                 "mac_header_bits", "ack_bits", "cts_bits", "rts_bits",
+                 "payload_bytes"):
+        with pytest.raises(ValueError, match=name):
+            MacTiming(**{name: -1})
+        MacTiming(**{name: 0})
 
 
 @given(stage=st.integers(min_value=0, max_value=10), seed=st.integers(0, 2**16))

@@ -1,19 +1,17 @@
-"""Superframe planning: TXOP grid, frame shortening, packing, delivery."""
+"""Superframe planning: TXOP grid, grant layout, packing, delivery."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coexsim.hap as hap
 from coexsim.hap import (
-    DtxDrxCycle,
-    Superframe,
     TxopGrant,
     build_superframe,
     cfp_budget_us,
     cfp_transmit,
     round_txop,
     sa_txop_duration,
-    shorten_frame,
 )
 from coexsim.radio import ChannelParams, LinkBudget
 
@@ -52,47 +50,7 @@ def test_sa_txop_durations():
     assert sa_txop_duration(6) == 6080
 
 
-# -- frame shortening ------------------------------------------------------
-
-def test_shorten_frame_standalone_keeps_sync_positions():
-    f = shorten_frame(6)
-    assert f.n_active == 6
-    assert f.mask == (True,) * 6 + (False,) * 4
-    assert f.mask[0] and f.mask[5]
-    assert f.airtime_us == 32 + 6000 + 32
-
-
-def test_shorten_frame_standalone_range():
-    for n in (6, 7, 8):
-        shorten_frame(n)
-    for n in (5, 9, 0):
-        with pytest.raises(ValueError):
-            shorten_frame(n)
-
-
-def test_shorten_frame_uca_mode():
-    f = shorten_frame(10, mode="uca")
-    assert f.mask == (True,) * 10
-    assert f.header_us == 0 and f.ack_us == 0
-    assert f.airtime_us == 10_000
-    shorten_frame(1, mode="uca")
-    with pytest.raises(ValueError):
-        shorten_frame(11, mode="uca")
-    with pytest.raises(ValueError):
-        shorten_frame(6, mode="tdd")
-
-
-def test_dtx_drx_cycle_arithmetic():
-    c = DtxDrxCycle(7)
-    assert c.sleep == 3 and c.sleep_us == 3000
-    assert DtxDrxCycle(10).sleep == 0
-    with pytest.raises(ValueError):
-        DtxDrxCycle(0)
-    with pytest.raises(ValueError):
-        DtxDrxCycle(11)
-
-
-# -- grant and superframe invariants ---------------------------------------
+# -- grant layout ----------------------------------------------------------
 
 def test_txop_grant_validation():
     TxopGrant("lte-00", 500, 8064)
@@ -106,10 +64,28 @@ def test_txop_grant_validation():
     assert g.end_us == 564
 
 
-def test_superframe_partition_must_be_exact():
-    Superframe(100_000, 500, 24_192, 75_308)
-    with pytest.raises(ValueError):
-        Superframe(100_000, 500, 24_192, 75_309)
+def test_standalone_grant_n_range():
+    # n in [6, 8]: at least 6 keeps sync subframes 0 and 5 active, at most
+    # 8 keeps header + data + ack under the 8160 us cap
+    for n in (6, 7, 8):
+        TxopGrant("lte-00", 500, sa_txop_duration(n), n_subframes=n)
+    for n in (0, 1, 5, 9, 10):
+        with pytest.raises(ValueError, match="6 <= n <= 8"):
+            TxopGrant("lte-00", 500, 8064, n_subframes=n)
+
+
+def test_standalone_grant_duration_matches_its_frame():
+    with pytest.raises(ValueError, match="must last 7072"):
+        TxopGrant("lte-00", 500, 8064, n_subframes=7)
+
+
+def test_grant_data_window():
+    # standalone: the n subframes only; header, ack and grid padding carry
+    # no data
+    for n, dur in ((8, 8064), (7, 7072), (6, 6080)):
+        assert TxopGrant("lte-00", 500, dur, n_subframes=n).data_us == n * 1000
+    # aggregation: the whole grant
+    assert TxopGrant("lte-00", 500, 1504).data_us == 1504
 
 
 # -- budget and packing ----------------------------------------------------
@@ -127,14 +103,10 @@ def test_standalone_packing_ten_users_thirty_stations():
     assert [g.n_subframes for g in plan.grants] == [8, 8, 8]
     assert [g.duration_us for g in plan.grants] == [8064, 8064, 8064]
     assert plan.remainder_us == 24_875 - 3 * 8064 == 683
-    assert plan.superframe.cfp_us == 24_192
-    assert plan.superframe.cp_us == 100_000 - 500 - 24_192
+    assert plan.cfp_us == 24_192
     # grants tile the CFP contiguously from the end of the beacon
     assert plan.grants[0].start_us == 500
     assert plan.grants[1].start_us == plan.grants[0].end_us
-    assert plan.beacon.cfp_length_us == 24_192
-    assert plan.beacon.txop_schedule == tuple(
-        (g.start_us, g.duration_us) for g in plan.grants)
 
 
 def test_standalone_rotation_serves_every_user_equally():
@@ -182,8 +154,8 @@ def test_uca_chunks_large_shares_under_the_cap():
 def test_superframe_with_no_lte_users_is_all_contention():
     plan = build_superframe(0, 30)
     assert plan.grants == ()
-    assert plan.superframe.cfp_us == 0
-    assert plan.superframe.cp_us == 99_500
+    assert plan.cfp_us == 0
+    assert plan.remainder_us == 0
 
 
 def test_build_superframe_argument_validation():
@@ -208,12 +180,10 @@ def test_packing_conserves_budget_and_never_overlaps(m, n, mode, rotation):
     for g in plan.grants:
         assert g.duration_us % 32 == 0
         assert 32 <= g.duration_us <= 8160
-    assert (plan.superframe.beacon_us + plan.superframe.cfp_us
-            + plan.superframe.cp_us == 100_000)
+    assert plan.cfp_us + plan.remainder_us == budget
 
 
 def test_overlapping_grants_raise(monkeypatch):
-    import coexsim.hap as hap
     monkeypatch.setattr(hap, "_pack_uca", lambda budget, ids, start: [
         TxopGrant(ids[0], start, 64), TxopGrant(ids[1], start + 32, 64)])
     with pytest.raises(RuntimeError, match="overlapping"):
@@ -222,27 +192,49 @@ def test_overlapping_grants_raise(monkeypatch):
 
 # -- delivery --------------------------------------------------------------
 
+RATE_AT_SNR_1 = 17142857.142857143   # bit/s at SNR 1 (0 dB), no fading
+
+
 def test_cfp_transmit_standalone_without_fading():
     link = LinkBudget("lte-00", 10.0, 66.4, 1.0)
     channel = ChannelParams(fading="none")
     grant = TxopGrant("lte-00", 500, 8064, n_subframes=8)
-    frame = shorten_frame(8)
-    bits = cfp_transmit(grant, frame, link, channel, np.random.default_rng(0))
-    assert bits == pytest.approx(8 * 17142857.142857143e-3, rel=1e-12)
+    bits = cfp_transmit(grant, link, channel, np.random.default_rng(0))
+    assert bits == pytest.approx(8 * RATE_AT_SNR_1 * 1e-3, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_standalone_grant_delivers_exactly_n_subframes(n, monkeypatch):
+    # n=6 and n=7 grants are padded to 6080 and 7072 us on the 32 us grid;
+    # the padding carries no bits and draws no fading gain
+    link = LinkBudget("lte-00", 10.0, 66.4, 1.0)
+    grant = TxopGrant("lte-00", 500, sa_txop_duration(n), n_subframes=n)
+    bits = cfp_transmit(grant, link, ChannelParams(fading="none"),
+                        np.random.default_rng(0))
+    assert bits == pytest.approx(n * RATE_AT_SNR_1 * 1e-3, rel=1e-12)
+
+    drawn = []
+    real_gains = hap.fading_gains
+
+    def counting_gains(rng, count, channel):
+        drawn.append(count)
+        return real_gains(rng, count, channel)
+
+    monkeypatch.setattr(hap, "fading_gains", counting_gains)
+    cfp_transmit(grant, link, ChannelParams(), np.random.default_rng(0))
+    assert drawn == [n]
 
 
 def test_cfp_transmit_partial_tail_subframe():
     link = LinkBudget("lte-00", 10.0, 66.4, 1.0)
     channel = ChannelParams(fading="none")
     grant = TxopGrant("lte-00", 0, 1504)   # uca style: 1.504 ms, no header
-    frame = shorten_frame(2, mode="uca")
-    bits = cfp_transmit(grant, frame, link, channel, np.random.default_rng(0))
-    assert bits == pytest.approx(17142857.142857143 * 1504e-6, rel=1e-12)
+    bits = cfp_transmit(grant, link, channel, np.random.default_rng(0))
+    assert bits == pytest.approx(RATE_AT_SNR_1 * 1504e-6, rel=1e-12)
 
 
 def test_cfp_transmit_zero_snr_delivers_nothing():
     link = LinkBudget("lte-00", 10.0, 66.4, 0.0)
     grant = TxopGrant("lte-00", 500, 8064, n_subframes=8)
-    frame = shorten_frame(8)
-    bits = cfp_transmit(grant, frame, link, ChannelParams(), np.random.default_rng(0))
+    bits = cfp_transmit(grant, link, ChannelParams(), np.random.default_rng(0))
     assert bits == 0.0
