@@ -1,20 +1,28 @@
 """One user of each kind walked through its association state machine.
 
 Prints the transition log as each machine consumes its event sequence,
-then runs the conformance auditor over the collected trace. Flip the
-TAMPER flag to forge one record and watch the audit name the exact
-divergence.
+then runs the conformance auditor over the collected trace. Beacons
+follow each machine's own ``BEACON_PATH``, as the coordinator drives
+them. The grant in the trace is the planner's ``TxopGrant`` itself.
+Flip the TAMPER flag to forge one record and watch the audit name the
+exact divergence.
 
 Run:  python3 demos/signalling_walkthrough.py
 """
 
-from coexsim.signalling import (GrantRecord, SaDrxFsm, SaDtxFsm,
-                                SignallingTrace, TransitionRecord, UcaFsm,
-                                conformance_check, fsm_step)
+from coexsim.hap import TxopGrant, sa_txop_duration
+from coexsim.signalling import (SaDrxFsm, SaDtxFsm, SignallingTrace,
+                                TransitionRecord, UcaFsm, conformance_check,
+                                fsm_step)
 
 TAMPER = False
 
 trace = SignallingTrace()
+
+
+def beacon(fsm, time_us):
+    """The events a beacon at time_us drives this machine through."""
+    return [(time_us, event, {}) for event in fsm.BEACON_PATH.get(fsm.state, ())]
 
 
 def drive(fsm, script):
@@ -27,30 +35,38 @@ def drive(fsm, script):
     print()
 
 
-# carrier-aggregation user: control plane on the licensed band
-drive(UcaFsm("lte-00", trace), [
+# carrier-aggregation user: control plane on the licensed band, then
+# the beacon that opens aggregation
+uca = UcaFsm("lte-00", trace)
+drive(uca, [
     (0, "assoc-request", {}),
     (10, "ul-grant", {}),
     (20, "identity", {}),
     (30, "rrc", {}),
-    (500, "beacon", {}),
 ])
+drive(uca, beacon(uca, 500))
 
-# standalone uplink user: associates over the air, then one 6+4 cycle
-dtx_script = [(500, "beacon", {}), (510, "identity", {}),
-              (1000, "data-request", {"n": 6})]
-dtx_script += [(1000 + 1000 * (k + 1), "subframe-tick", {}) for k in range(10)]
-drive(SaDtxFsm("lte-01", trace), dtx_script)
-trace.record_grant(GrantRecord("lte-01", 1000, 7064, n_subframes=6))
+# standalone uplink user: the beacon associates it over the air, then
+# one 6+4 cycle; a beacon mid-cycle finds no path and changes nothing
+dtx = SaDtxFsm("lte-01", trace)
+drive(dtx, beacon(dtx, 500))
+grant = TxopGrant("lte-01", 1000, sa_txop_duration(6), n_subframes=6)
+trace.grants.append(grant)
+dtx_script = [(grant.start_us, "data-request", {"n": grant.n_subframes})]
+dtx_script += [(1000 + 1000 * (k + 1), "subframe-tick", {}) for k in range(7)]
+drive(dtx, dtx_script)
+print(f"   beacon while {dtx.state!r}: path {beacon(dtx, 8500)}, "
+      f"schedulable={dtx.schedulable}\n")
+drive(dtx, [(1000 + 1000 * (k + 1), "subframe-tick", {}) for k in range(7, 10)])
 
-# standalone downlink user: periodic control-channel checks
-drive(SaDrxFsm("lte-02", trace), [
+# standalone downlink user: periodic control-channel checks, then the
+# beacon path that configures it
+drx = SaDrxFsm("lte-02", trace)
+drive(drx, [
     (2000, "subframe-tick", {}),
     (2000, "pdcch-absent", {}),
-    (3000, "subframe-tick", {}),
-    (3000, "pdcch-present", {}),
-    (3010, "identity", {}),
 ])
+drive(drx, beacon(drx, 3000))
 
 if TAMPER:
     rec = trace.transitions[4]

@@ -1,10 +1,11 @@
 """Saturation fixed point, run metrics, and cross-seed aggregation.
 
 The oracle solves the classic two-equation saturation model for n
-stations with binary exponential backoff (window W doubling up to stage
-m, unlimited retries):
+stations with binary exponential backoff (stage i draws from a window
+W_i = ``dcf.contention_window(i)``, so W doubles from cw_min and clamps
+at cw_max; the stage stops rising at m; retries are unlimited):
 
-    tau = 2(1-2p) / ((1-2p)(W+1) + p W (1 - (2p)^m))
+    tau = 2 / ((1-p) sum_{i<m} p^i (W_i+1) + p^m (W_m+1))
     p   = 1 - (1 - tau)^(n-1)
 
 by bisection on tau, then converts attempt/collision probabilities into
@@ -19,24 +20,21 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .dcf import MacTiming, exchange_durations
+from .dcf import MacTiming, contention_window, exchange_durations
 
 
 class FixedPointError(RuntimeError):
     """Bisection failed to reach the residual target within the iteration cap."""
 
 
-def _tau_from_p(p: float, w: int, m: int) -> float:
-    num = 2.0 * (1.0 - 2.0 * p)
-    den = (1.0 - 2.0 * p) * (w + 1) + p * w * (1.0 - (2.0 * p) ** m)
-    if den == 0.0:  # exact p = 1/2 degeneracy; nudge off the singular point
-        p += 1e-12
-        num = 2.0 * (1.0 - 2.0 * p)
-        den = (1.0 - 2.0 * p) * (w + 1) + p * w * (1.0 - (2.0 * p) ** m)
-    return num / den
+def _tau_from_p(p: float, windows: tuple[int, ...]) -> float:
+    *lower, top = windows
+    den = ((1.0 - p) * sum(p ** i * (w + 1) for i, w in enumerate(lower))
+           + p ** len(lower) * (top + 1))
+    return 2.0 / den
 
 
-def solve_fixed_point(n_stations: int, cw_min: int = 16, max_stage: int = 6,
+def solve_fixed_point(n_stations: int, timing: MacTiming | None = None,
                       tol: float = 1e-10, max_iter: int = 200) -> tuple[float, float]:
     """Return (tau, p) with both residuals below tol.
 
@@ -44,11 +42,13 @@ def solve_fixed_point(n_stations: int, cw_min: int = 16, max_stage: int = 6,
     """
     if n_stations < 1:
         raise ValueError("n_stations must be >= 1")
-    w, m = cw_min, max_stage
+    timing = timing or MacTiming()
+    windows = tuple(contention_window(i, timing)
+                    for i in range(timing.max_backoff_stage + 1))
 
     def residual(tau: float) -> float:
         p = 1.0 - (1.0 - tau) ** (n_stations - 1)
-        return tau - _tau_from_p(p, w, m)
+        return tau - _tau_from_p(p, windows)
 
     lo, hi = 1e-15, 1.0 - 1e-15
     if residual(lo) > 0 or residual(hi) < 0:
@@ -64,7 +64,7 @@ def solve_fixed_point(n_stations: int, cw_min: int = 16, max_stage: int = 6,
         else:
             hi = tau
     p = 1.0 - (1.0 - tau) ** (n_stations - 1)
-    if abs(tau - _tau_from_p(p, w, m)) >= tol:
+    if abs(tau - _tau_from_p(p, windows)) >= tol:
         raise FixedPointError(f"residual target {tol} not reached for n={n_stations}")
     return tau, p
 
@@ -73,7 +73,7 @@ def saturation_throughput(n_stations: int, timing: MacTiming | None = None,
                           access_mode: str = "basic") -> float:
     """Aggregate saturation throughput in bit/s for n stations."""
     timing = timing or MacTiming()
-    tau, _ = solve_fixed_point(n_stations, timing.cw_min, timing.max_backoff_stage)
+    tau, _ = solve_fixed_point(n_stations, timing)
     dur = exchange_durations(timing, access_mode)
     p_idle = (1.0 - tau) ** n_stations
     p_success = n_stations * tau * (1.0 - tau) ** (n_stations - 1)

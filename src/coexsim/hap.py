@@ -9,8 +9,8 @@ Two user classes:
 
 * standalone: each TXOP carries one shortened LTE frame, header +
   n subframes + ack with n in [6, 8] so the sync subframes (0 and 5)
-  stay active. Users rotate across superframes and honour the n active
-  / 10-n sleep duty cycle between grants.
+  stay active. Users rotate across superframes; a user still inside the
+  n active / 10-n sleep duty cycle of its last grant is skipped.
 * uca (carrier aggregation): control stays licensed, so the CFP budget
   is split evenly across all users with no header, ack, or sync cost.
 
@@ -23,6 +23,7 @@ in the run loop.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,7 @@ def cfp_budget_us(m_lte: int, n_wifi: int, interval_us: int,
 
 
 def _pack_standalone(budget: int, user_ids: list[str], cfp_start: int,
-                     rotation: int, eligible_at: dict[str, int] | None
+                     rotation: int, busy: Collection[str]
                      ) -> tuple[list[TxopGrant], int]:
     grants: list[TxopGrant] = []
     m = len(user_ids)
@@ -122,7 +123,7 @@ def _pack_standalone(budget: int, user_ids: list[str], cfp_start: int,
     attempts = 0
     for k in range(m):
         uid = user_ids[(rotation + k) % m]
-        if eligible_at is not None and eligible_at.get(uid, 0) > offset:
+        if uid in busy:
             attempts = k + 1
             continue
         placed = False
@@ -165,16 +166,16 @@ def build_superframe(m_lte: int, n_wifi: int,
                      beacon_us: int = DEFAULT_BEACON_US,
                      start_us: int = 0, rotation: int = 0,
                      user_ids: list[str] | None = None,
-                     eligible_at: dict[str, int] | None = None
-                     ) -> SuperframePlan:
+                     busy: Collection[str] = ()) -> SuperframePlan:
     """Plan one repetition interval.
 
     The CFP budget is (interval - beacon) * M/(M+N). Standalone packing
     lays whole shortened-frame TXOPs round-robin from the rotation
-    cursor, preferring 8, then 7, then 6 subframes, skipping users still
-    inside their sleep window; whatever budget cannot fit another frame
-    is returned to the CP. Aggregation packing splits the budget evenly
-    over all users on the 32 µs grid (chunked under the 8160 µs cap).
+    cursor, preferring 8, then 7, then 6 subframes, skipping the ``busy``
+    users, whose machines are still inside a duty cycle when the beacon
+    fires; whatever budget cannot fit another frame is returned to the
+    CP. Aggregation packing splits the budget evenly over all users on
+    the 32 µs grid (chunked under the 8160 µs cap).
     M = 0 degenerates to beacon + pure DCF with an empty CFP.
     """
     if mode not in MODES:
@@ -191,7 +192,7 @@ def build_superframe(m_lte: int, n_wifi: int,
         grants: list[TxopGrant] = []
     elif mode == "standalone":
         grants, next_rotation = _pack_standalone(
-            budget, user_ids, cfp_start, rotation, eligible_at)
+            budget, user_ids, cfp_start, rotation, busy)
     else:
         grants = _pack_uca(budget, user_ids, cfp_start)
 

@@ -11,14 +11,20 @@ Three machine flavours, all driven by abstract message tokens:
   the control channel, then follows the same n / 10-n cycle.
 
 Machines are deterministic: a (state, event) pair either maps to exactly
-one successor or raises ProtocolViolation. Every transition is appended
-to a shared trace that ``conformance_check`` can replay and audit.
+one successor or raises ProtocolViolation. A machine is the coordinator's
+only record of its user. Each class's ``BEACON_PATH`` maps a resting
+state to the events a beacon drives it through; a machine in the middle
+of its cycle hears nothing, and ``schedulable`` tells the planner which
+users may take a grant. Every transition and every ``TxopGrant`` the
+planner issues is appended to a shared trace that ``conformance_check``
+can replay and audit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .hap import TxopGrant
 from .radio import FRAME_SUBFRAMES
 
 # States from which a machine may hold an active data transfer.
@@ -48,30 +54,13 @@ class TransitionRecord:
     detail: int | None = None   # n of the cycle for data-request events
 
 
-@dataclass(frozen=True)
-class GrantRecord:
-    ue_id: str
-    start_us: int
-    end_us: int
-    n_subframes: int | None = None
-
-
 @dataclass
 class SignallingTrace:
-    """Conformance log: machine registry, transitions, and grants."""
+    """Conformance log: machine kinds by user, transitions, and grants."""
 
     machines: dict[str, str] = field(default_factory=dict)
     transitions: list[TransitionRecord] = field(default_factory=list)
-    grants: list[GrantRecord] = field(default_factory=list)
-
-    def register(self, ue_id: str, kind: str) -> None:
-        self.machines[ue_id] = kind
-
-    def record(self, rec: TransitionRecord) -> None:
-        self.transitions.append(rec)
-
-    def record_grant(self, grant: GrantRecord) -> None:
-        self.grants.append(grant)
+    grants: list[TxopGrant] = field(default_factory=list)
 
 
 class _Fsm:
@@ -82,13 +71,15 @@ class _Fsm:
     INITIAL = "idle"
     TABLE: dict[tuple[str, str], str] = {}
     EMITS: dict[tuple[str, str], tuple[str, ...]] = {}
+    # resting state -> events a beacon drives the machine through
+    BEACON_PATH: dict[str, tuple[str, ...]] = {}
 
     def __init__(self, ue_id: str, trace: SignallingTrace | None = None):
         self.ue_id = ue_id
         self.state = self.INITIAL
         self.trace = trace
         if trace is not None:
-            trace.register(ue_id, self.KIND)
+            trace.machines[ue_id] = self.KIND
 
     def step(self, event: str, time_us: int = 0, **info) -> str:
         key = (self.state, event)
@@ -102,7 +93,7 @@ class _Fsm:
             after = target
         self.state = after
         if self.trace is not None:
-            self.trace.record(TransitionRecord(
+            self.trace.transitions.append(TransitionRecord(
                 time_us, self.ue_id, before, event, after,
                 detail=info.get("n")))
         return after
@@ -132,6 +123,7 @@ class UcaFsm(_Fsm):
         ("association-requested", "ul-grant"): ("identity",),
         ("identity-sent", "rrc"): ("rrc-complete",),
     }
+    BEACON_PATH = {"rrc-configured": ("beacon",), "aggregating": ("beacon",)}
 
     @property
     def schedulable(self) -> bool:
@@ -191,6 +183,7 @@ class SaDtxFsm(_CycleFsm):
     EMITS = {
         ("idle", "beacon"): ("identity",),
     }
+    BEACON_PATH = {"idle": ("beacon", "identity"), "associated": ("beacon",)}
 
 
 class SaDrxFsm(_CycleFsm):
@@ -214,6 +207,10 @@ class SaDrxFsm(_CycleFsm):
     }
     EMITS = {
         ("pdcch-check", "pdcch-present"): ("identity",),
+    }
+    BEACON_PATH = {
+        "sleeping": ("subframe-tick", "pdcch-present", "identity"),
+        "configured": ("beacon",),
     }
 
 
@@ -339,14 +336,14 @@ def conformance_check(trace: SignallingTrace) -> ConformanceReport:
 
     ordered = sorted(trace.grants, key=lambda g: (g.start_us, g.end_us))
     for i, grant in enumerate(ordered):
-        state = state_at(grant.ue_id, grant.start_us)
+        state = state_at(grant.user_id, grant.start_us)
         if state not in DATA_STATES:
             return _fail(
-                f"grant to {grant.ue_id} at {grant.start_us} µs while in "
+                f"grant to {grant.user_id} at {grant.start_us} µs while in "
                 f"state {state!r}", n_transitions, i, n_cycles)
         if i > 0 and grant.start_us < ordered[i - 1].end_us:
             return _fail(
-                f"grant to {grant.ue_id} at {grant.start_us} µs overlaps "
+                f"grant to {grant.user_id} at {grant.start_us} µs overlaps "
                 f"previous grant ending {ordered[i - 1].end_us} µs",
                 n_transitions, i, n_cycles)
 

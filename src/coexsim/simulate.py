@@ -9,7 +9,7 @@ trace hash) that the invariant checks inspect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .analytics import MetricsAccumulator
 from .contention import ContentionDriver
@@ -20,20 +20,14 @@ from .lbt import LbtNode
 from .radio import (FRAME_HEADER_US, FRAME_SUBFRAMES, SUBFRAME_US,
                     link_budget, place_users)
 from .scenario import ScenarioConfig
-from .signalling import (GrantRecord, SaDrxFsm, SaDtxFsm, SignallingTrace,
-                         UcaFsm, fsm_step)
-
-CSV_COLUMNS = (
-    "scheme", "n_wifi", "m_lte", "seed",
-    "per_user_wifi_throughput_bps", "wifi_aggregate_bps",
-    "lte_aggregate_bps", "total_bps", "collision_rate",
-    "airtime_idle_frac", "airtime_success_frac", "airtime_collision_frac",
-    "airtime_cfp_frac", "airtime_beacon_frac",
-)
+from .signalling import (SaDrxFsm, SaDtxFsm, SignallingTrace, UcaFsm,
+                         fsm_step)
 
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One CSV row; the field order is the column order."""
+
     scheme: str
     n_wifi: int
     m_lte: int
@@ -57,6 +51,9 @@ class ResultRow:
         return out
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+
+
 @dataclass
 class RunResult:
     row: ResultRow
@@ -75,9 +72,11 @@ class _HapRun:
     Pre-schedules a beacon per nominal interval boundary; a beacon that
     lands inside a still-running contention exchange is deferred to the
     busy boundary (the contention period shrinks by the same amount, so
-    the interval grid stays fixed). Each beacon closes the medium,
-    plans the next contention-free period, and hands the rest of the
-    interval back to the contention driver.
+    the interval grid stays fixed). Each beacon closes the medium, walks
+    every resting machine through its ``BEACON_PATH``, plans the next
+    contention-free period around the machines still inside a duty
+    cycle, and hands the rest of the interval back to the contention
+    driver.
     """
 
     def __init__(self, sim: Simulator, cfg: ScenarioConfig,
@@ -94,7 +93,6 @@ class _HapRun:
         self.trace = trace
         self.mode = cfg.sa_mode
         self.rotation = 0
-        self.eligible_at = {uid: 0 for uid in user_ids}
         self.t_end = cfg.duration_us
         self.cfp_intervals: list[tuple[int, int]] = []
         self.beacon_intervals: list[tuple[int, int]] = []
@@ -120,22 +118,6 @@ class _HapRun:
             for event in ("assoc-request", "ul-grant", "identity", "rrc"):
                 fsm_step(fsm, event, 0)
 
-    def _wake_fsm(self, fsm, now: int) -> None:
-        state = fsm.state
-        if state == "idle" and isinstance(fsm, SaDtxFsm):
-            fsm_step(fsm, "beacon", now)
-            fsm_step(fsm, "identity", now)
-        elif state == "sleeping":
-            fsm_step(fsm, "subframe-tick", now)
-            fsm_step(fsm, "pdcch-present", now)
-            fsm_step(fsm, "identity", now)
-        elif state in ("associated", "configured", "rrc-configured",
-                       "aggregating"):
-            fsm_step(fsm, "beacon", now)
-        else:
-            raise AssertionError(f"{fsm.ue_id} heard a beacon in "
-                                 f"state {state!r}")
-
     def _on_beacon(self, k: int) -> None:
         now = self.sim.now
         if self.driver.busy_until > now:
@@ -146,14 +128,16 @@ class _HapRun:
         beacon_end = now + self.cfg.beacon_us
         self.metrics.beacon_us += self.cfg.beacon_us
         self.beacon_intervals.append((now, beacon_end))
-        for uid in self.user_ids:
-            self._wake_fsm(self.fsms[uid], now)
+        for fsm in self.fsms.values():
+            for event in fsm.BEACON_PATH.get(fsm.state, ()):
+                fsm_step(fsm, event, now)
 
         plan = build_superframe(
             len(self.user_ids), self.cfg.n_wifi, self.cfg.interval_us,
             self.mode, beacon_us=self.cfg.beacon_us, start_us=now,
             rotation=self.rotation, user_ids=self.user_ids,
-            eligible_at=self.eligible_at)
+            busy={uid for uid, fsm in self.fsms.items()
+                  if not fsm.schedulable})
         self.rotation = plan.next_rotation
         cfp_end = beacon_end + plan.cfp_us
         next_tbtt = min((k + 1) * self.cfg.interval_us, self.t_end)
@@ -178,9 +162,7 @@ class _HapRun:
                 self.sim.schedule(data_start + j * SUBFRAME_US,
                                   "timer", uid,
                                   lambda u=uid: self._tick(u))
-            self.eligible_at[uid] = data_start + FRAME_SUBFRAMES * SUBFRAME_US
-        self.trace.record_grant(GrantRecord(
-            uid, grant.start_us, grant.end_us, grant.n_subframes))
+        self.trace.grants.append(grant)
         self.sim.schedule(grant.end_us, "txop-end", uid,
                           lambda g=grant: self._deliver(g))
 

@@ -26,7 +26,7 @@ def test_single_station_attempts_with_closed_form_probability():
 
 def test_two_slot_window_degenerate_case():
     # W = 2, no doubling: tau = 2/(W+1) = 2/3 at p solving the pair for n = 1
-    tau, p = solve_fixed_point(1, cw_min=2, max_stage=0)
+    tau, p = solve_fixed_point(1, MacTiming(cw_min=2, max_backoff_stage=0))
     assert tau == pytest.approx(2.0 / 3.0, abs=1e-10)
     assert p == pytest.approx(0.0, abs=1e-12)
 

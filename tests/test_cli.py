@@ -40,6 +40,18 @@ def test_run_writes_csv_and_meta(tmp_path, small_config, capsys):
     assert "[1/2]" in err and "[2/2]" in err
 
 
+def test_run_completes_when_users_are_mid_cycle_at_a_beacon(tmp_path):
+    # at 50 ms a standalone user granted late in the CFP is still asleep
+    # when the next beacon fires; the planner must skip it, not fail
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"scheme": "hap-sa", "n_wifi": 0, "m_lte": 6,
+                               "interval_us": 50000}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "runs.csv").read_text().strip().split("\n")
+    assert lines[1].startswith("hap-sa,0,6,1,")
+
+
 def test_run_is_byte_identical_across_invocations(tmp_path, small_config):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     main(["run", "--config", str(small_config), "--out", str(out_a)])

@@ -2,8 +2,10 @@
 
 Each case pins the event-trace hash and the CSV row of one short run.
 The matrix covers all four schemes under both access modes, an LBT
-duty-off override and a coordinated run without LTE users. A change
-that is meant to alter behaviour re-records the file with
+duty-off override, a coordinated run without LTE users, and both
+coordinated schemes at a 20 ms interval with one station and three
+users. A change that is meant to alter behaviour re-records the file
+with
 
     PYTHONPATH=src python tests/test_golden_digests.py
 
@@ -42,6 +44,10 @@ def _cases() -> dict[str, tuple[ScenarioConfig, int]]:
     cases["hap-sa-m0"] = (ScenarioConfig(
         scheme="hap-sa", n_wifi=10, m_lte=0, duration_s=1.0,
         channel=NEAR), 1)
+    for scheme in ("hap-sa", "hap-uca"):
+        cases[f"{scheme}-n1-m3-20ms"] = (ScenarioConfig(
+            scheme=scheme, n_wifi=1, m_lte=3, duration_s=1.0,
+            interval_us=20_000, channel=NEAR), 1)
     return cases
 
 

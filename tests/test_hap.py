@@ -122,9 +122,8 @@ def test_standalone_rotation_serves_every_user_equally():
 
 
 def test_standalone_eligibility_skips_sleeping_users():
-    eligible = {"lte-00": 10_000_000, "lte-01": 0, "lte-02": 0}
     plan = build_superframe(3, 0, user_ids=["lte-00", "lte-01", "lte-02"],
-                            eligible_at=eligible)
+                            busy={"lte-00"})
     grantees = [g.user_id for g in plan.grants]
     assert "lte-00" not in grantees
     assert "lte-01" in grantees

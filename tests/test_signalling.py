@@ -2,10 +2,10 @@
 
 import pytest
 
+from coexsim.hap import TxopGrant
 from coexsim.signalling import (
     DATA_STATES,
     FSM_KINDS,
-    GrantRecord,
     ProtocolViolation,
     SaDrxFsm,
     SaDtxFsm,
@@ -125,6 +125,19 @@ def test_tables_are_deterministic_and_kinds_registered():
     assert DATA_STATES == {"aggregating", "transferring", "receiving"}
 
 
+def test_beacon_paths_are_legal_and_leave_the_machine_schedulable():
+    for cls in FSM_KINDS.values():
+        for resting, events in cls.BEACON_PATH.items():
+            fsm = cls("lte-00")
+            fsm.state = resting
+            for event in events:
+                fsm.step(event)
+            assert fsm.schedulable, (cls.KIND, resting)
+        # a machine inside its duty cycle hears nothing
+        mid_cycle = {"transferring", "dtx-sleep", "receiving", "drx-sleep"}
+        assert not mid_cycle & set(cls.BEACON_PATH)
+
+
 # -- conformance audit -------------------------------------------------------
 
 def _clean_dtx_trace():
@@ -137,7 +150,7 @@ def _clean_dtx_trace():
     for _ in range(10):
         t += 1000
         fsm.step("subframe-tick", t)
-    trace.record_grant(GrantRecord("lte-01", 1000, 7064, n_subframes=6))
+    trace.grants.append(TxopGrant("lte-01", 1000, 6080, n_subframes=6))
     return trace
 
 
@@ -177,7 +190,7 @@ def test_conformance_rejects_grant_outside_data_state():
     fsm = SaDtxFsm("lte-01", trace=trace)
     fsm.step("beacon", 500)
     fsm.step("identity", 500)
-    trace.record_grant(GrantRecord("lte-01", 600, 6680, n_subframes=6))
+    trace.grants.append(TxopGrant("lte-01", 600, 6080, n_subframes=6))
     report = conformance_check(trace)
     assert not report.passed
     assert "associated" in report.first_violation
@@ -185,8 +198,8 @@ def test_conformance_rejects_grant_outside_data_state():
 
 def test_conformance_rejects_grant_before_any_association():
     trace = SignallingTrace()
-    trace.register("lte-09", "sa-dtx")
-    trace.record_grant(GrantRecord("lte-09", 500, 8564, n_subframes=8))
+    trace.machines["lte-09"] = "sa-dtx"
+    trace.grants.append(TxopGrant("lte-09", 500, 8064, n_subframes=8))
     report = conformance_check(trace)
     assert not report.passed
 
@@ -198,8 +211,8 @@ def test_conformance_rejects_overlapping_grants():
         fsm.step("beacon", 500)
         fsm.step("identity", 500)
         fsm.step("data-request", 1000, n=6)
-    trace.record_grant(GrantRecord("lte-01", 1000, 7064, n_subframes=6))
-    trace.record_grant(GrantRecord("lte-02", 5000, 11064, n_subframes=6))
+    trace.grants.append(TxopGrant("lte-01", 1000, 6080, n_subframes=6))
+    trace.grants.append(TxopGrant("lte-02", 5000, 6080, n_subframes=6))
     report = conformance_check(trace)
     assert not report.passed
     assert "overlaps" in report.first_violation
@@ -207,7 +220,8 @@ def test_conformance_rejects_overlapping_grants():
 
 def test_conformance_rejects_illegal_replayed_event():
     trace = SignallingTrace()
-    trace.register("lte-01", "sa-dtx")
-    trace.record(TransitionRecord(500, "lte-01", "idle", "rrc", "associated"))
+    trace.machines["lte-01"] = "sa-dtx"
+    trace.transitions.append(
+        TransitionRecord(500, "lte-01", "idle", "rrc", "associated"))
     report = conformance_check(trace)
     assert not report.passed

@@ -7,6 +7,7 @@ acceptance suite, which runs the full-length matrix.
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coexsim.analytics import saturation_throughput
 from coexsim.dcf import MacTiming
@@ -43,6 +44,14 @@ def test_single_station_throughput_near_oracle(timing):
     assert res.row.collision_rate == 0.0
     assert res.row.wifi_aggregate_bps == pytest.approx(
         saturation_throughput(1, timing), rel=0.01)
+
+
+def test_clamped_window_throughput_near_oracle():
+    # cw_max=64 clamps stages 2-6; the oracle must clamp them too
+    timing = MacTiming(cw_max=64)
+    res = _run("wifi-only", 30, 0, 5.0, timing=timing)
+    assert res.row.wifi_aggregate_bps == pytest.approx(
+        saturation_throughput(30, timing), rel=0.03)
 
 
 def test_airtime_ledger_exact_for_every_scheme():
@@ -124,6 +133,28 @@ def test_hap_wifi_and_lte_never_overlap():
         for ls, le in lte:
             if ls < we and ws < le:
                 pytest.fail(f"wifi [{ws},{we}) overlaps lte [{ls},{le})")
+
+
+@given(scheme=st.sampled_from(["hap-sa", "hap-uca"]),
+       n=st.integers(0, 4), m=st.integers(1, 8),
+       interval_us=st.sampled_from([10_000, 20_000, 50_000, 100_000]),
+       intervals=st.integers(2, 5), seed=st.integers(1, 1000))
+@settings(max_examples=25, deadline=None)
+def test_coordinated_runs_keep_ledger_isolation_and_conformance(
+        scheme, n, m, interval_us, intervals, seed):
+    cfg = ScenarioConfig(scheme=scheme, n_wifi=n, m_lte=m,
+                         duration_s=intervals * interval_us / 1e6,
+                         interval_us=interval_us, channel=NEAR)
+    res = run_scenario(cfg, seed=seed)
+    assert res.metrics.accounted_us == cfg.duration_us
+    report = conformance_check(res.signalling)
+    assert report.passed, report.first_violation
+    cfp = res.cfp_intervals
+    reserved = cfp + res.beacon_intervals
+    for s, e in res.lte_tx_intervals:
+        assert any(a <= s and e <= b for a, b in cfp), (s, e)
+    for s, e in res.wifi_tx_intervals:
+        assert not any(s < b and a < e for a, b in reserved), (s, e)
 
 
 def test_same_seed_same_row_and_trace():
