@@ -29,6 +29,10 @@ class LbtParams:
             raise ValueError("contention_window must be >= 1")
         if self.burst_us < 1:
             raise ValueError("burst_us must be positive")
+        if self.cca_us < 0:
+            raise ValueError("cca_us must be non-negative")
+        if self.duty_off_factor is not None and self.duty_off_factor < 0:
+            raise ValueError("duty_off_factor must be non-negative")
 
     def duty_off_us(self, m_lte: int, n_wifi: int) -> int:
         factor = self.duty_off_factor

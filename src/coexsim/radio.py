@@ -39,6 +39,8 @@ class ChannelParams:
             raise ValueError(f"fading must be 'rayleigh' or 'none', got {self.fading!r}")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth_hz must be positive")
+        if not self.spectral_efficiency_cap > 0:
+            raise ValueError("spectral_efficiency_cap must be positive")
         if not 0.0 <= self.control_overhead < 1.0:
             raise ValueError("control_overhead must lie in [0, 1)")
 

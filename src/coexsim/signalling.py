@@ -17,11 +17,13 @@ state to the events a beacon drives it through; a machine in the middle
 of its cycle hears nothing, and ``schedulable`` tells the planner which
 users may take a grant. Every transition and every ``TxopGrant`` the
 planner issues is appended to a shared trace that ``conformance_check``
-can replay and audit.
+replays and audits in one forward pass; a user whose records go back in
+time fails it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .hap import TxopGrant
@@ -124,10 +126,6 @@ class UcaFsm(_Fsm):
         ("identity-sent", "rrc"): ("rrc-complete",),
     }
     BEACON_PATH = {"rrc-configured": ("beacon",), "aggregating": ("beacon",)}
-
-    @property
-    def schedulable(self) -> bool:
-        return self.state == "aggregating"
 
 
 class _CycleFsm(_Fsm):
@@ -248,19 +246,21 @@ def _fail(msg: str, transitions: int, grants: int,
 
 
 def conformance_check(trace: SignallingTrace) -> ConformanceReport:
-    """Audit a run trace.
+    """Audit a run trace in one forward pass.
 
     Replays every recorded transition through a fresh machine of the
-    registered kind, confirms each grant interval lies inside a data
-    state reached through the association path, verifies the n active /
-    10-n sleep arithmetic of every completed cycle, and rejects
-    overlapping grants.
+    registered kind, rejects a user whose records go back in time, and
+    verifies the n active / 10-n sleep arithmetic of every cycle as the
+    replay closes it. Each grant, in start order, must then find its
+    user in a data state reached through the association path, and no
+    grant may overlap the one before it.
     """
     n_cycles = 0
     replicas: dict[str, _Fsm] = {}
-    # (ue, time) -> state after processing all events at that time
-    history: dict[str, list[tuple[int, str]]] = {}
-    per_ue: dict[str, list[TransitionRecord]] = {}
+    # per user: the time of each record and the state after it
+    history: dict[str, tuple[list[int], list[str]]] = {}
+    # per user with a cycle in progress: [n, active ticks, sleep ticks]
+    open_cycle: dict[str, list[int]] = {}
 
     for idx, rec in enumerate(trace.transitions):
         kind = trace.machines.get(rec.ue_id)
@@ -271,6 +271,13 @@ def conformance_check(trace: SignallingTrace) -> ConformanceReport:
         if fsm is None:
             fsm = FSM_KINDS[kind](rec.ue_id, trace=None)
             replicas[rec.ue_id] = fsm
+            history[rec.ue_id] = ([], [])
+        times, states = history[rec.ue_id]
+        if times and rec.time_us < times[-1]:
+            return _fail(
+                f"record {idx}: {rec.ue_id} goes back in time to "
+                f"{rec.time_us} µs after a record at {times[-1]} µs",
+                idx, 0, n_cycles)
         if fsm.state != rec.state_before:
             return _fail(
                 f"record {idx}: {rec.ue_id} claims state {rec.state_before!r}"
@@ -285,58 +292,39 @@ def conformance_check(trace: SignallingTrace) -> ConformanceReport:
                 f"record {idx}: {rec.ue_id} claims successor "
                 f"{rec.state_after!r}, replay gives {after!r}",
                 idx, 0, n_cycles)
-        history.setdefault(rec.ue_id, []).append((rec.time_us, after))
-        per_ue.setdefault(rec.ue_id, []).append(rec)
+        times.append(rec.time_us)
+        states.append(after)
+
+        # Only a cycle machine accepts data-request, so only such a
+        # machine ever has a cycle open.
+        cycle = open_cycle.get(rec.ue_id)
+        if rec.event == "data-request":
+            open_cycle[rec.ue_id] = [rec.detail, 0, 0]
+        elif cycle is not None:
+            if rec.state_before == fsm.ACTIVE_STATE:
+                cycle[1] += 1
+            elif rec.state_before == fsm.SLEEP_STATE:
+                cycle[2] += 1
+            if after == fsm.RESUME_STATE:
+                n, active, sleep = open_cycle.pop(rec.ue_id)
+                if active != n:
+                    return _fail(
+                        f"record {idx}: {rec.ue_id} cycle closed with "
+                        f"{active} active subframes, grant said {n}",
+                        idx, 0, n_cycles)
+                if active + sleep != FRAME_SUBFRAMES:
+                    return _fail(
+                        f"record {idx}: {rec.ue_id} cycle active+sleep = "
+                        f"{active + sleep}, expected {FRAME_SUBFRAMES}",
+                        idx, 0, n_cycles)
+                n_cycles += 1
 
     n_transitions = len(trace.transitions)
-
-    # Cycle arithmetic: each data-request opens a cycle of detail=n active
-    # ticks followed by 10-n sleep ticks before the machine rests again.
-    for ue_id, recs in per_ue.items():
-        active_states = {"transferring", "receiving"}
-        sleep_states = {"dtx-sleep", "drx-sleep"}
-        n_expected = None
-        active_seen = sleep_seen = 0
-        for rec in recs:
-            if rec.event == "data-request":
-                if n_expected is not None:
-                    return _fail(f"{ue_id}: data-request while a cycle "
-                                 f"is still open", n_transitions, 0, n_cycles)
-                n_expected = rec.detail
-                active_seen = sleep_seen = 0
-            elif rec.event == "subframe-tick" and n_expected is not None:
-                if rec.state_before in active_states:
-                    active_seen += 1
-                elif rec.state_before in sleep_states:
-                    sleep_seen += 1
-                if rec.state_after in GRANTABLE_STATES:
-                    if active_seen != n_expected:
-                        return _fail(
-                            f"{ue_id}: cycle closed with {active_seen} active"
-                            f" subframes, grant said {n_expected}",
-                            n_transitions, 0, n_cycles)
-                    if active_seen + sleep_seen != FRAME_SUBFRAMES:
-                        return _fail(
-                            f"{ue_id}: cycle active+sleep = "
-                            f"{active_seen + sleep_seen}, expected "
-                            f"{FRAME_SUBFRAMES}", n_transitions, 0, n_cycles)
-                    n_cycles += 1
-                    n_expected = None
-
-    # Grants: machine must be in a data state at grant start, and grants
-    # must not overlap each other.
-    def state_at(ue_id: str, t: int) -> str | None:
-        best = None
-        for time_us, state in history.get(ue_id, ()):
-            if time_us <= t:
-                best = state
-            else:
-                break
-        return best
-
     ordered = sorted(trace.grants, key=lambda g: (g.start_us, g.end_us))
     for i, grant in enumerate(ordered):
-        state = state_at(grant.user_id, grant.start_us)
+        times, states = history.get(grant.user_id, ((), ()))
+        k = bisect_right(times, grant.start_us)
+        state = states[k - 1] if k else None
         if state not in DATA_STATES:
             return _fail(
                 f"grant to {grant.user_id} at {grant.start_us} µs while in "

@@ -168,3 +168,13 @@ def test_zero_bit_rate_is_a_config_error(tmp_path, capsys):
     rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "error: timing: bit_rate_mbps" in capsys.readouterr().err
+
+
+def test_negative_spectral_efficiency_cap_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "scheme": "lbt", "n_wifi": 5, "m_lte": 2, "duration_s": 1,
+        "channel": {"spectral_efficiency_cap": -1}}))
+    rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error: channel: spectral_efficiency_cap" in capsys.readouterr().err

@@ -35,6 +35,11 @@ def test_params_validation():
         LbtParams(contention_window=0)
     with pytest.raises(ValueError):
         LbtParams(burst_us=0)
+    with pytest.raises(ValueError):
+        LbtParams(cca_us=-500)
+    with pytest.raises(ValueError):
+        LbtParams(duty_off_factor=-3)
+    LbtParams(cca_us=0, duty_off_factor=0)
 
 
 def test_backoff_draw_range_is_fixed_window():

@@ -120,3 +120,6 @@ def test_channel_params_validation():
         ChannelParams(control_overhead=1.0)
     with pytest.raises(ValueError):
         ChannelParams(control_overhead=-0.1)
+    for cap in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            ChannelParams(spectral_efficiency_cap=cap)

@@ -3,6 +3,7 @@
 import pytest
 
 from coexsim.hap import TxopGrant
+from coexsim.radio import FRAME_SUBFRAMES
 from coexsim.signalling import (
     DATA_STATES,
     FSM_KINDS,
@@ -12,6 +13,7 @@ from coexsim.signalling import (
     SignallingTrace,
     TransitionRecord,
     UcaFsm,
+    _CycleFsm,
     conformance_check,
     fsm_step,
 )
@@ -183,6 +185,40 @@ def test_conformance_rejects_forged_cycle_length():
     report = conformance_check(trace)
     assert not report.passed
     assert "claims successor" in report.first_violation
+
+
+def test_conformance_rejects_broken_cycle_arithmetic(monkeypatch):
+    # a machine whose cycle is one sleep subframe short; the replay runs
+    # the same broken code, so only the cycle arithmetic can catch it
+    def short_cycle(self, n=0, **_ignored):
+        self.active_remaining = n
+        self.sleep_remaining = FRAME_SUBFRAMES - n - 1
+        return self.ACTIVE_STATE
+
+    monkeypatch.setattr(_CycleFsm, "_on_data_request", short_cycle)
+    trace = SignallingTrace()
+    fsm = SaDtxFsm("lte-01", trace=trace)
+    fsm.step("beacon", 500)
+    fsm.step("identity", 500)
+    fsm.step("data-request", 1000, n=6)
+    t = 1000
+    while not fsm.schedulable:
+        t += 1000
+        fsm.step("subframe-tick", t)
+    report = conformance_check(trace)
+    assert not report.passed
+    assert "cycle" in report.first_violation
+
+
+def test_conformance_rejects_a_history_that_goes_back_in_time():
+    trace = _clean_dtx_trace()
+    rec = trace.transitions[5]
+    trace.transitions[5] = TransitionRecord(
+        trace.transitions[4].time_us - 1, rec.ue_id, rec.state_before,
+        rec.event, rec.state_after, rec.detail)
+    report = conformance_check(trace)
+    assert not report.passed
+    assert "back in time" in report.first_violation
 
 
 def test_conformance_rejects_grant_outside_data_state():

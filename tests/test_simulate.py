@@ -58,10 +58,7 @@ def test_airtime_ledger_exact_for_every_scheme():
     for scheme, m, dur in (("wifi-only", 0, 0.5), ("lbt", 5, 0.5),
                            ("hap-sa", 5, 0.5), ("hap-uca", 5, 0.5)):
         res = _run(scheme, 10, m, dur)
-        m_ = res.metrics
-        total = (m_.idle_us + m_.success_us + m_.collision_us
-                 + m_.cfp_us + m_.beacon_us)
-        assert total == 500_000, scheme
+        assert res.metrics.accounted_us == 500_000, scheme
         fr = res.row
         assert (fr.airtime_idle_frac + fr.airtime_success_frac
                 + fr.airtime_collision_frac + fr.airtime_cfp_frac
@@ -155,6 +152,31 @@ def test_coordinated_runs_keep_ledger_isolation_and_conformance(
         assert any(a <= s and e <= b for a, b in cfp), (s, e)
     for s, e in res.wifi_tx_intervals:
         assert not any(s < b and a < e for a, b in reserved), (s, e)
+
+
+@given(scheme=st.sampled_from(["wifi-only", "lbt"]),
+       n=st.integers(1, 10), m=st.integers(1, 5),
+       slot_us=st.sampled_from([9, 20]), cw_min=st.integers(1, 32),
+       cw_doublings=st.integers(0, 6), max_stage=st.integers(0, 7),
+       access_mode=st.sampled_from(["basic", "rts-cts"]),
+       duty_off_factor=st.one_of(st.none(), st.integers(0, 3)),
+       duration_ms=st.integers(100, 300), seed=st.integers(1, 1000))
+@settings(max_examples=20, deadline=None)
+def test_uncoordinated_runs_keep_ledger_and_repeat_exactly(
+        scheme, n, m, slot_us, cw_min, cw_doublings, max_stage, access_mode,
+        duty_off_factor, duration_ms, seed):
+    timing = MacTiming(slot_us=slot_us, cw_min=cw_min,
+                       cw_max=cw_min << cw_doublings,
+                       max_backoff_stage=max_stage)
+    cfg = ScenarioConfig(
+        scheme=scheme, n_wifi=n, m_lte=m if scheme == "lbt" else 0,
+        duration_s=duration_ms / 1000, access_mode=access_mode, timing=timing,
+        channel=NEAR, lbt=dataclasses.replace(ScenarioConfig().lbt,
+                                              duty_off_factor=duty_off_factor))
+    a = run_scenario(cfg, seed=seed)
+    assert a.metrics.accounted_us == cfg.duration_us
+    b = run_scenario(cfg, seed=seed)
+    assert (b.trace_hash, b.row) == (a.trace_hash, a.row)
 
 
 def test_same_seed_same_row_and_trace():
