@@ -4,7 +4,7 @@ Models the slotted carrier-sense medium that Wi-Fi stations (and, in the
 duty-cycled baseline, LTE-U nodes) contend on. Rather than ticking every
 slot (``MacTiming.slot_us`` long), the driver jumps straight to the next
 decision point: the smallest effective backoff over all participants.
-Everyone with that counter transmits, everyone else freezes, and the
+Everyone with that backoff transmits, everyone else freezes, and the
 medium stays busy for the exchange duration with the post-exchange
 spacing folded in, so idle time advances in exact slot multiples.
 
@@ -16,19 +16,34 @@ model. A window that closes idle consumes its whole idle slots, never
 more than the smallest effective backoff. Winners redraw after their
 exchange.
 
+Wi-Fi stations are run down on a virtual slot clock V, the count of
+slots consumed so far, so taking k slots from every station is V += k.
+A station is filed once per draw, at the absolute slot V + counter where
+its backoff expires, in a calendar queue (Brown, CACM 1988): a bucket of
+station indices per expiry slot and a heap of the distinct expiry slots,
+of which there are at most min(N, cw_max). The bucket at the head of the
+heap holds the Wi-Fi contenders of the next exchange, in station-index
+order; after their exchange they redraw and are filed again. A station
+that only waits costs nothing per exchange.
+
+LTE-U nodes keep their counters and are run down one by one. A node's
+lead is its duty-off wake plus a clear-channel assessment, counted from
+the window anchor and rounded up to whole slots; its effective backoff
+is lead + counter. The anchor does not move between deciding an
+exchange and consuming its slots, so the leads are computed once per
+decision and the next consume reuses them. Backoff draws come from
+per-entity streams, so outcomes do not depend on participant interleave
+or on the order in which winners redraw.
+
 Windows: the run loop opens the medium for a span (a whole run, or one
 contention period between beacons) and either lets the final exchange
 overrun the window (the next beacon then defers to the busy boundary) or
 forbids transmissions that cannot finish inside it.
-
-An LTE-U node's lead is its duty-off wake plus a clear-channel
-assessment, counted from the window anchor and rounded up to whole
-slots; its effective backoff is lead + counter. Wi-Fi stations have no
-lead. Backoff draws come from per-entity streams, so outcomes do not
-depend on participant interleave.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
 
 from .analytics import MetricsAccumulator
 from .dcf import ExchangeDurations, MacTiming, WifiStation
@@ -65,6 +80,12 @@ class ContentionDriver:
         self._pending = None        # scheduled decision event, if any
         self._inflight = None       # (s_min, wifi_w, lte_w, duration)
         self._frozen_smin = None    # set when the next tx cannot fit
+        self._vslot = 0             # V: slots consumed since the run began
+        self._calendar: dict[int, list[int]] = {}  # expiry slot -> stations
+        self._expiries: list[int] = []  # heap of the calendar's keys
+        self._leads: list[int] = []     # LTE-U leads at the current anchor
+        for i in range(self.n_wifi):
+            self._file(i)
 
         # Busy-period log: (start, end, wifi_involved, lte_involved).
         self.tx_intervals: list[tuple[int, int, bool, bool]] = []
@@ -111,35 +132,60 @@ class ContentionDriver:
 
     # -- decision mechanics ---------------------------------------------
 
-    def _lead_slots(self, node: LbtNode) -> int:
-        """Whole slots from the window anchor to the node's wake + CCA."""
-        lead = node.wake_at_us + node.params.cca_us - self.phase_start
-        return max(0, -(-lead // self.timing.slot_us))
+    def _file(self, i: int) -> None:
+        """File station i at the slot where its fresh backoff expires."""
+        slot = self._vslot + self.stations[i].counter
+        bucket = self._calendar.get(slot)
+        if bucket is None:
+            self._calendar[slot] = [i]
+            heappush(self._expiries, slot)
+        else:
+            bucket.append(i)
 
     def _consume(self, k: int) -> None:
-        """Run k slots off every counter; LTE-U nodes skip their lead.
+        """Run k slots off every counter: V advances by k, and each LTE-U
+        node skips its lead."""
+        self._vslot += k
+        for node, lead in zip(self.lbt_nodes, self._leads):
+            if k > lead:
+                node.counter -= k - lead
 
-        k never exceeds s_min + 1, so only the winners of the exchange,
-        which redraw next, can pass zero.
+    def _contenders(self) -> tuple[int, list[int], list[int]] | None:
+        """(s_min, wifi_w, lte_w): the smallest effective backoff and the
+        stations and nodes that hold it, or None with nobody to contend.
+
+        Fixes the LTE-U leads at the current anchor for the next consume.
         """
-        for st in self.stations:
-            st.counter -= k
-        for node in self.lbt_nodes:
-            node.counter -= max(0, k - self._lead_slots(node))
+        expiries = self._expiries
+        s_min = expiries[0] - self._vslot if expiries else None
+        lte_w = []
+        if self.lbt_nodes:
+            slot, anchor = self.timing.slot_us, self.phase_start
+            self._leads = [max(0, -(-(n.wake_at_us + n.params.cca_us - anchor)
+                                    // slot))
+                           for n in self.lbt_nodes]
+            lte_eff = [n.counter + lead
+                       for n, lead in zip(self.lbt_nodes, self._leads)]
+            lte_min = min(lte_eff)
+            if s_min is None or lte_min < s_min:
+                s_min = lte_min
+            lte_w = [j for j, e in enumerate(lte_eff) if e == s_min]
+        if s_min is None:
+            return None
+        if s_min < 0:
+            raise RuntimeError(f"backoff ran {-s_min} slots past zero")
+        wifi_w = (sorted(self._calendar[expiries[0]])
+                  if expiries and expiries[0] - self._vslot == s_min else [])
+        return s_min, wifi_w, lte_w
 
     def _arm(self) -> None:
-        eff = [st.counter for st in self.stations]
-        eff += [node.counter + self._lead_slots(node)
-                for node in self.lbt_nodes]
-        if not eff:
+        contenders = self._contenders()
+        if contenders is None:
             return
-        s_min = min(eff)
+        s_min, wifi_w, lte_w = contenders
         tx_time = self.phase_start + s_min * self.timing.slot_us
         if tx_time >= self.window_end:
             return   # window closes first; counters settled at close
-        winners = [i for i, e in enumerate(eff) if e == s_min]
-        wifi_w = [i for i in winners if i < self.n_wifi]
-        lte_w = [i - self.n_wifi for i in winners if i >= self.n_wifi]
         duration = self._busy_duration(wifi_w, lte_w)
         if not self.allow_overrun and tx_time + duration > self.window_end:
             self._frozen_smin = s_min
@@ -175,18 +221,22 @@ class ContentionDriver:
         collision = len(wifi_w) + len(lte_w) > 1
         # the s_min idle slots plus the busy one; winners redraw below
         self._consume(s_min + 1)
+        if wifi_w:   # unfile the winners' bucket; they are filed on redraw
+            del self._calendar[heappop(self._expiries)]
 
         if collision:
             self.metrics.collision_us += duration
             self.metrics.collision_events += 1
             for i in wifi_w:
                 self.stations[i].on_collision()
+                self._file(i)
         else:
             self.metrics.success_us += duration
             self.metrics.success_events += 1
             if wifi_w:
                 st = self.stations[wifi_w[0]]
                 st.on_success()
+                self._file(wifi_w[0])
                 self.metrics.add_wifi_bits(st.station_id,
                                            self.timing.payload_bits)
 

@@ -39,9 +39,10 @@ class MacTiming:
             raise ValueError("slot_us must be >= 1")
         if not self.bit_rate_mbps > 0:
             raise ValueError("bit_rate_mbps must be positive")
+        if self.payload_bytes < 1:
+            raise ValueError("payload_bytes must be >= 1")
         for name in ("sifs_us", "difs_us", "prop_delay_us", "phy_header_bits",
-                     "mac_header_bits", "ack_bits", "cts_bits", "rts_bits",
-                     "payload_bytes"):
+                     "mac_header_bits", "ack_bits", "cts_bits", "rts_bits"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.cw_min < 1 or self.cw_max < self.cw_min:
@@ -112,7 +113,13 @@ def draw_backoff(rng: np.random.Generator, stage: int, timing: MacTiming) -> int
 
 
 class WifiStation:
-    """Saturated DCF station: always has a frame queued."""
+    """Saturated DCF station: always has a frame queued.
+
+    ``counter`` is the backoff in slots as last drawn. The contention
+    driver files the station at the slot where that backoff expires and
+    runs it down on its virtual slot clock, so the attribute itself does
+    not count down.
+    """
 
     __slots__ = ("station_id", "timing", "rng", "stage", "counter",
                  "success_count", "collision_count")

@@ -27,8 +27,9 @@ class LbtParams:
     def __post_init__(self):
         if self.contention_window < 1:
             raise ValueError("contention_window must be >= 1")
-        if self.burst_us < 1:
-            raise ValueError("burst_us must be positive")
+        if self.burst_us < FRAME_HEADER_US + FRAME_ACK_US + SUBFRAME_US:
+            raise ValueError("burst_us must hold the header, the ack and "
+                             "at least one subframe")
         if self.cca_us < 0:
             raise ValueError("cca_us must be non-negative")
         if self.duty_off_factor is not None and self.duty_off_factor < 0:
@@ -42,7 +43,7 @@ class LbtParams:
 
     @property
     def data_subframes(self) -> int:
-        return max((self.burst_us - FRAME_HEADER_US - FRAME_ACK_US) // SUBFRAME_US, 0)
+        return (self.burst_us - FRAME_HEADER_US - FRAME_ACK_US) // SUBFRAME_US
 
 
 class LbtNode:

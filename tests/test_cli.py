@@ -178,3 +178,23 @@ def test_negative_spectral_efficiency_cap_is_a_config_error(tmp_path, capsys):
     rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "error: channel: spectral_efficiency_cap" in capsys.readouterr().err
+
+
+def test_lbt_burst_without_a_data_subframe_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "scheme": "lbt", "n_wifi": 2, "m_lte": 2, "duration_s": 0.2,
+        "lbt": {"burst_us": 10}}))
+    rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error: lbt: burst_us" in capsys.readouterr().err
+
+
+def test_zero_payload_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "scheme": "wifi-only", "n_wifi": 2, "duration_s": 0.2,
+        "timing": {"payload_bytes": 0}}))
+    rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error: timing: payload_bytes" in capsys.readouterr().err

@@ -1,0 +1,126 @@
+"""Contention driver: the calendar of Wi-Fi expiries against a full scan.
+
+The driver files each station once per draw at the absolute slot where
+its backoff expires. These tests keep the rule the calendar replaces,
+every station's counter run down by every consumed slot, beside a real
+run, and check that every decision the driver makes is the one a scan
+of all counters makes.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coexsim.analytics import MetricsAccumulator
+from coexsim.contention import ContentionDriver
+from coexsim.dcf import MacTiming, WifiStation, exchange_durations
+from coexsim.engine import Simulator
+from coexsim.radio import ChannelParams
+from coexsim.scenario import ScenarioConfig
+from coexsim.simulate import run_scenario
+
+NEAR = ChannelParams(pathloss_exponent=2.0)
+
+
+class _Scan:
+    """Brute-force shadow of one run's contention driver."""
+
+    def __init__(self):
+        self.live: list[int] = []   # every station's counter, slot by slot
+        self.index: dict[int, int] = {}
+        self.decisions = 0
+
+    def patches(self, mp: pytest.MonkeyPatch) -> None:
+        init = ContentionDriver.__init__
+        consume = ContentionDriver._consume
+        contenders = ContentionDriver._contenders
+        scan = self
+
+        def patched_init(driver, *args, **kwargs):
+            init(driver, *args, **kwargs)
+            scan.live = [s.counter for s in driver.stations]
+            scan.index = {id(s): i for i, s in enumerate(driver.stations)}
+
+        def patched_consume(driver, k):
+            consume(driver, k)
+            scan.live = [c - k for c in scan.live]
+
+        def patched_contenders(driver):
+            got = contenders(driver)
+            scan.check(driver, got)
+            return got
+
+        def redraw(orig):
+            def patched(station):
+                orig(station)
+                scan.live[scan.index[id(station)]] = station.counter
+            return patched
+
+        mp.setattr(ContentionDriver, "__init__", patched_init)
+        mp.setattr(ContentionDriver, "_consume", patched_consume)
+        mp.setattr(ContentionDriver, "_contenders", patched_contenders)
+        for name in ("on_success", "on_collision"):
+            mp.setattr(WifiStation, name, redraw(getattr(WifiStation, name)))
+
+    def check(self, driver, got) -> None:
+        filed = [(i, slot - driver._vslot)
+                 for slot, bucket in driver._calendar.items() for i in bucket]
+        assert sorted(filed) == list(enumerate(self.live))
+        assert sorted(driver._expiries) == sorted(driver._calendar)
+        slot_us = driver.timing.slot_us
+        lte_eff = []
+        for node in driver.lbt_nodes:
+            lead = node.wake_at_us + node.params.cca_us - driver.phase_start
+            lte_eff.append(node.counter + max(0, (lead + slot_us - 1)
+                                              // slot_us))
+        everyone = self.live + lte_eff
+        if not everyone:
+            assert got is None
+            return
+        s_min = min(everyone)
+        assert s_min >= 0
+        assert got == (s_min,
+                       [i for i, c in enumerate(self.live) if c == s_min],
+                       [j for j, e in enumerate(lte_eff) if e == s_min])
+        self.decisions += 1
+
+
+@given(scheme=st.sampled_from(["wifi-only", "lbt", "hap-sa"]),
+       n=st.integers(1, 60), m=st.integers(1, 8),
+       slot_us=st.sampled_from([9, 20]), cw_min=st.integers(1, 32),
+       cw_doublings=st.integers(0, 6), max_stage=st.integers(0, 7),
+       duty_off_factor=st.one_of(st.none(), st.integers(0, 3)),
+       seed=st.integers(1, 1000))
+@settings(max_examples=30, deadline=None)
+def test_calendar_decides_as_a_scan_of_every_counter(
+        scheme, n, m, slot_us, cw_min, cw_doublings, max_stage,
+        duty_off_factor, seed):
+    timing = MacTiming(slot_us=slot_us, cw_min=cw_min,
+                       cw_max=cw_min << cw_doublings,
+                       max_backoff_stage=max_stage)
+    coordinated = scheme == "hap-sa"
+    cfg = ScenarioConfig(
+        scheme=scheme, n_wifi=n, m_lte=0 if scheme == "wifi-only" else m,
+        duration_s=0.06 if coordinated else 0.1,
+        interval_us=20_000 if coordinated else 100_000,
+        timing=timing, channel=NEAR,
+        lbt=dataclasses.replace(ScenarioConfig().lbt,
+                                duty_off_factor=duty_off_factor))
+    scan = _Scan()
+    with pytest.MonkeyPatch.context() as mp:
+        scan.patches(mp)
+        res = run_scenario(cfg, seed=seed)
+    assert scan.decisions >= res.metrics.success_events \
+        + res.metrics.collision_events
+
+
+def test_a_counter_past_zero_is_an_error():
+    timing = MacTiming()
+    sim = Simulator(root_seed=1)
+    station = WifiStation("wifi-00", timing, sim.fork_rng("wifi-00"))
+    driver = ContentionDriver(sim, timing, exchange_durations(timing),
+                              [station], MetricsAccumulator())
+    driver._consume(station.counter + 1)
+    with pytest.raises(RuntimeError, match="past zero"):
+        driver.open_window(0, 1_000, allow_overrun=False)

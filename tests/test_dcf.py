@@ -77,7 +77,12 @@ def test_mac_timing_validation():
                  "payload_bytes"):
         with pytest.raises(ValueError, match=name):
             MacTiming(**{name: -1})
-        MacTiming(**{name: 0})
+        if name == "payload_bytes":
+            # an exchange without data carries no throughput
+            with pytest.raises(ValueError, match=name):
+                MacTiming(payload_bytes=0)
+        else:
+            MacTiming(**{name: 0})
 
 
 @given(stage=st.integers(min_value=0, max_value=10), seed=st.integers(0, 2**16))

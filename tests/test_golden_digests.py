@@ -4,7 +4,13 @@ Each case pins the event-trace hash and the CSV row of one short run.
 The matrix covers all four schemes under both access modes, an LBT
 duty-off override, a coordinated run without LTE users, and both
 coordinated schemes at a 20 ms interval with one station and three
-users. A change that is meant to alter behaviour re-records the file
+users. Three cases press on the contention driver's tie handling: a
+tiny Wi-Fi window (cw 2 to 8) at N=40, where many stations share a
+backoff and collisions redraw several at once; lbt with no duty-off at
+a 20 us slot, where awake LTE-U nodes tie with stations; and hap-sa
+with 40 stations at a 20 ms interval in rts-cts mode, where contention
+periods end in an exchange that overruns them and defers the next
+beacon. A change that is meant to alter behaviour re-records the file
 with
 
     PYTHONPATH=src python tests/test_golden_digests.py
@@ -18,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from coexsim.dcf import MacTiming
 from coexsim.radio import ChannelParams
 from coexsim.scenario import ScenarioConfig
 from coexsim.simulate import run_scenario
@@ -48,6 +55,16 @@ def _cases() -> dict[str, tuple[ScenarioConfig, int]]:
         cases[f"{scheme}-n1-m3-20ms"] = (ScenarioConfig(
             scheme=scheme, n_wifi=1, m_lte=3, duration_s=1.0,
             interval_us=20_000, channel=NEAR), 1)
+    cases["wifi-only-n40-cw2-8"] = (ScenarioConfig(
+        scheme="wifi-only", n_wifi=40, duration_s=1.0, channel=NEAR,
+        timing=MacTiming(cw_min=2, cw_max=8, max_backoff_stage=2)), 1)
+    cases["lbt-n20-m8-slot20-duty-off-0"] = (ScenarioConfig(
+        scheme="lbt", n_wifi=20, m_lte=8, duration_s=1.0, channel=NEAR,
+        timing=MacTiming(slot_us=20),
+        lbt=dataclasses.replace(ScenarioConfig().lbt, duty_off_factor=0)), 1)
+    cases["hap-sa-n40-m5-20ms-rts-cts"] = (ScenarioConfig(
+        scheme="hap-sa", n_wifi=40, m_lte=5, duration_s=1.0,
+        interval_us=20_000, access_mode="rts-cts", channel=NEAR), 1)
     return cases
 
 

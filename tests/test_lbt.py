@@ -27,14 +27,15 @@ def test_data_subframes_inside_default_burst():
     # 8064 us = 32 header + 8 x 1000 data + 32 ack
     assert LbtParams().data_subframes == 8
     assert LbtParams(burst_us=1064).data_subframes == 1
-    assert LbtParams(burst_us=64).data_subframes == 0
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
         LbtParams(contention_window=0)
-    with pytest.raises(ValueError):
-        LbtParams(burst_us=0)
+    # a burst must carry the header, the ack and at least one subframe
+    for burst in (0, 64, 1063):
+        with pytest.raises(ValueError, match="burst_us"):
+            LbtParams(burst_us=burst)
     with pytest.raises(ValueError):
         LbtParams(cca_us=-500)
     with pytest.raises(ValueError):
