@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 from .analytics import (FixedPointError, MetricsAccumulator, aggregate,
                         saturation_throughput, solve_fixed_point)
 from .dcf import MacTiming, WifiStation, exchange_durations
-from .engine import SchedulingError, SimEvent, Simulator, make_stream
+from .engine import SchedulingError, Simulator, make_stream
 from .hap import TxopGrant, build_superframe, cfp_transmit, round_txop
 from .lbt import LbtNode, LbtParams, burst_transmit
 from .radio import (ChannelParams, LinkBudget, NodePosition, lte_rate,
@@ -45,7 +45,7 @@ __all__ = [
     "FixedPointError", "MetricsAccumulator", "aggregate",
     "saturation_throughput", "solve_fixed_point",
     "MacTiming", "WifiStation", "exchange_durations",
-    "SchedulingError", "SimEvent", "Simulator", "make_stream",
+    "SchedulingError", "Simulator", "make_stream",
     "TxopGrant", "build_superframe", "cfp_transmit", "round_txop",
     "LbtNode", "LbtParams", "burst_transmit",
     "ChannelParams", "LinkBudget", "NodePosition", "lte_rate",

@@ -158,16 +158,24 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    # the columns the report reads, each with its parser
+    columns = {"scheme": str, "n_wifi": int, "m_lte": int,
+               **dict.fromkeys(AGG_METRICS, float)}
     with open(args.runs, newline="") as fh:
         reader = csv.DictReader(fh)
+        for key in columns:
+            if key not in (reader.fieldnames or ()):
+                raise ConfigError(key, f"no such column in {args.runs}")
         raw = []
         for rec in reader:
-            row = dict(rec)
-            for key in ("n_wifi", "m_lte", "seed"):
-                row[key] = int(row[key])
-            for key in row:
-                if key not in ("scheme", "n_wifi", "m_lte", "seed"):
-                    row[key] = float(row[key])
+            row = {}
+            for key, parse in columns.items():
+                try:
+                    row[key] = parse(rec[key])
+                except (TypeError, ValueError):
+                    raise ConfigError(
+                        key, f"{args.runs} line {reader.line_num}: "
+                             f"not a number: {rec[key]!r}") from None
             raw.append(row)
     header, body = _agg_table(raw)
     _emit_table(args.out, "report.csv", header, body)

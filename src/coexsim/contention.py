@@ -36,9 +36,13 @@ per-entity streams, so outcomes do not depend on participant interleave
 or on the order in which winners redraw.
 
 Windows: the run loop opens the medium for a span (a whole run, or one
-contention period between beacons) and either lets the final exchange
-overrun the window (the next beacon then defers to the busy boundary) or
-forbids transmissions that cannot finish inside it.
+contention period between beacons). A decision is scheduled only if it
+falls before its window's end, so a queued decision always fires. A
+window ends only at its end: its last exchange may overrun it (the next
+beacon then defers to the busy boundary), or it closes idle there, never
+past the smallest effective backoff. A window that forbids transmissions
+that cannot finish inside it leaves such a decision frozen and ends with
+the run.
 """
 
 from __future__ import annotations
@@ -76,10 +80,7 @@ class ContentionDriver:
         self.phase_start = 0
         self.window_end = 0
         self.allow_overrun = False
-        self.busy_until = 0
-        self._pending = None        # scheduled decision event, if any
-        self._inflight = None       # (s_min, wifi_w, lte_w, duration)
-        self._frozen_smin = None    # set when the next tx cannot fit
+        self.busy_until = 0         # the medium is busy before this time
         self._vslot = 0             # V: slots consumed since the run began
         self._calendar: dict[int, list[int]] = {}  # expiry slot -> stations
         self._expiries: list[int] = []  # heap of the calendar's keys
@@ -94,7 +95,7 @@ class ContentionDriver:
 
     def open_window(self, start_us: int, end_us: int,
                     allow_overrun: bool) -> None:
-        if self.phase_open or self._inflight is not None:
+        if self.phase_open:
             raise RuntimeError("window already open")
         if end_us <= start_us:
             raise ValueError("empty contention window")
@@ -102,31 +103,32 @@ class ContentionDriver:
         self.phase_start = start_us
         self.window_end = end_us
         self.allow_overrun = allow_overrun
-        self._frozen_smin = None
         self._arm()
 
     def close_window(self, t_us: int) -> None:
-        """End an idle window at t_us; participants keep their counters."""
-        if self._inflight is not None:
+        """End an idle window at its end, t_us; participants keep their
+        counters. Only a window that may overrun is closed here: one that
+        may not can hold a frozen decision, and ends with the run."""
+        if self.busy_until > t_us:
             raise RuntimeError("cannot close a busy medium")
         if not self.phase_open:
             return
-        self._cancel_pending()
+        if t_us != self.window_end:
+            raise RuntimeError(f"window ends at {self.window_end} us, "
+                               f"not at {t_us} us")
+        if not self.allow_overrun:
+            raise RuntimeError("a window that forbids overrun ends with "
+                               "the run")
         elapsed = t_us - self.phase_start
-        k = elapsed // self.timing.slot_us
-        if self._frozen_smin is not None:
-            k = min(k, self._frozen_smin)
-        self._consume(k)
+        self._consume(elapsed // self.timing.slot_us)
         self.metrics.idle_us += elapsed
         self.phase_open = False
-        self._frozen_smin = None
 
     def finalize(self, t_end: int) -> None:
         """Account the tail of the run; medium must not be mid-burst."""
-        if self._inflight is not None or self.busy_until > t_end:
+        if self.busy_until > t_end:
             raise RuntimeError("run ended inside a transmission")
         if self.phase_open:
-            self._cancel_pending()
             self.metrics.idle_us += t_end - self.phase_start
             self.phase_open = False
 
@@ -188,9 +190,8 @@ class ContentionDriver:
             return   # window closes first; counters settled at close
         duration = self._busy_duration(wifi_w, lte_w)
         if not self.allow_overrun and tx_time + duration > self.window_end:
-            self._frozen_smin = s_min
-            return
-        self._pending = self.sim.schedule(
+            return   # frozen until the run ends
+        self.sim.schedule(
             tx_time, "slot-boundary", "medium",
             lambda: self._fire(s_min, wifi_w, lte_w, duration))
 
@@ -208,15 +209,13 @@ class ContentionDriver:
         now = self.sim.now
         self.metrics.idle_us += now - self.phase_start
         self.busy_until = now + duration
-        self._pending = None
-        self._inflight = (s_min, wifi_w, lte_w, duration)
         self.tx_intervals.append(
             (now, self.busy_until, bool(wifi_w), bool(lte_w)))
-        self.sim.schedule(self.busy_until, "tx-end", "medium", self._tx_end)
+        self.sim.schedule(
+            self.busy_until, "tx-end", "medium",
+            lambda: self._tx_end(s_min, wifi_w, lte_w, duration))
 
-    def _tx_end(self) -> None:
-        s_min, wifi_w, lte_w, duration = self._inflight
-        self._inflight = None
+    def _tx_end(self, s_min, wifi_w, lte_w, duration) -> None:
         now = self.sim.now
         collision = len(wifi_w) + len(lte_w) > 1
         # the s_min idle slots plus the busy one; winners redraw below
@@ -254,8 +253,3 @@ class ContentionDriver:
             self._arm()
         else:
             self.phase_open = False
-
-    def _cancel_pending(self) -> None:
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None

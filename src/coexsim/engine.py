@@ -4,7 +4,10 @@ The simulator keeps an integer-microsecond clock and a binary-heap event
 queue.  Events that share a timestamp are ordered by kind rank (channel
 state settles before slot decisions, slot decisions before timers, and
 beacons go last so same-instant bookkeeping is finished before a beacon
-reads it), then by insertion sequence number.  Every random draw comes
+reads it), then by insertion sequence number.  A queued event always
+fires: nothing is ever withdrawn, so a caller schedules only what it
+knows will happen (the contention driver, for one, schedules a decision
+only if it falls before its window's end).  Every random draw comes
 from a named per-entity stream seeded from (root seed, stream id), so a
 draw depends only on the stream's own history, never on how events from
 different entities interleave.
@@ -15,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
@@ -38,26 +41,6 @@ class SchedulingError(ValueError):
     """Event rejected: non-integer time, time in the past, or unknown kind."""
 
 
-@dataclass(slots=True)
-class SimEvent:
-    """One scheduled occurrence.
-
-    ``target`` names the entity the event belongs to; it is what shows up
-    in the trace next to the timestamp and kind.
-    """
-
-    time: int
-    seq: int
-    kind: str
-    target: str
-    fn: Optional[Callable[[], None]] = None
-    cancelled: bool = False
-
-    def cancel(self) -> None:
-        """Mark the event dead; it will never fire nor appear in the trace."""
-        self.cancelled = True
-
-
 @dataclass
 class TraceSummary:
     """What run_until saw: counts, an optional hash, optional raw records."""
@@ -75,7 +58,10 @@ class Simulator:
                  hash_trace: bool = False):
         self.root_seed = root_seed
         self.now: int = 0
-        self._heap: list[tuple[int, int, int, SimEvent]] = []
+        # (time, rank, seq, kind, target, fn); seq is unique, so ties
+        # never compare kind, target or fn
+        self._heap: list[tuple[int, int, int, str, str,
+                               Optional[Callable[[], None]]]] = []
         self._seq = itertools.count()
         self._streams: dict[str, np.random.Generator] = {}
         self._processed = 0
@@ -86,8 +72,13 @@ class Simulator:
     # -- events --------------------------------------------------------
 
     def schedule(self, time: int, kind: str, target: str,
-                 fn: Optional[Callable[[], None]] = None) -> SimEvent:
-        """Queue an event; past timestamps and unknown kinds are rejected."""
+                 fn: Optional[Callable[[], None]] = None) -> None:
+        """Queue an event that will fire at ``time``; it cannot be withdrawn.
+
+        ``target`` names the entity the event belongs to; it is what shows
+        up in the trace next to the timestamp and kind.  Past timestamps
+        and unknown kinds are rejected.
+        """
         if not isinstance(time, (int, np.integer)):
             raise SchedulingError(f"event time must be an integer microsecond count, got {time!r}")
         time = int(time)
@@ -96,26 +87,22 @@ class Simulator:
         rank = KIND_RANK.get(kind)
         if rank is None:
             raise SchedulingError(f"unknown event kind {kind!r}")
-        ev = SimEvent(time, next(self._seq), kind, target, fn)
-        heappush(self._heap, (time, rank, ev.seq, ev))
-        return ev
+        heappush(self._heap, (time, rank, next(self._seq), kind, target, fn))
 
     def run_until(self, t_end: int) -> TraceSummary:
-        """Process every live event with time <= t_end, then pin the clock there."""
+        """Process every event with time <= t_end, then pin the clock there."""
         heap = self._heap
         while heap and heap[0][0] <= t_end:
-            _, _, _, ev = heappop(heap)
-            if ev.cancelled:
-                continue
-            self.now = ev.time
+            time, _, _, kind, target, fn = heappop(heap)
+            self.now = time
             self._processed += 1
-            self._by_kind[ev.kind] += 1
+            self._by_kind[kind] += 1
             if self._hasher is not None:
-                self._hasher.update(b"%d %s %s\n" % (ev.time, ev.kind.encode(), ev.target.encode()))
+                self._hasher.update(b"%d %s %s\n" % (time, kind.encode(), target.encode()))
             if self._records is not None:
-                self._records.append((ev.time, ev.kind, ev.target))
-            if ev.fn is not None:
-                ev.fn()
+                self._records.append((time, kind, target))
+            if fn is not None:
+                fn()
         self.now = t_end
         return self.trace_summary()
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -59,8 +60,10 @@ class ScenarioConfig:
             object.__setattr__(self, "m_lte", 0)
         if self.n_wifi + self.m_lte < 1:
             raise ConfigError("n_wifi", "need at least one user in total")
-        if not self.duration_s > 0:
-            raise ConfigError("duration_s", "must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigError("duration_s", "must be positive and finite")
+        if self.duration_us == 0:
+            raise ConfigError("duration_s", "rounds to 0 µs")
         if not self.seeds:
             raise ConfigError("seeds", "must be non-empty")
         if any(not isinstance(s, int) or isinstance(s, bool) or s < 0

@@ -147,6 +147,42 @@ def test_report_round_trips_sweep_output(tmp_path, capsys):
             assert float(a) == pytest.approx(float(b), abs=2e-5)
 
 
+
+def _runs_csv(tmp_path, capsys):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"scheme": "wifi-only", "n_wifi": 2,
+                               "duration_s": 0.1}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    return out / "runs.csv"
+
+
+def test_report_names_a_missing_column(tmp_path, capsys):
+    runs = _runs_csv(tmp_path, capsys)
+    lines = runs.read_text().splitlines()
+    drop = lines[0].split(",").index("m_lte")
+    runs.write_text("".join(
+        ",".join(c for i, c in enumerate(line.split(",")) if i != drop) + "\n"
+        for line in lines))
+    rc = main(["report", "--runs", str(runs)])
+    assert rc == 2
+    assert "error: m_lte: no such column" in capsys.readouterr().err
+
+
+def test_report_names_a_non_numeric_column(tmp_path, capsys):
+    runs = _runs_csv(tmp_path, capsys)
+    lines = runs.read_text().splitlines()
+    col = lines[0].split(",").index("total_bps")
+    cells = lines[1].split(",")
+    cells[col] = "fast"
+    runs.write_text("\n".join([lines[0], ",".join(cells)]) + "\n")
+    rc = main(["report", "--runs", str(runs)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: total_bps: " in err
+    assert "line 2: not a number: 'fast'" in err
+
 def test_missing_config_exits_2(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o")])
@@ -198,3 +234,19 @@ def test_zero_payload_is_a_config_error(tmp_path, capsys):
     rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "error: timing: payload_bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme,m_lte,duration_s,message", [
+    ("hap-sa", 1, "1e-7", "rounds to 0"),
+    ("wifi-only", 0, "1e-7", "rounds to 0"),
+    ("wifi-only", 0, "1e400", "finite"),   # JSON reads it as infinity
+])
+def test_a_duration_of_no_run_is_a_config_error(tmp_path, capsys, scheme,
+                                                 m_lte, duration_s, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"scheme": "%s", "n_wifi": 2, "m_lte": %d, '
+                   '"duration_s": %s}' % (scheme, m_lte, duration_s))
+    rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: duration_s: " in err and message in err

@@ -124,3 +124,39 @@ def test_a_counter_past_zero_is_an_error():
     driver._consume(station.counter + 1)
     with pytest.raises(RuntimeError, match="past zero"):
         driver.open_window(0, 1_000, allow_overrun=False)
+
+
+def _one_station_driver():
+    timing = MacTiming()
+    sim = Simulator(root_seed=1)
+    station = WifiStation("wifi-00", timing, sim.fork_rng("wifi-00"))
+    driver = ContentionDriver(sim, timing, exchange_durations(timing),
+                              [station], MetricsAccumulator())
+    return sim, station, driver
+
+
+def test_a_window_closes_only_at_its_end():
+    sim, station, driver = _one_station_driver()
+    counter = station.counter
+    end = counter * driver.timing.slot_us   # the first decision falls here
+    assert end > 0
+    driver.open_window(0, end, allow_overrun=True)
+    with pytest.raises(RuntimeError, match="window ends at"):
+        driver.close_window(end - 1)
+    assert sim.run_until(end).processed == 0
+    driver.close_window(end)
+    assert not driver.phase_open
+    assert driver.metrics.idle_us == end
+    assert driver._contenders() == (0, [0], [])   # all idle slots consumed
+    driver.close_window(end)   # already closed: nothing happens
+    assert driver._vslot == counter
+
+
+def test_a_window_that_forbids_overrun_ends_with_the_run():
+    sim, _, driver = _one_station_driver()
+    driver.open_window(0, 1_000_000, allow_overrun=False)
+    sim.run_until(1_000_000)
+    with pytest.raises(RuntimeError, match="forbids overrun"):
+        driver.close_window(1_000_000)
+    driver.finalize(1_000_000)
+    assert not driver.phase_open

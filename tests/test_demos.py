@@ -1,4 +1,4 @@
-"""The fast demos run to completion against the current library."""
+"""Every demo runs to completion against the current library."""
 
 import os
 import subprocess
@@ -29,3 +29,13 @@ def test_signalling_walkthrough_trace_passes_the_audit():
 
 def test_superframe_anatomy_runs():
     _run_demo("superframe_anatomy.py")
+
+
+def test_dcf_vs_fixed_point_tracks_the_model():
+    out = _run_demo("dcf_vs_fixed_point.py")
+    assert "  30   0.025890   0.532661       40.266     40.361   +0.24" in out
+
+
+def test_scheme_comparison_reports_the_hap_gain():
+    out = _run_demo("scheme_comparison.py")
+    assert "hap-sa: total 1.36x the pure Wi-Fi channel" in out

@@ -1,4 +1,4 @@
-"""Event queue ordering, cancellation, clock rules, and stream identity."""
+"""Event queue ordering, clock rules, trace records, and stream identity."""
 
 import numpy as np
 import pytest
@@ -55,27 +55,19 @@ def test_schedule_rejects_non_integer_time():
 
 
 def test_schedule_accepts_numpy_integer_times():
-    sim = Simulator(root_seed=0)
-    ev = sim.schedule(np.int64(12), "timer", "x")
-    assert ev.time == 12 and isinstance(ev.time, int)
+    sim = Simulator(root_seed=0, keep_trace=True)
+    seen = []
+    sim.schedule(np.int64(12), "timer", "x", lambda: seen.append(sim.now))
+    summary = sim.run_until(20)
+    assert seen == [12] and type(seen[0]) is int
+    assert summary.records == [(12, "timer", "x")]
+    assert type(summary.records[0][0]) is int
 
 
 def test_schedule_rejects_unknown_kind():
     sim = Simulator(root_seed=0)
     with pytest.raises(SchedulingError, match="unknown event kind"):
         sim.schedule(1, "tx-start", "x")
-
-
-def test_cancelled_event_never_fires_and_leaves_no_trace():
-    sim = Simulator(root_seed=0, keep_trace=True)
-    fired = []
-    ev = sim.schedule(5, "timer", "victim", lambda: fired.append("victim"))
-    sim.schedule(5, "beacon", "keeper", lambda: fired.append("keeper"))
-    ev.cancel()
-    summary = sim.run_until(10)
-    assert fired == ["keeper"]
-    assert summary.processed == 1
-    assert summary.records == [(5, "beacon", "keeper")]
 
 
 def test_run_until_pins_clock_even_with_no_events():
@@ -85,14 +77,20 @@ def test_run_until_pins_clock_even_with_no_events():
 
 
 def test_run_until_includes_events_at_t_end():
-    sim = Simulator(root_seed=0)
+    sim = Simulator(root_seed=0, keep_trace=True)
     fired = []
     sim.schedule(50, "timer", "edge", lambda: fired.append(50))
     sim.schedule(51, "timer", "past-edge", lambda: fired.append(51))
-    sim.run_until(50)
+    summary = sim.run_until(50)
     assert fired == [50]
-    sim.run_until(51)
+    # the records list exactly the processed events, nothing still queued
+    assert summary.processed == 1
+    assert summary.records == [(50, "timer", "edge")]
+    summary = sim.run_until(51)
     assert fired == [50, 51]
+    assert summary.processed == 2
+    assert summary.records == [(50, "timer", "edge"),
+                               (51, "timer", "past-edge")]
 
 
 def test_trace_hash_is_replay_stable_and_order_sensitive():

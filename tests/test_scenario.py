@@ -52,6 +52,18 @@ def test_population_and_duration_validation():
         ScenarioConfig(radius_m=0.0)
 
 
+
+@pytest.mark.parametrize("scheme,m_lte", [("wifi-only", 0), ("hap-sa", 1)])
+def test_a_duration_of_no_run_is_rejected(scheme, m_lte):
+    # 0.4 µs rounds to no run at all
+    with pytest.raises(ConfigError, match="duration_s: rounds to 0"):
+        ScenarioConfig(scheme=scheme, m_lte=m_lte, duration_s=4e-7)
+    for endless in (float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="duration_s: .*finite"):
+            ScenarioConfig(scheme=scheme, m_lte=m_lte, duration_s=endless)
+    assert ScenarioConfig(duration_s=1e-6).duration_us == 1
+
+
 def test_seed_validation_excludes_bools_and_negatives():
     with pytest.raises(ConfigError, match="seeds"):
         ScenarioConfig(seeds=())
