@@ -22,6 +22,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -29,8 +30,8 @@ from pathlib import Path
 from . import __version__
 from .analytics import (AGG_METRICS, aggregate, saturation_throughput,
                         solve_fixed_point)
-from .scenario import (ConfigError, ScenarioConfig, expand_sweep, load_config,
-                       SCHEMES)
+from .dcf import ACCESS_MODES
+from .scenario import ConfigError, ScenarioConfig, expand_sweep, load_config
 from .simulate import CSV_COLUMNS, ResultRow, run_scenario
 
 
@@ -76,8 +77,11 @@ def _run_point(point: tuple[ScenarioConfig, int]) -> ResultRow:
 
 def _run_all(points: list[tuple[ScenarioConfig, int]],
              parallel: int) -> list[ResultRow]:
+    if parallel < 1:
+        raise ConfigError("parallel", "must be >= 1")
+    workers = min(parallel, len(points))
     rows: list[ResultRow] = []
-    with (ProcessPoolExecutor(max_workers=parallel) if parallel > 1
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
         results = (pool.map if pool else map)(_run_point, points)
         for i, row in enumerate(results, 1):
@@ -127,10 +131,6 @@ def _cmd_sweep(args) -> int:
     if args.seeds is not None:
         config = dataclasses.replace(config, seeds=tuple(args.seeds))
     schemes = args.schemes.split(",") if args.schemes else None
-    if schemes:
-        for scheme in schemes:
-            if scheme not in SCHEMES:
-                raise ConfigError("schemes", f"unknown scheme {scheme!r}")
     configs = expand_sweep(config, args.axis, args.values, schemes)
     points = [(cfg, seed) for cfg in configs for seed in cfg.seeds]
     rows = _run_all(points, args.parallel)
@@ -172,6 +172,9 @@ def _cmd_report(args) -> int:
             for key, parse in columns.items():
                 try:
                     row[key] = parse(rec[key])
+                    # nan and inf parse as floats but measure nothing
+                    if parse is float and not math.isfinite(row[key]):
+                        raise ValueError
                 except (TypeError, ValueError):
                     raise ConfigError(
                         key, f"{args.runs} line {reader.line_num}: "
@@ -214,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="analytical saturation throughput table")
     p_oracle.add_argument("--n", type=_int_list, required=True,
                           help="comma-separated station counts")
-    p_oracle.add_argument("--access-mode", choices=("basic", "rts-cts"),
+    p_oracle.add_argument("--access-mode", choices=ACCESS_MODES,
                           default="basic")
     p_oracle.add_argument("--out", default=None)
     p_oracle.set_defaults(fn=_cmd_oracle)

@@ -22,7 +22,7 @@ class LbtParams:
     cca_us: int = 50               # sensing period before backoff (= DIFS)
     contention_window: int = 16    # fixed; draw is uniform over [0, cw-1]
     burst_us: int = 8064
-    duty_off_factor: int | None = None  # defaults to M+N-1 at scenario build
+    duty_off_factor: int | None = None  # None: duty_off_us uses M+N-1
 
     def __post_init__(self):
         if self.contention_window < 1:

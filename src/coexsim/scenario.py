@@ -2,15 +2,19 @@
 
 A scenario pins one coexistence scheme with its population sizes and
 radio/MAC parameter overrides. Config files are flat JSON with optional
-nested override blocks; every validation error names the offending
-field path so sweep scripts fail loudly and early.
+nested override blocks. The config dataclasses' annotations are the
+schema, checked at every depth; every validation error names the
+offending field path so sweep scripts fail loudly and early.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import sys
+import typing
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -48,8 +52,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ConfigError("scheme", f"must be one of {SCHEMES}, "
-                                        f"got {self.scheme!r}")
+            raise ConfigError("scheme", f"unknown scheme {self.scheme!r}, "
+                                        f"must be one of {SCHEMES}")
         if self.n_wifi < 0:
             raise ConfigError("n_wifi", "must be >= 0")
         if self.m_lte < 0:
@@ -69,6 +73,8 @@ class ScenarioConfig:
         if any(not isinstance(s, int) or isinstance(s, bool) or s < 0
                for s in self.seeds):
             raise ConfigError("seeds", "must all be non-negative integers")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError("seeds", "must not repeat a seed")
         if not self.radius_m > 0:
             raise ConfigError("radius_m", "must be positive")
         if self.access_mode not in ACCESS_MODES:
@@ -93,56 +99,53 @@ class ScenarioConfig:
         return "uca" if self.scheme == "hap-uca" else "standalone"
 
 
-_NESTED = {
-    "timing": MacTiming,
-    "channel": ChannelParams,
-    "lbt": LbtParams,
-}
-_SCALARS = {
-    "scheme": str, "n_wifi": int, "m_lte": int, "duration_s": (int, float),
-    "radius_m": (int, float), "access_mode": str,
-    "interval_us": int, "beacon_us": int,
-}
+_field_types = functools.cache(typing.get_type_hints)
 
 
-def _build_nested(cls, payload: dict, path: str):
-    legal = {f.name: f for f in dataclasses.fields(cls)}
+def _parse(kind, value, path: str):
+    """Check one JSON value against the annotation of the field it sets."""
+    if dataclasses.is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ConfigError(path, "must be an object of overrides")
+        return _from_dict(kind, value, path)
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(path, "must be a list")
+        return tuple(value)
+    # a float field takes a JSON integer too; int | None also takes null
+    if isinstance(value, bool) or not isinstance(
+            value, float | int if kind is float else kind):
+        raise ConfigError(path, f"expected {getattr(kind, '__name__', kind)}"
+                                f", got {value!r}")
+    # NaN, infinities and integers past the float range all fail this
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(path, f"must be finite, got {value!r}")
+    return value
+
+
+def _from_dict(cls, payload: dict, path: str):
+    """Build config class `cls` from a JSON object, one field at a time."""
+    names = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in payload.items():
-        if key not in legal:
-            raise ConfigError(f"{path}.{key}", "unknown field")
-        if isinstance(value, bool):
-            raise ConfigError(f"{path}.{key}", "boolean is not a number")
-        kwargs[key] = value
+        where = f"{path}.{key}" if path else key
+        if key not in names:
+            raise ConfigError(where, "unknown field")
+        kwargs[key] = _parse(_field_types(cls)[key], value, where)
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:     # a block's range check names its block
         raise ConfigError(path, str(exc)) from exc
 
 
 def config_from_dict(payload: dict) -> ScenarioConfig:
     if not isinstance(payload, dict):
         raise ConfigError("$", "top level must be a JSON object")
-    kwargs = {}
-    for key, value in payload.items():
-        if key in _NESTED:
-            if not isinstance(value, dict):
-                raise ConfigError(key, "must be an object of overrides")
-            kwargs[key] = _build_nested(_NESTED[key], value, key)
-        elif key == "seeds":
-            if not isinstance(value, list):
-                raise ConfigError("seeds", "must be a list")
-            kwargs[key] = tuple(value)
-        elif key in _SCALARS:
-            want = _SCALARS[key]
-            if isinstance(value, bool) or not isinstance(value, want):
-                raise ConfigError(key, f"expected {want}, got {value!r}")
-            kwargs[key] = value
-        else:
-            raise ConfigError(key, "unknown field")
     with warnings.catch_warnings():
         warnings.simplefilter("always")
-        return ScenarioConfig(**kwargs)
+        return _from_dict(ScenarioConfig, payload, "")
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -161,10 +164,13 @@ def expand_sweep(base: ScenarioConfig, axis: str, values: list[int],
         raise ConfigError("axis", "must be n_wifi or m_lte")
     if not values:
         raise ConfigError("values", "must be non-empty")
-    out = []
-    for scheme in (schemes or [base.scheme]):
-        for value in values:
-            if not isinstance(value, int) or value < 0:
-                raise ConfigError("values", f"bad sweep value {value!r}")
-            out.append(replace(base, scheme=scheme, **{axis: value}))
-    return out
+    for value in values:
+        if not isinstance(value, int) or value < 0:
+            raise ConfigError("values", f"bad sweep value {value!r}")
+    if len(set(values)) < len(values):
+        raise ConfigError("values", "must not repeat a value")
+    schemes = schemes or [base.scheme]
+    if len(set(schemes)) < len(schemes):
+        raise ConfigError("schemes", "must not repeat a scheme")
+    return [replace(base, scheme=scheme, **{axis: value})
+            for scheme in schemes for value in values]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from coexsim import cli
 from coexsim.cli import main
 from coexsim.simulate import CSV_COLUMNS
 
@@ -97,6 +98,25 @@ def test_sweep_emits_raw_and_aggregate(tmp_path, capsys):
     assert meta["axis"] == "n_wifi" and meta["values"] == [2, 3]
 
 
+@pytest.mark.parametrize("seeds,values,schemes,field", [
+    ("1,1,2", "3,3", None, "seeds"),
+    ("1,2", "3,3", None, "values"),
+    ("1,2", "3", "lbt,lbt", "schemes"),
+])
+def test_sweep_rejects_repeated_points(tmp_path, capsys, seeds, values,
+                                       schemes, field):
+    # each repeat would count one run twice in n_seeds and the 95% interval
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text('{"scheme": "lbt", "n_wifi": 2, "m_lte": 1, '
+                   '"duration_s": 0.1, "seeds": [%s]}' % seeds)
+    argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            "--axis", "n_wifi", "--values", values]
+    rc = main(argv + (["--schemes", schemes] if schemes else []))
+    assert rc == 2
+    assert f"error: {field}: must not repeat" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_rejects_unknown_scheme(tmp_path, capsys):
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({"n_wifi": 2, "duration_s": 0.1}))
@@ -170,18 +190,72 @@ def test_report_names_a_missing_column(tmp_path, capsys):
     assert "error: m_lte: no such column" in capsys.readouterr().err
 
 
-def test_report_names_a_non_numeric_column(tmp_path, capsys):
+def _report_with_total(tmp_path, capsys, cell):
+    """Exit code and stderr of `report` over a row whose total_bps is cell."""
     runs = _runs_csv(tmp_path, capsys)
     lines = runs.read_text().splitlines()
     col = lines[0].split(",").index("total_bps")
     cells = lines[1].split(",")
-    cells[col] = "fast"
+    cells[col] = cell
     runs.write_text("\n".join([lines[0], ",".join(cells)]) + "\n")
     rc = main(["report", "--runs", str(runs)])
+    return rc, capsys.readouterr().err
+
+
+def test_report_names_a_non_numeric_column(tmp_path, capsys):
+    rc, err = _report_with_total(tmp_path, capsys, "fast")
     assert rc == 2
-    err = capsys.readouterr().err
     assert "error: total_bps: " in err
     assert "line 2: not a number: 'fast'" in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_report_rejects_a_non_finite_cell(tmp_path, capsys, cell):
+    rc, err = _report_with_total(tmp_path, capsys, cell)
+    assert rc == 2
+    assert "error: total_bps: " in err and "line 2: " in err
+
+
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_parallel_below_one_is_a_config_error(tmp_path, small_config, capsys,
+                                               parallel):
+    rc = main(["run", "--config", str(small_config),
+               "--out", str(tmp_path / "o"), "--parallel", parallel])
+    assert rc == 2
+    assert "error: parallel: must be >= 1" in capsys.readouterr().err
+
+
+def test_pool_is_no_larger_than_the_points_it_runs(tmp_path, small_config,
+                                                   monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size asked for; maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, points):
+            return map(fn, points)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    out = tmp_path / "o"
+    common = ["--config", str(small_config), "--out", str(out)]
+    # two seeds: two workers, not 64
+    assert main(["run", *common, "--parallel", "64"]) == 0
+    # one point: no pool at all
+    assert main(["run", *common, "--parallel", "64", "--seeds", "5"]) == 0
+    # three points, two workers asked for: two workers
+    assert main(["sweep", *common, "--parallel", "2", "--seeds", "1",
+                 "--axis", "n_wifi", "--values", "2,3,4"]) == 0
+    assert sizes == [2, 2]
+
 
 def test_missing_config_exits_2(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "nope.json"),
@@ -250,3 +324,25 @@ def test_a_duration_of_no_run_is_a_config_error(tmp_path, capsys, scheme,
     assert rc == 2
     err = capsys.readouterr().err
     assert "error: duration_s: " in err and message in err
+
+
+@pytest.mark.parametrize("block,field,value", [
+    ("timing", "cw_min", "16.5"),
+    ("timing", "max_backoff_stage", "2.5"),
+    ("lbt", "contention_window", "4.5"),
+    ("timing", "slot_us", "9.5"),
+    ("lbt", "burst_us", "8064.5"),
+    ("channel", "pathloss_exponent", "NaN"),
+    ("channel", "bandwidth_hz", "Infinity"),
+    ("timing", "bit_rate_mbps", "Infinity"),
+])
+def test_a_nested_field_of_the_wrong_kind_is_a_config_error(
+        tmp_path, capsys, block, field, value):
+    # JSON text, since NaN and Infinity are only literals there
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"scheme": "lbt", "n_wifi": 2, "m_lte": 1, '
+                   '"duration_s": 0.1, "%s": {"%s": %s}}'
+                   % (block, field, value))
+    rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"error: {block}.{field}: " in capsys.readouterr().err

@@ -1,6 +1,9 @@
 """Scenario configuration parsing, validation, and sweep expansion."""
 
+import dataclasses
 import json
+import math
+import typing
 
 import pytest
 
@@ -71,6 +74,9 @@ def test_seed_validation_excludes_bools_and_negatives():
         ScenarioConfig(seeds=(1, -2))
     with pytest.raises(ConfigError, match="seeds"):
         ScenarioConfig(seeds=(True,))
+    # a repeated seed would count one run twice in the cross-seed stats
+    with pytest.raises(ConfigError, match="seeds: must not repeat"):
+        ScenarioConfig(seeds=(1, 1, 2))
 
 
 def test_beacon_schemes_need_whole_intervals():
@@ -123,6 +129,54 @@ def test_config_from_dict_error_paths():
         config_from_dict([1, 2])
 
 
+def _wrong_kinds():
+    """A JSON value of the wrong kind for every field of every config class."""
+    hints = typing.get_type_hints(ScenarioConfig)
+    blocks = [("", ScenarioConfig)] + [
+        (f.name, hints[f.name]) for f in dataclasses.fields(ScenarioConfig)
+        if dataclasses.is_dataclass(hints[f.name])]
+    for block, cls in blocks:
+        kinds = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            kind = kinds[f.name]
+            if dataclasses.is_dataclass(kind):
+                wrong = [True, "x", [1]]
+            elif typing.get_origin(kind) is tuple:
+                wrong = [True, "1", 2.5]
+            elif kind is str:
+                wrong = [True, 1, 2.5]
+            elif kind is float:
+                wrong = [True, "1", math.nan, math.inf, -math.inf, 10 ** 400]
+            elif kind in (int, int | None):
+                wrong = [True, "1", 2.5]
+            else:
+                raise AssertionError(f"no wrong kinds for {kind}")
+            path = f"{block}.{f.name}" if block else f.name
+            for value in wrong:
+                payload = {block: {f.name: value}} if block else {f.name: value}
+                yield pytest.param(payload, path,
+                                   id=f"{path}={repr(value)[:12]}")
+
+
+@pytest.mark.parametrize("payload,path", _wrong_kinds())
+def test_every_field_rejects_a_value_of_the_wrong_kind(payload, path):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(payload)
+    assert exc.value.path == path
+
+
+@pytest.mark.parametrize("cfg", [
+    ScenarioConfig(),
+    ScenarioConfig(scheme="hap-sa", m_lte=4, duration_s=0.2, seeds=(3, 4),
+                   lbt=dataclasses.replace(ScenarioConfig().lbt,
+                                           duty_off_factor=2)),
+], ids=["defaults", "hap-sa"])
+def test_a_written_config_parses_back_to_itself(cfg):
+    # the resolved config a run records in its meta file
+    payload = json.loads(json.dumps(dataclasses.asdict(cfg)))
+    assert config_from_dict(payload) == cfg
+
+
 def test_load_config_reports_json_errors(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
@@ -150,3 +204,9 @@ def test_expand_sweep_validation():
         expand_sweep(base, "n_wifi", [])
     with pytest.raises(ConfigError, match="values"):
         expand_sweep(base, "n_wifi", [-3])
+    with pytest.raises(ConfigError, match="values: must not repeat"):
+        expand_sweep(base, "n_wifi", [3, 3])
+    with pytest.raises(ConfigError, match="schemes: must not repeat"):
+        expand_sweep(base, "n_wifi", [3], schemes=["wifi-only", "wifi-only"])
+    with pytest.raises(ConfigError, match="unknown scheme 'laa'"):
+        expand_sweep(base, "n_wifi", [3], schemes=["laa"])

@@ -135,13 +135,26 @@ def test_hap_wifi_and_lte_never_overlap():
 @given(scheme=st.sampled_from(["hap-sa", "hap-uca"]),
        n=st.integers(0, 4), m=st.integers(1, 8),
        interval_us=st.sampled_from([10_000, 20_000, 50_000, 100_000]),
-       intervals=st.integers(2, 5), seed=st.integers(1, 1000))
+       beacon_us=st.sampled_from([100, 500, 2000, None]),
+       intervals=st.integers(2, 5),
+       slot_us=st.sampled_from([9, 20]), cw_min=st.integers(1, 32),
+       cw_doublings=st.integers(0, 6), max_stage=st.integers(0, 7),
+       access_mode=st.sampled_from(["basic", "rts-cts"]),
+       seed=st.integers(1, 1000))
 @settings(max_examples=25, deadline=None)
 def test_coordinated_runs_keep_ledger_isolation_and_conformance(
-        scheme, n, m, interval_us, intervals, seed):
+        scheme, n, m, interval_us, beacon_us, intervals, slot_us, cw_min,
+        cw_doublings, max_stage, access_mode, seed):
+    timing = MacTiming(slot_us=slot_us, cw_min=cw_min,
+                       cw_max=cw_min << cw_doublings,
+                       max_backoff_stage=max_stage)
     cfg = ScenarioConfig(scheme=scheme, n_wifi=n, m_lte=m,
                          duration_s=intervals * interval_us / 1e6,
-                         interval_us=interval_us, channel=NEAR)
+                         interval_us=interval_us,
+                         # None: a beacon half the interval long
+                         beacon_us=beacon_us or interval_us // 2,
+                         access_mode=access_mode, timing=timing,
+                         channel=NEAR)
     res = run_scenario(cfg, seed=seed)
     assert res.metrics.accounted_us == cfg.duration_us
     report = conformance_check(res.signalling)
