@@ -31,13 +31,27 @@ lead is its duty-off wake plus a clear-channel assessment, counted from
 the window anchor and rounded up to whole slots; its effective backoff
 is lead + counter. The anchor does not move between deciding an
 exchange and consuming its slots, so the leads are computed once per
-decision and the next consume reuses them. Backoff draws come from
-per-entity streams, so outcomes do not depend on participant interleave
-or on the order in which winners redraw.
+decision and the next consume reuses them. Only the nodes on the walk,
+a sorted list of node indices, are looked at; the others sleep in a heap
+keyed by the time their CCA ends, wake + CCA. Each decision first moves
+onto the walk every sleeper whose key is at most the anchor plus s_wifi
+slots, s_wifi being the calendar head's backoff (every sleeper, with no
+Wi-Fi station). A node left asleep has lead > s_wifi >= s_min, so it
+neither holds the smallest backoff nor loses a slot to the consume that
+follows (an exchange consumes s_min + 1 <= lead, an idle close at most
+s_min): leaving it out changes nothing. A node goes back to sleep when
+it bursts, which with the default duty-off of (M + N - 1) bursts is
+almost all the time. Backoff draws come from per-entity streams, so
+outcomes do not depend on participant interleave or on the order in
+which winners redraw.
 
 Windows: the run loop opens the medium for a span (a whole run, or one
 contention period between beacons). A decision is scheduled only if it
-falls before its window's end, so a queued decision always fires. A
+falls before its window's end, so a queued decision always fires. When
+the queue would fire it next anyway, it is not queued at all: the
+driver logs it with ``Simulator.fire_inline`` and fires it on the spot,
+as the last statement of the callback that made it. The ``tx-end`` that
+ends each exchange is always queued. A
 window ends only at its end: its last exchange may overrun it (the next
 beacon then defers to the busy boundary), or it closes idle there, never
 past the smallest effective backoff. A window that forbids transmissions
@@ -47,7 +61,8 @@ the run.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from bisect import insort
+from heapq import heapify, heappop, heappush
 
 from .analytics import MetricsAccumulator
 from .dcf import ExchangeDurations, MacTiming, WifiStation
@@ -84,7 +99,12 @@ class ContentionDriver:
         self._vslot = 0             # V: slots consumed since the run began
         self._calendar: dict[int, list[int]] = {}  # expiry slot -> stations
         self._expiries: list[int] = []  # heap of the calendar's keys
-        self._leads: list[int] = []     # LTE-U leads at the current anchor
+        self._walk: list[int] = []      # LTE-U nodes walked, by index
+        self._leads: list[int] = []     # their leads at the current anchor
+        # the other nodes, by the time their CCA ends: (wake + CCA, index)
+        self._sleepers = [(n.wake_at_us + n.params.cca_us, j)
+                          for j, n in enumerate(self.lbt_nodes)]
+        heapify(self._sleepers)
         for i in range(self.n_wifi):
             self._file(i)
 
@@ -146,32 +166,47 @@ class ContentionDriver:
 
     def _consume(self, k: int) -> None:
         """Run k slots off every counter: V advances by k, and each LTE-U
-        node skips its lead."""
+        node on the walk skips its lead (a sleeper's lead is at least k)."""
         self._vslot += k
-        for node, lead in zip(self.lbt_nodes, self._leads):
+        nodes = self.lbt_nodes
+        for j, lead in zip(self._walk, self._leads):
             if k > lead:
-                node.counter -= k - lead
+                nodes[j].counter -= k - lead
 
     def _contenders(self) -> tuple[int, list[int], list[int]] | None:
         """(s_min, wifi_w, lte_w): the smallest effective backoff and the
         stations and nodes that hold it, or None with nobody to contend.
 
-        Fixes the LTE-U leads at the current anchor for the next consume.
+        First moves onto the walk every sleeping LTE-U node whose CCA ends
+        by the slot where the calendar head expires (every sleeper, with
+        no Wi-Fi station); one that ends later has a lead above s_min.
+        Fixes the walked nodes' leads at the current anchor for the next
+        consume.
         """
         expiries = self._expiries
         s_min = expiries[0] - self._vslot if expiries else None
         lte_w = []
         if self.lbt_nodes:
             slot, anchor = self.timing.slot_us, self.phase_start
-            self._leads = [max(0, -(-(n.wake_at_us + n.params.cca_us - anchor)
-                                    // slot))
-                           for n in self.lbt_nodes]
-            lte_eff = [n.counter + lead
-                       for n, lead in zip(self.lbt_nodes, self._leads)]
-            lte_min = min(lte_eff)
-            if s_min is None or lte_min < s_min:
-                s_min = lte_min
-            lte_w = [j for j, e in enumerate(lte_eff) if e == s_min]
+            sleepers, walk, nodes = self._sleepers, self._walk, self.lbt_nodes
+            if s_min is None:
+                while sleepers:
+                    insort(walk, heappop(sleepers)[1])
+            else:
+                horizon = anchor + s_min * slot
+                while sleepers and sleepers[0][0] <= horizon:
+                    insort(walk, heappop(sleepers)[1])
+            self._leads = leads = [
+                max(0, -(-(nodes[j].wake_at_us + nodes[j].params.cca_us
+                           - anchor) // slot))
+                for j in walk]
+            if walk:
+                lte_eff = [nodes[j].counter + lead
+                           for j, lead in zip(walk, leads)]
+                lte_min = min(lte_eff)
+                if s_min is None or lte_min < s_min:
+                    s_min = lte_min
+                lte_w = [j for j, e in zip(walk, lte_eff) if e == s_min]
         if s_min is None:
             return None
         if s_min < 0:
@@ -181,6 +216,12 @@ class ContentionDriver:
         return s_min, wifi_w, lte_w
 
     def _arm(self) -> None:
+        """Decide the next exchange and fire it, from the queue or inline.
+
+        Must be the last statement of the event callback that reaches
+        it, so that firing the decision inline, when the queue would fire
+        it next anyway, runs it exactly where it would have run.
+        """
         contenders = self._contenders()
         if contenders is None:
             return
@@ -191,9 +232,12 @@ class ContentionDriver:
         duration = self._busy_duration(wifi_w, lte_w)
         if not self.allow_overrun and tx_time + duration > self.window_end:
             return   # frozen until the run ends
-        self.sim.schedule(
-            tx_time, "slot-boundary", "medium",
-            lambda: self._fire(s_min, wifi_w, lte_w, duration))
+        if self.sim.fire_inline(tx_time, "slot-boundary", "medium"):
+            self._fire(s_min, wifi_w, lte_w, duration)
+        else:
+            self.sim.schedule(
+                tx_time, "slot-boundary", "medium",
+                lambda: self._fire(s_min, wifi_w, lte_w, duration))
 
     def _busy_duration(self, wifi_w: list[int], lte_w: list[int]) -> int:
         if lte_w:
@@ -247,6 +291,9 @@ class ContentionDriver:
                     node.node_id, burst_transmit(node, self.channel))
             node.start_duty_off(now, self.m_lte, self.n_wifi)
             node.draw_backoff()
+            i = self._walk.index(j)   # off the walk until it wakes
+            del self._walk[i], self._leads[i]
+            heappush(self._sleepers, (node.wake_at_us + node.params.cca_us, j))
 
         self.phase_start = now
         if now < self.window_end:

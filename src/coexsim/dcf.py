@@ -6,6 +6,16 @@ ledger stays integer-exact while the analytical oracle can use the same
 unrounded figures.  Each exchange duration carries its leading DIFS, so
 on the timeline idle time is purely backoff slots: busy-end -> slots ->
 exchange(DIFS + frames).
+
+Wi-Fi stations draw their backoffs through ``BackoffReplay``, which
+replays ``Generator.integers(0, W)`` from the stream's raw 64-bit words
+in plain Python. For 1 <= W <= 2^32 numpy's draw is a buffered 32-bit
+Lemire rejection over the halves of each raw word, low half first: W=1
+consumes nothing, and a draw whose low product word falls below
+(2^32 - W) mod W is rejected and takes the next half. The replay runs the
+same arithmetic on the same halves, so every draw, and every trace hash,
+is the one numpy would give; it only skips numpy's per-call overhead.
+``MacTiming`` caps ``cw_max`` at 2^32, the largest window this covers.
 """
 
 from __future__ import annotations
@@ -15,6 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+# Largest contention window BackoffReplay draws exactly (see module doc).
+MAX_WINDOW = 1 << 32
+_HALF_MASK = 0xFFFFFFFF
+_REFILL_WORDS = 16
 
 
 @dataclass(frozen=True)
@@ -47,6 +62,8 @@ class MacTiming:
                 raise ValueError(f"{name} must be non-negative")
         if self.cw_min < 1 or self.cw_max < self.cw_min:
             raise ValueError("need 1 <= cw_min <= cw_max")
+        if self.cw_max > MAX_WINDOW:
+            raise ValueError("cw_max must be <= 2**32")
         if self.max_backoff_stage < 0:
             raise ValueError("max_backoff_stage must be non-negative")
 
@@ -107,9 +124,52 @@ def contention_window(stage: int, timing: MacTiming) -> int:
     return min(timing.cw_min << stage, timing.cw_max)
 
 
-def draw_backoff(rng: np.random.Generator, stage: int, timing: MacTiming) -> int:
+def draw_backoff(rng: np.random.Generator | BackoffReplay, stage: int,
+                 timing: MacTiming) -> int:
     """Uniform draw over [0, CW(stage) - 1] slots."""
     return int(rng.integers(0, contention_window(stage, timing)))
+
+
+class BackoffReplay:
+    """``integers(low, high)`` of a fresh PCG64 ``Generator``, replayed.
+
+    Owns every draw of the stream it wraps: the generator itself must not
+    be drawn from again, since numpy keeps the unused high half of a raw
+    word inside the bit generator, where the replay cannot see it. Raw
+    words are fetched 16 at a time and held as a stack of 32-bit halves,
+    next half last.
+    """
+
+    __slots__ = ("_raw", "halves")
+
+    def __init__(self, rng: np.random.Generator):
+        self._raw = rng.bit_generator.random_raw
+        self.halves: list[int] = []
+
+    def _refill(self) -> None:
+        words = self._raw(_REFILL_WORDS).tolist()
+        words.reverse()
+        push = self.halves.append
+        for word in words:   # low half on top
+            push(word >> 32)
+            push(word & _HALF_MASK)
+
+    def integers(self, low: int, high: int) -> int:
+        """Uniform draw over [low, high - 1], as numpy draws it."""
+        w = high - low
+        if w == 1:
+            return low
+        halves = self.halves
+        if not halves:
+            self._refill()
+        m = halves.pop() * w
+        if m & _HALF_MASK < w:
+            threshold = (MAX_WINDOW - w) % w
+            while m & _HALF_MASK < threshold:
+                if not halves:
+                    self._refill()
+                m = halves.pop() * w
+        return low + (m >> 32)
 
 
 class WifiStation:
@@ -118,7 +178,8 @@ class WifiStation:
     ``counter`` is the backoff in slots as last drawn. The contention
     driver files the station at the slot where that backoff expires and
     runs it down on its virtual slot clock, so the attribute itself does
-    not count down.
+    not count down. Every draw, the first included, goes through a
+    ``BackoffReplay`` of the fresh stream ``rng``.
     """
 
     __slots__ = ("station_id", "timing", "rng", "stage", "counter",
@@ -127,9 +188,9 @@ class WifiStation:
     def __init__(self, station_id: str, timing: MacTiming, rng: np.random.Generator):
         self.station_id = station_id
         self.timing = timing
-        self.rng = rng
+        self.rng = BackoffReplay(rng)
         self.stage = 0
-        self.counter = draw_backoff(rng, 0, timing)
+        self.counter = draw_backoff(self.rng, 0, timing)
         self.success_count = 0
         self.collision_count = 0
 

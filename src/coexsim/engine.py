@@ -7,10 +7,21 @@ beacons go last so same-instant bookkeeping is finished before a beacon
 reads it), then by insertion sequence number.  A queued event always
 fires: nothing is ever withdrawn, so a caller schedules only what it
 knows will happen (the contention driver, for one, schedules a decision
-only if it falls before its window's end).  Every random draw comes
-from a named per-entity stream seeded from (root seed, stream id), so a
-draw depends only on the stream's own history, never on how events from
-different entities interleave.
+only if it falls before its window's end).
+
+A callback may also log a follow-up event as fired on the spot with
+``fire_inline`` instead of queueing it, and then run the follow-up's
+work itself as its own last statement. That is only allowed where the
+queue would fire the event next anyway: inside ``run_until``, at or
+before its end time, and with the heap head sorting strictly after the
+event's (time, rank). On an equal (time, rank) the queued event goes
+first, since it has the lower sequence number, so ``fire_inline``
+declines and the caller schedules as usual. Either way the clock, the
+counts, the records and the hash are those that queueing would give.
+
+Every random draw comes from a named per-entity stream seeded from
+(root seed, stream id), so a draw depends only on the stream's own
+history, never on how events from different entities interleave.
 """
 
 from __future__ import annotations
@@ -67,7 +78,9 @@ class Simulator:
         self._processed = 0
         self._by_kind: Counter[str] = Counter()
         self._hasher = hashlib.sha256() if hash_trace else None
+        self._tails: dict[tuple[str, str], bytes] = {}  # hash line tails
         self._records: Optional[list[tuple[int, str, str]]] = [] if keep_trace else None
+        self._t_end: Optional[int] = None   # set while run_until is active
 
     # -- events --------------------------------------------------------
 
@@ -79,9 +92,10 @@ class Simulator:
         up in the trace next to the timestamp and kind.  Past timestamps
         and unknown kinds are rejected.
         """
-        if not isinstance(time, (int, np.integer)):
-            raise SchedulingError(f"event time must be an integer microsecond count, got {time!r}")
-        time = int(time)
+        if type(time) is not int:
+            if not isinstance(time, (int, np.integer)):
+                raise SchedulingError(f"event time must be an integer microsecond count, got {time!r}")
+            time = int(time)
         if time < self.now:
             raise SchedulingError(f"cannot schedule at {time} us; clock is already at {self.now} us")
         rank = KIND_RANK.get(kind)
@@ -89,20 +103,55 @@ class Simulator:
             raise SchedulingError(f"unknown event kind {kind!r}")
         heappush(self._heap, (time, rank, next(self._seq), kind, target, fn))
 
+    def fire_inline(self, time: int, kind: str, target: str) -> bool:
+        """Log an event as fired now, if the queue would fire it next.
+
+        True only inside ``run_until``, with ``time`` at or before its end
+        and the heap head strictly after (time, rank); the caller then
+        runs the event's work itself, as the last thing its callback does.
+        On False nothing is logged and the caller schedules the event.
+        """
+        if self._t_end is None or time > self._t_end:
+            return False
+        if time < self.now:
+            raise SchedulingError(f"cannot fire at {time} us; clock is already at {self.now} us")
+        rank = KIND_RANK.get(kind)
+        if rank is None:
+            raise SchedulingError(f"unknown event kind {kind!r}")
+        heap = self._heap
+        if heap:
+            head = heap[0]
+            if head[0] < time or (head[0] == time and head[1] <= rank):
+                return False
+        self._log(time, kind, target)
+        return True
+
+    def _log(self, time: int, kind: str, target: str) -> None:
+        """Advance the clock to a firing event and record it."""
+        self.now = time
+        self._processed += 1
+        self._by_kind[kind] += 1
+        if self._hasher is not None:
+            tail = self._tails.get((kind, target))
+            if tail is None:
+                tail = self._tails[kind, target] = b" %s %s\n" % (
+                    kind.encode(), target.encode())
+            self._hasher.update(b"%d%s" % (time, tail))
+        if self._records is not None:
+            self._records.append((time, kind, target))
+
     def run_until(self, t_end: int) -> TraceSummary:
         """Process every event with time <= t_end, then pin the clock there."""
-        heap = self._heap
-        while heap and heap[0][0] <= t_end:
-            time, _, _, kind, target, fn = heappop(heap)
-            self.now = time
-            self._processed += 1
-            self._by_kind[kind] += 1
-            if self._hasher is not None:
-                self._hasher.update(b"%d %s %s\n" % (time, kind.encode(), target.encode()))
-            if self._records is not None:
-                self._records.append((time, kind, target))
-            if fn is not None:
-                fn()
+        heap, log = self._heap, self._log
+        self._t_end = t_end
+        try:
+            while heap and heap[0][0] <= t_end:
+                time, _, _, kind, target, fn = heappop(heap)
+                log(time, kind, target)
+                if fn is not None:
+                    fn()
+        finally:
+            self._t_end = None
         self.now = t_end
         return self.trace_summary()
 

@@ -152,14 +152,16 @@ def load_config(path: str | Path) -> ScenarioConfig:
     text = Path(path).read_text()
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an over-long integer
         raise ConfigError("$", f"not valid JSON: {exc}") from exc
     return config_from_dict(payload)
 
 
 def expand_sweep(base: ScenarioConfig, axis: str, values: list[int],
                  schemes: list[str] | None = None) -> list[ScenarioConfig]:
-    """Cross product of sweep values and schemes over one base config."""
+    """Cross product of sweep values and schemes over one base config,
+    each distinct config once (wifi-only pins m_lte to 0, so an m_lte
+    axis gives it one config), first occurrence kept."""
     if axis not in ("n_wifi", "m_lte"):
         raise ConfigError("axis", "must be n_wifi or m_lte")
     if not values:
@@ -172,5 +174,5 @@ def expand_sweep(base: ScenarioConfig, axis: str, values: list[int],
     schemes = schemes or [base.scheme]
     if len(set(schemes)) < len(schemes):
         raise ConfigError("schemes", "must not repeat a scheme")
-    return [replace(base, scheme=scheme, **{axis: value})
-            for scheme in schemes for value in values]
+    return list(dict.fromkeys(replace(base, scheme=scheme, **{axis: value})
+                              for scheme in schemes for value in values))

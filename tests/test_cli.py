@@ -1,5 +1,6 @@
 """Command line behaviour: files written, determinism, and exit codes."""
 
+import csv
 import json
 
 import pytest
@@ -115,6 +116,28 @@ def test_sweep_rejects_repeated_points(tmp_path, capsys, seeds, values,
     assert rc == 2
     assert f"error: {field}: must not repeat" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_m_lte_sweep_runs_wifi_only_once(tmp_path):
+    # wifi-only pins m_lte to 0, so every value of the axis is one config
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"n_wifi": 2, "duration_s": 0.1,
+                               "seeds": [1, 2]}))
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="ignores"):
+        rc = main(["sweep", "--config", str(cfg), "--out", str(out),
+                   "--axis", "m_lte", "--values", "0,1",
+                   "--schemes", "wifi-only,lbt"])
+    assert rc == 0
+    with open(out / "sweep_runs.csv", newline="") as fh:
+        runs = list(csv.DictReader(fh))
+    assert sorted((r["scheme"], r["m_lte"], r["seed"]) for r in runs) == [
+        ("lbt", "0", "1"), ("lbt", "0", "2"), ("lbt", "1", "1"),
+        ("lbt", "1", "2"), ("wifi-only", "0", "1"), ("wifi-only", "0", "2")]
+    with open(out / "sweep.csv", newline="") as fh:
+        points = [(r["scheme"], r["m_lte"], r["n_seeds"])
+                  for r in csv.DictReader(fh)]
+    assert ("wifi-only", "0", "2") in points and len(points) == 3
 
 
 def test_sweep_rejects_unknown_scheme(tmp_path, capsys):
@@ -270,6 +293,15 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_over_long_integer_literal_exits_2(tmp_path, capsys):
+    # json refuses integers past Python's digit limit with a ValueError
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n_wifi": %s}' % ("9" * 5000))
+    rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error: $: not valid JSON" in capsys.readouterr().err
 
 
 def test_zero_bit_rate_is_a_config_error(tmp_path, capsys):

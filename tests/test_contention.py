@@ -16,6 +16,7 @@ from coexsim.analytics import MetricsAccumulator
 from coexsim.contention import ContentionDriver
 from coexsim.dcf import MacTiming, WifiStation, exchange_durations
 from coexsim.engine import Simulator
+from coexsim.lbt import LbtNode
 from coexsim.radio import ChannelParams
 from coexsim.scenario import ScenarioConfig
 from coexsim.simulate import run_scenario
@@ -113,6 +114,48 @@ def test_calendar_decides_as_a_scan_of_every_counter(
         res = run_scenario(cfg, seed=seed)
     assert scan.decisions >= res.metrics.success_events \
         + res.metrics.collision_events
+
+
+@given(n=st.integers(0, 12), m=st.integers(1, 6),
+       slot_us=st.sampled_from([9, 20]), lbt_cw=st.integers(1, 32),
+       duty_off_factor=st.one_of(st.none(), st.integers(0, 3)),
+       seed=st.integers(1, 1000))
+@settings(max_examples=30, deadline=None)
+def test_every_lte_counter_loses_the_slots_after_its_lead(
+        n, m, slot_us, lbt_cw, duty_off_factor, seed):
+    # The driver leaves sleeping nodes off its walk; a shadow of every
+    # node's counter, run down by the rule itself, must still agree
+    cfg = ScenarioConfig(
+        scheme="lbt", n_wifi=n, m_lte=m, duration_s=0.1,
+        timing=MacTiming(slot_us=slot_us), channel=NEAR,
+        lbt=dataclasses.replace(ScenarioConfig().lbt,
+                                contention_window=lbt_cw,
+                                duty_off_factor=duty_off_factor))
+    shadow: dict[int, int] = {}
+    consumes = 0
+    consume, draw = ContentionDriver._consume, LbtNode.draw_backoff
+
+    def patched_consume(driver, k):
+        nonlocal consumes
+        expected = {}
+        for node in driver.lbt_nodes:
+            lead = max(0, -(-(node.wake_at_us + node.params.cca_us
+                              - driver.phase_start) // slot_us))
+            expected[id(node)] = shadow[id(node)] - max(0, k - lead)
+        consume(driver, k)
+        assert {id(nd): nd.counter for nd in driver.lbt_nodes} == expected
+        shadow.update(expected)
+        consumes += 1
+
+    def patched_draw(node):
+        draw(node)
+        shadow[id(node)] = node.counter
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ContentionDriver, "_consume", patched_consume)
+        mp.setattr(LbtNode, "draw_backoff", patched_draw)
+        res = run_scenario(cfg, seed=seed)
+    assert consumes == res.metrics.success_events + res.metrics.collision_events
 
 
 def test_a_counter_past_zero_is_an_error():

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from coexsim.dcf import (
     ACCESS_MODES,
+    BackoffReplay,
     MacTiming,
     WifiStation,
     contention_window,
@@ -67,6 +68,9 @@ def test_mac_timing_validation():
         MacTiming(cw_min=32, cw_max=16)
     with pytest.raises(ValueError):
         MacTiming(max_backoff_stage=-1)
+    MacTiming(cw_max=2**32)   # the largest window the replay draws
+    with pytest.raises(ValueError, match="cw_max"):
+        MacTiming(cw_max=2**32 + 1)
     with pytest.raises(ValueError, match="slot_us"):
         MacTiming(slot_us=0)
     for rate in (0, -1.0, float("nan")):
@@ -116,3 +120,47 @@ def test_station_stage_clamps_at_max():
         st_.on_collision()
     assert st_.stage == T.max_backoff_stage == 6
     assert st_.counter < contention_window(6, T) == 1024
+
+
+# Every window the MAC ladder can produce: cw_min << stage, clamped.
+LADDER_WINDOWS = sorted({min(cw_min << stage, cw_min << doublings)
+                         for cw_min in range(1, 33)
+                         for doublings in range(7)
+                         for stage in range(8)})
+# 3e9 and 2^32 - 1 reject often; 2^32 takes a whole half per draw
+WIDE_WINDOWS = [3 * 10**9, 2**32 - 1, 2**32]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_replay_draws_what_numpy_draws(seed):
+    pick = np.random.default_rng(100 + seed)
+    windows = [int(w) for w in pick.choice(LADDER_WINDOWS + WIDE_WINDOWS,
+                                           size=20_000)]
+    windows += LADDER_WINDOWS + WIDE_WINDOWS
+    assert 1 in windows
+    numpy_rng = np.random.default_rng(seed)
+    replay = BackoffReplay(np.random.default_rng(seed))
+    for w in windows:
+        assert replay.integers(0, w) == int(numpy_rng.integers(0, w)), w
+        assert len(replay.halves) <= 32
+
+
+@pytest.mark.parametrize("timing", [T, MacTiming(cw_min=1, cw_max=4,
+                                                 max_backoff_stage=3)])
+def test_station_counters_match_a_numpy_reference(timing):
+    station = WifiStation("wifi-00", timing, np.random.default_rng(21))
+    ref_rng, ref_stage = np.random.default_rng(21), 0
+    ref = [int(ref_rng.integers(0, contention_window(0, timing)))]
+    got = [station.counter]
+    outcomes = np.random.default_rng(22).random(3_000) < 0.4
+    for collided in outcomes:
+        if collided:
+            station.on_collision()
+            ref_stage = min(ref_stage + 1, timing.max_backoff_stage)
+        else:
+            station.on_success()
+            ref_stage = 0
+        got.append(station.counter)
+        ref.append(int(ref_rng.integers(0, contention_window(ref_stage,
+                                                               timing))))
+    assert got == ref

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from coexsim.engine import (
@@ -121,6 +122,112 @@ def test_by_kind_counts_processed_events():
     summary = sim.run_until(10)
     assert summary.by_kind == {"timer": 3, "beacon": 1}
     assert summary.processed == 4
+
+
+def _inline_probe(time, kind, *queued):
+    """Ask fire_inline about (time, kind) from a callback at t=5."""
+    sim = Simulator(root_seed=0, keep_trace=True)
+    got = []
+    for t, k in queued:
+        sim.schedule(t, k, "queued")
+    sim.schedule(5, "timer", "probe",
+                 lambda: got.append(sim.fire_inline(time, kind, "inline")))
+    summary = sim.run_until(10)
+    return got[0], summary
+
+
+def test_fire_inline_logs_the_event_as_the_queue_would():
+    got, summary = _inline_probe(7, "slot-boundary", (7, "timer"))
+    assert got is True
+    assert summary.records == [(5, "timer", "probe"),
+                               (7, "slot-boundary", "inline"),
+                               (7, "timer", "queued")]
+    assert summary.processed == 3
+    assert summary.by_kind == {"timer": 2, "slot-boundary": 1}
+
+
+def test_fire_inline_declines_an_equal_time_and_rank_head():
+    # the queued event has the lower sequence number, so it goes first
+    assert _inline_probe(7, "timer", (7, "timer"))[0] is False
+    assert _inline_probe(7, "timer", (7, "tx-end"))[0] is False
+    assert _inline_probe(7, "timer", (6, "beacon"))[0] is False
+    assert _inline_probe(7, "timer", (7, "beacon"))[0] is True
+    got, summary = _inline_probe(7, "timer", (7, "timer"))
+    assert summary.records == [(5, "timer", "probe"), (7, "timer", "queued")]
+
+
+def test_fire_inline_declines_past_t_end_and_outside_run_until():
+    assert _inline_probe(10, "timer")[0] is True
+    assert _inline_probe(11, "timer")[0] is False
+    sim = Simulator(root_seed=0)
+    assert sim.fire_inline(0, "timer", "x") is False
+    sim.run_until(10)
+    assert sim.fire_inline(10, "timer", "x") is False
+    assert sim.trace_summary().processed == 0
+
+
+def test_fire_inline_rejects_past_times_and_unknown_kinds():
+    with pytest.raises(SchedulingError, match="clock is already"):
+        _inline_probe(4, "timer")
+    with pytest.raises(SchedulingError, match="unknown event kind"):
+        _inline_probe(6, "tx-start")
+
+
+@st.composite
+def _programs(draw):
+    """Events (delta, kind, target, try inline), each a root or the child
+    of an earlier one, and the two end times to run to."""
+    n = draw(st.integers(1, 30))
+    specs = [draw(st.tuples(st.integers(0, 4), st.sampled_from(EVENT_KINDS),
+                            st.sampled_from(["a", "b"]), st.booleans()))
+             for _ in range(n)]
+    parents = [None] + [draw(st.one_of(st.none(), st.integers(0, j - 1)))
+                        for j in range(1, n)]
+    t_end = draw(st.integers(0, 12))
+    return specs, parents, t_end, t_end + draw(st.integers(0, 12))
+
+
+def _run_program(program, inline: bool):
+    specs, parents, t_end, t_later = program
+    sim = Simulator(root_seed=0, keep_trace=True, hash_trace=True)
+    if not inline:
+        sim.fire_inline = lambda time, kind, target: False
+    children = [[j for j, p in enumerate(parents) if p == i]
+                for i in range(len(specs))]
+    fired = []
+
+    def body(i):
+        # schedule the follow-ups; only the last may go inline, as the
+        # last statement of the callback
+        fired.append((sim.now, i))
+        kids = children[i]
+        for pos, j in enumerate(kids):
+            delta, kind, target, try_inline = specs[j]
+            t = sim.now + delta
+            if (try_inline and pos == len(kids) - 1
+                    and sim.fire_inline(t, kind, target)):
+                body(j)
+            else:
+                sim.schedule(t, kind, target, lambda j=j: body(j))
+
+    for i, p in enumerate(parents):
+        if p is None:
+            delta, kind, target, _ = specs[i]
+            sim.schedule(delta, kind, target, lambda i=i: body(i))
+    first = sim.run_until(t_end)
+    first = (first.trace_hash, first.processed, first.by_kind,
+             list(first.records))
+    return first, sim.run_until(t_later), fired
+
+
+@given(program=_programs())
+@settings(max_examples=300, deadline=None)
+def test_fire_inline_leaves_the_trace_as_the_queue_makes_it(program):
+    (first_a, last_a, fired_a) = _run_program(program, inline=True)
+    (first_b, last_b, fired_b) = _run_program(program, inline=False)
+    assert first_a == first_b
+    assert last_a == last_b
+    assert fired_a == fired_b
 
 
 def test_fork_rng_rejects_duplicate_stream_ids():
