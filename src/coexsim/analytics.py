@@ -142,21 +142,16 @@ AGG_METRICS = ("per_user_wifi_throughput_bps", "wifi_aggregate_bps",
                "lte_aggregate_bps", "total_bps", "collision_rate")
 
 
-def aggregate(rows: Sequence,
+def aggregate(rows: Sequence[dict],
               metrics: Iterable[str] = AGG_METRICS) -> list[AggregateRow]:
     """Mean and 95% normal-approximation CI per metric, grouped by scenario.
 
-    Rows may be ResultRow instances or dicts with the same field names.
-    A single seed yields a zero-width interval.
+    Rows are dicts keyed by ResultRow field names. A single seed yields a
+    zero-width interval.
     """
-    def get(row, name):
-        if isinstance(row, dict):
-            return row[name]
-        return getattr(row, name)
-
     groups: dict[tuple[str, int, int], list] = {}
     for row in rows:
-        key = (get(row, "scheme"), int(get(row, "n_wifi")), int(get(row, "m_lte")))
+        key = (row["scheme"], row["n_wifi"], row["m_lte"])
         groups.setdefault(key, []).append(row)
 
     out = []
@@ -164,7 +159,7 @@ def aggregate(rows: Sequence,
         members = groups[key]
         means, ci = {}, {}
         for name in metrics:
-            values = [float(get(r, name)) for r in members]
+            values = [r[name] for r in members]
             mu = statistics.fmean(values)
             if len(values) > 1:
                 half = 1.96 * statistics.stdev(values) / math.sqrt(len(values))

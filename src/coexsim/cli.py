@@ -138,7 +138,7 @@ def _cmd_sweep(args) -> int:
     _emit_rows(out, "sweep_runs", rows, config, {
         "command": "sweep", "axis": args.axis, "values": args.values,
         "schemes": schemes or [config.scheme]})
-    header, body = _agg_table(rows)
+    header, body = _agg_table([dataclasses.asdict(r) for r in rows])
     _write_csv(out / "sweep.csv", header, body)
     print(f"wrote {out / 'sweep.csv'}", file=sys.stderr)
     return 0

@@ -51,12 +51,14 @@ falls before its window's end, so a queued decision always fires. When
 the queue would fire it next anyway, it is not queued at all: the
 driver logs it with ``Simulator.fire_inline`` and fires it on the spot,
 as the last statement of the callback that made it. The ``tx-end`` that
-ends each exchange is always queued. A
-window ends only at its end: its last exchange may overrun it (the next
-beacon then defers to the busy boundary), or it closes idle there, never
-past the smallest effective backoff. A window that forbids transmissions
-that cannot finish inside it leaves such a decision frozen and ends with
-the run.
+ends each exchange is always queued. A window is open while its anchor
+lies before its end. It ends only at its end: its last exchange may
+overrun it (the next beacon then defers to the busy boundary), or it
+closes idle there, never past the smallest effective backoff. No
+exchange may run past the end of the run, which the driver is given
+once: in the window that ends there, a decision whose exchange would
+end later is frozen, never scheduled, and ``finalize`` books the
+window's tail idle.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class ContentionDriver:
     def __init__(self, sim: Simulator, timing: MacTiming,
                  durations: ExchangeDurations,
                  stations: list[WifiStation],
-                 metrics: MetricsAccumulator,
+                 metrics: MetricsAccumulator, run_end_us: int,
                  lbt_nodes: list[LbtNode] | None = None,
                  channel: ChannelParams | None = None):
         self.sim = sim
@@ -84,17 +86,14 @@ class ContentionDriver:
         self.durations = durations
         self.stations = stations
         self.metrics = metrics
+        self.run_end_us = run_end_us
         self.lbt_nodes = lbt_nodes or []
         self.channel = channel
         if self.lbt_nodes and channel is None:
             raise ValueError("LTE-U nodes need channel parameters")
-        self.m_lte = len(self.lbt_nodes)
-        self.n_wifi = len(stations)
 
-        self.phase_open = False
-        self.phase_start = 0
+        self.phase_start = 0        # window anchor; open while < window_end
         self.window_end = 0
-        self.allow_overrun = False
         self.busy_until = 0         # the medium is busy before this time
         self._vslot = 0             # V: slots consumed since the run began
         self._calendar: dict[int, list[int]] = {}  # expiry slot -> stations
@@ -105,7 +104,7 @@ class ContentionDriver:
         self._sleepers = [(n.wake_at_us + n.params.cca_us, j)
                           for j, n in enumerate(self.lbt_nodes)]
         heapify(self._sleepers)
-        for i in range(self.n_wifi):
+        for i in range(len(stations)):
             self._file(i)
 
         # Busy-period log: (start, end, wifi_involved, lte_involved).
@@ -113,44 +112,41 @@ class ContentionDriver:
 
     # -- window control -------------------------------------------------
 
-    def open_window(self, start_us: int, end_us: int,
-                    allow_overrun: bool) -> None:
-        if self.phase_open:
+    def open_window(self, start_us: int, end_us: int) -> None:
+        if self.phase_start < self.window_end:
             raise RuntimeError("window already open")
-        if end_us <= start_us:
-            raise ValueError("empty contention window")
-        self.phase_open = True
+        if not start_us < end_us <= self.run_end_us:
+            raise ValueError("a window must be non-empty and end by the "
+                             "run's end")
         self.phase_start = start_us
         self.window_end = end_us
-        self.allow_overrun = allow_overrun
         self._arm()
 
     def close_window(self, t_us: int) -> None:
         """End an idle window at its end, t_us; participants keep their
-        counters. Only a window that may overrun is closed here: one that
-        may not can hold a frozen decision, and ends with the run."""
+        counters. The window that ends at the run's end is not closed
+        here: it can hold a frozen decision, and ends with the run."""
         if self.busy_until > t_us:
             raise RuntimeError("cannot close a busy medium")
-        if not self.phase_open:
+        if self.phase_start >= self.window_end:
             return
         if t_us != self.window_end:
             raise RuntimeError(f"window ends at {self.window_end} us, "
                                f"not at {t_us} us")
-        if not self.allow_overrun:
-            raise RuntimeError("a window that forbids overrun ends with "
-                               "the run")
+        if t_us == self.run_end_us:
+            raise RuntimeError("the run's last window ends with the run")
         elapsed = t_us - self.phase_start
         self._consume(elapsed // self.timing.slot_us)
         self.metrics.idle_us += elapsed
-        self.phase_open = False
+        self.phase_start = t_us
 
     def finalize(self, t_end: int) -> None:
         """Account the tail of the run; medium must not be mid-burst."""
         if self.busy_until > t_end:
             raise RuntimeError("run ended inside a transmission")
-        if self.phase_open:
+        if self.phase_start < self.window_end:
             self.metrics.idle_us += t_end - self.phase_start
-            self.phase_open = False
+            self.phase_start = t_end
 
     # -- decision mechanics ---------------------------------------------
 
@@ -230,8 +226,9 @@ class ContentionDriver:
         if tx_time >= self.window_end:
             return   # window closes first; counters settled at close
         duration = self._busy_duration(wifi_w, lte_w)
-        if not self.allow_overrun and tx_time + duration > self.window_end:
-            return   # frozen until the run ends
+        if (self.window_end == self.run_end_us
+                and tx_time + duration > self.window_end):
+            return   # would outlast the run: frozen, the tail stays idle
         if self.sim.fire_inline(tx_time, "slot-boundary", "medium"):
             self._fire(s_min, wifi_w, lte_w, duration)
         else:
@@ -289,7 +286,7 @@ class ContentionDriver:
             if not collision:
                 self.metrics.add_lte_bits(
                     node.node_id, burst_transmit(node, self.channel))
-            node.start_duty_off(now, self.m_lte, self.n_wifi)
+            node.start_duty_off(now, len(self.lbt_nodes), len(self.stations))
             node.draw_backoff()
             i = self._walk.index(j)   # off the walk until it wakes
             del self._walk[i], self._leads[i]
@@ -298,5 +295,3 @@ class ContentionDriver:
         self.phase_start = now
         if now < self.window_end:
             self._arm()
-        else:
-            self.phase_open = False

@@ -13,15 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dcf import MacTiming
 from .radio import (FRAME_ACK_US, FRAME_HEADER_US, SUBFRAME_US,
                     ChannelParams, LinkBudget, fading_gains, lte_rate)
 
 
 @dataclass(frozen=True)
 class LbtParams:
-    cca_us: int = 50               # sensing period before backoff (= DIFS)
+    cca_us: int = MacTiming.difs_us    # sensing period before backoff
     contention_window: int = 16    # fixed; draw is uniform over [0, cw-1]
-    burst_us: int = 8064
+    burst_us: int = FRAME_HEADER_US + 8 * SUBFRAME_US + FRAME_ACK_US
     duty_off_factor: int | None = None  # None: duty_off_us uses M+N-1
 
     def __post_init__(self):
@@ -57,8 +58,8 @@ class LbtNode:
         self.params = params
         self.link = link
         self.rng = rng
-        self.counter = 0
         self.wake_at_us = 0          # eligible to start sensing at this time
+        self.draw_backoff()
 
     def draw_backoff(self) -> None:
         self.counter = int(self.rng.integers(0, self.params.contention_window))

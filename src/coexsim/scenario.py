@@ -19,8 +19,8 @@ import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .dcf import ACCESS_MODES, MacTiming
-from .hap import DEFAULT_BEACON_US, DEFAULT_INTERVAL_US
+from .dcf import ACCESS_MODES, MacTiming, exchange_durations
+from .hap import DEFAULT_BEACON_US, DEFAULT_INTERVAL_US, build_superframe
 from .lbt import LbtParams
 from .radio import ChannelParams
 
@@ -89,6 +89,19 @@ class ScenarioConfig:
                     "duration_s",
                     "must be a whole number of repetition intervals "
                     f"({self.interval_us} µs each) for beacon schemes")
+            # A beacon defers by less than one exchange and no CFP is
+            # longer than this one, planned with every user schedulable,
+            # so each CFP then ends before the next beacon and no
+            # exchange outlasts the run.
+            exchange = exchange_durations(
+                self.timing, self.access_mode).t_success_ticks
+            cp_us = self.interval_us - self.beacon_us - build_superframe(
+                self.m_lte, self.n_wifi, self.interval_us, self.sa_mode,
+                beacon_us=self.beacon_us).cfp_us
+            if self.n_wifi and exchange > cp_us:
+                raise ConfigError(
+                    "timing", f"a Wi-Fi exchange of {exchange} µs does not "
+                              f"fit the {cp_us} µs contention period")
 
     @property
     def duration_us(self) -> int:

@@ -87,25 +87,22 @@ class _HapRun:
         self.cfg = cfg
         self.driver = driver
         self.metrics = metrics
-        self.user_ids = user_ids
         self.links = links
         self.user_rngs = user_rngs
         self.trace = trace
-        self.mode = cfg.sa_mode
         self.rotation = 0
-        self.t_end = cfg.duration_us
         self.cfp_intervals: list[tuple[int, int]] = []
         self.beacon_intervals: list[tuple[int, int]] = []
 
         self.fsms = {}
         for i, uid in enumerate(user_ids):
-            if self.mode == "uca":
+            if cfg.sa_mode == "uca":
                 self.fsms[uid] = UcaFsm(uid, trace)
             elif i % 2:
                 self.fsms[uid] = SaDtxFsm(uid, trace)
             else:
                 self.fsms[uid] = SaDrxFsm(uid, trace)
-        if self.mode == "uca" and user_ids:
+        if cfg.sa_mode == "uca" and user_ids:
             # licensed-band association settles before the first beacon
             sim.schedule(0, "timer", "hap-assoc", self._associate_uca)
         for k in range(cfg.duration_us // cfg.interval_us):
@@ -113,8 +110,7 @@ class _HapRun:
                          lambda k=k: self._on_beacon(k))
 
     def _associate_uca(self) -> None:
-        for uid in self.user_ids:
-            fsm = self.fsms[uid]
+        for fsm in self.fsms.values():
             for event in ("assoc-request", "ul-grant", "identity", "rrc"):
                 fsm_step(fsm, event, 0)
 
@@ -133,14 +129,14 @@ class _HapRun:
                 fsm_step(fsm, event, now)
 
         plan = build_superframe(
-            len(self.user_ids), self.cfg.n_wifi, self.cfg.interval_us,
-            self.mode, beacon_us=self.cfg.beacon_us, start_us=now,
-            rotation=self.rotation, user_ids=self.user_ids,
+            len(self.fsms), self.cfg.n_wifi, self.cfg.interval_us,
+            self.cfg.sa_mode, beacon_us=self.cfg.beacon_us, start_us=now,
+            rotation=self.rotation, user_ids=list(self.fsms),
             busy={uid for uid, fsm in self.fsms.items()
                   if not fsm.schedulable})
         self.rotation = plan.next_rotation
         cfp_end = beacon_end + plan.cfp_us
-        next_tbtt = min((k + 1) * self.cfg.interval_us, self.t_end)
+        next_tbtt = (k + 1) * self.cfg.interval_us
         if cfp_end > next_tbtt:
             raise RuntimeError("CFP ran into the next beacon")
         self.metrics.cfp_us += plan.cfp_us
@@ -154,7 +150,7 @@ class _HapRun:
     def _issue_grant(self, grant) -> None:
         uid = grant.user_id
         fsm = self.fsms[uid]
-        if self.mode == "standalone":
+        if self.cfg.sa_mode == "standalone":
             fsm_step(fsm, "data-request", grant.start_us, n=grant.n_subframes)
             data_start = grant.start_us + FRAME_HEADER_US
             for j in range(1, FRAME_SUBFRAMES + 1):
@@ -178,8 +174,7 @@ class _HapRun:
     def _open_cp(self, next_tbtt: int) -> None:
         now = self.sim.now
         if now < next_tbtt:
-            self.driver.open_window(now, next_tbtt,
-                                    allow_overrun=next_tbtt < self.t_end)
+            self.driver.open_window(now, next_tbtt)
 
 
 def run_scenario(config: ScenarioConfig, seed: int) -> RunResult:
@@ -203,25 +198,19 @@ def run_scenario(config: ScenarioConfig, seed: int) -> RunResult:
         links = {p.node_id: link_budget(p, config.channel)
                  for p in positions}
 
+    user_rngs = {uid: sim.fork_rng(uid) for uid in user_ids}
+    nodes = ([LbtNode(uid, config.lbt, links[uid], user_rngs[uid])
+              for uid in user_ids] if config.scheme == "lbt" else [])
+    driver = ContentionDriver(sim, timing, durations, stations, metrics,
+                              t_end, nodes, config.channel)
     hap: _HapRun | None = None
     trace: SignallingTrace | None = None
-    if config.scheme == "lbt":
-        nodes = [LbtNode(uid, config.lbt, links[uid], sim.fork_rng(uid))
-                 for uid in user_ids]
-        for node in nodes:
-            node.draw_backoff()
-        driver = ContentionDriver(sim, timing, durations, stations, metrics,
-                                  lbt_nodes=nodes, channel=config.channel)
-        driver.open_window(0, t_end, allow_overrun=False)
-    elif config.scheme in ("hap-sa", "hap-uca"):
-        driver = ContentionDriver(sim, timing, durations, stations, metrics)
+    if config.scheme in ("hap-sa", "hap-uca"):
         trace = SignallingTrace()
-        user_rngs = {uid: sim.fork_rng(uid) for uid in user_ids}
         hap = _HapRun(sim, config, driver, metrics, user_ids, links,
                       user_rngs, trace)
     else:
-        driver = ContentionDriver(sim, timing, durations, stations, metrics)
-        driver.open_window(0, t_end, allow_overrun=False)
+        driver.open_window(0, t_end)
 
     summary = sim.run_until(t_end)
     driver.finalize(t_end)
@@ -247,12 +236,9 @@ def run_scenario(config: ScenarioConfig, seed: int) -> RunResult:
         airtime_beacon_frac=metrics.beacon_us / t_end,
     )
     wifi_tx = [(a, b) for a, b, w, _l in driver.tx_intervals if w]
-    if config.scheme == "lbt":
-        lte_tx = [(a, b) for a, b, _w, l in driver.tx_intervals if l]
-    elif trace is not None:
-        lte_tx = [(g.start_us, g.end_us) for g in trace.grants]
-    else:
-        lte_tx = []
+    lte_tx = ([(g.start_us, g.end_us) for g in trace.grants]
+              if trace is not None
+              else [(a, b) for a, b, _w, l in driver.tx_intervals if l])
     return RunResult(
         row=row, metrics=metrics, trace_hash=summary.trace_hash,
         wifi_tx_intervals=wifi_tx, lte_tx_intervals=lte_tx,

@@ -342,6 +342,21 @@ def test_zero_payload_is_a_config_error(tmp_path, capsys):
     assert "error: timing: payload_bytes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", ["hap-sa", "hap-uca"])
+def test_an_exchange_longer_than_the_contention_period_is_a_config_error(
+        tmp_path, capsys, scheme):
+    # at 0.1 Mbit/s one exchange outlasts the gap between CFP and beacon
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "scheme": scheme, "n_wifi": 2, "m_lte": 1, "duration_s": 0.2,
+        "timing": {"bit_rate_mbps": 0.1}}))
+    rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: timing: a Wi-Fi exchange of 127306 µs" in err
+    assert "contention period" in err
+
+
 @pytest.mark.parametrize("scheme,m_lte,duration_s,message", [
     ("hap-sa", 1, "1e-7", "rounds to 0"),
     ("wifi-only", 0, "1e-7", "rounds to 0"),

@@ -163,18 +163,18 @@ def test_a_counter_past_zero_is_an_error():
     sim = Simulator(root_seed=1)
     station = WifiStation("wifi-00", timing, sim.fork_rng("wifi-00"))
     driver = ContentionDriver(sim, timing, exchange_durations(timing),
-                              [station], MetricsAccumulator())
+                              [station], MetricsAccumulator(), 1_000)
     driver._consume(station.counter + 1)
     with pytest.raises(RuntimeError, match="past zero"):
-        driver.open_window(0, 1_000, allow_overrun=False)
+        driver.open_window(0, 1_000)
 
 
-def _one_station_driver():
+def _one_station_driver(run_end_us=1_000_000):
     timing = MacTiming()
     sim = Simulator(root_seed=1)
     station = WifiStation("wifi-00", timing, sim.fork_rng("wifi-00"))
     driver = ContentionDriver(sim, timing, exchange_durations(timing),
-                              [station], MetricsAccumulator())
+                              [station], MetricsAccumulator(), run_end_us)
     return sim, station, driver
 
 
@@ -183,12 +183,12 @@ def test_a_window_closes_only_at_its_end():
     counter = station.counter
     end = counter * driver.timing.slot_us   # the first decision falls here
     assert end > 0
-    driver.open_window(0, end, allow_overrun=True)
+    driver.open_window(0, end)
     with pytest.raises(RuntimeError, match="window ends at"):
         driver.close_window(end - 1)
     assert sim.run_until(end).processed == 0
     driver.close_window(end)
-    assert not driver.phase_open
+    assert driver.phase_start == driver.window_end
     assert driver.metrics.idle_us == end
     assert driver._contenders() == (0, [0], [])   # all idle slots consumed
     driver.close_window(end)   # already closed: nothing happens
@@ -197,9 +197,33 @@ def test_a_window_closes_only_at_its_end():
 
 def test_a_window_that_forbids_overrun_ends_with_the_run():
     sim, _, driver = _one_station_driver()
-    driver.open_window(0, 1_000_000, allow_overrun=False)
+    driver.open_window(0, 1_000_000)
     sim.run_until(1_000_000)
-    with pytest.raises(RuntimeError, match="forbids overrun"):
+    with pytest.raises(RuntimeError, match="last window ends with the run"):
         driver.close_window(1_000_000)
     driver.finalize(1_000_000)
-    assert not driver.phase_open
+    assert driver.phase_start == driver.window_end
+
+
+def test_only_the_runs_last_window_freezes_an_exchange_past_its_end():
+    _, station, _ = _one_station_driver()
+    tx = station.counter * MacTiming().slot_us   # the first decision
+    end = tx + 1                                 # falls inside its exchange
+
+    # a window that ends before the run's end is overrun
+    sim, _, driver = _one_station_driver()
+    driver.open_window(0, end)
+    sim.run_until(end)
+    assert driver.tx_intervals == [(tx, driver.busy_until, True, False)]
+    assert driver.busy_until > end
+
+    # the window that ends at the run's end leaves the decision frozen
+    sim, _, driver = _one_station_driver(run_end_us=end)
+    with pytest.raises(ValueError, match="end by the run's end"):
+        driver.open_window(0, end + 1)
+    driver.open_window(0, end)
+    assert sim.run_until(end).processed == 0
+    driver.finalize(end)
+    assert driver.tx_intervals == [] and driver.busy_until == 0
+    assert driver.metrics.idle_us == end
+    assert driver.phase_start == driver.window_end

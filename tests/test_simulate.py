@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coexsim.analytics import saturation_throughput
-from coexsim.dcf import MacTiming
+from coexsim.dcf import MacTiming, exchange_durations
+from coexsim.hap import build_superframe
 from coexsim.radio import ChannelParams
-from coexsim.scenario import ScenarioConfig
+from coexsim.scenario import ConfigError, ScenarioConfig
 from coexsim.signalling import conformance_check
 from coexsim.simulate import CSV_COLUMNS, run_scenario
 
@@ -140,21 +141,34 @@ def test_hap_wifi_and_lte_never_overlap():
        slot_us=st.sampled_from([9, 20]), cw_min=st.integers(1, 32),
        cw_doublings=st.integers(0, 6), max_stage=st.integers(0, 7),
        access_mode=st.sampled_from(["basic", "rts-cts"]),
+       bit_rate_mbps=st.one_of(st.floats(0.05, 1.0), st.floats(1.0, 130.0)),
+       payload_bytes=st.integers(1, 2304),
        seed=st.integers(1, 1000))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_coordinated_runs_keep_ledger_isolation_and_conformance(
         scheme, n, m, interval_us, beacon_us, intervals, slot_us, cw_min,
-        cw_doublings, max_stage, access_mode, seed):
+        cw_doublings, max_stage, access_mode, bit_rate_mbps, payload_bytes,
+        seed):
     timing = MacTiming(slot_us=slot_us, cw_min=cw_min,
                        cw_max=cw_min << cw_doublings,
-                       max_backoff_stage=max_stage)
-    cfg = ScenarioConfig(scheme=scheme, n_wifi=n, m_lte=m,
-                         duration_s=intervals * interval_us / 1e6,
-                         interval_us=interval_us,
-                         # None: a beacon half the interval long
-                         beacon_us=beacon_us or interval_us // 2,
-                         access_mode=access_mode, timing=timing,
-                         channel=NEAR)
+                       max_backoff_stage=max_stage,
+                       bit_rate_mbps=bit_rate_mbps,
+                       payload_bytes=payload_bytes)
+    beacon_us = beacon_us or interval_us // 2   # None: half the interval
+    fields = dict(scheme=scheme, n_wifi=n, m_lte=m,
+                  duration_s=intervals * interval_us / 1e6,
+                  interval_us=interval_us, beacon_us=beacon_us,
+                  access_mode=access_mode, timing=timing, channel=NEAR)
+    # a Wi-Fi exchange must fit the contention period of a full CFP
+    exchange = exchange_durations(timing, access_mode).t_success_ticks
+    cp_us = interval_us - beacon_us - build_superframe(
+        m, n, interval_us, "uca" if scheme == "hap-uca" else "standalone",
+        beacon_us=beacon_us).cfp_us
+    if n and exchange > cp_us:
+        with pytest.raises(ConfigError, match="does not fit"):
+            ScenarioConfig(**fields)
+        return
+    cfg = ScenarioConfig(**fields)
     res = run_scenario(cfg, seed=seed)
     assert res.metrics.accounted_us == cfg.duration_us
     report = conformance_check(res.signalling)
