@@ -96,14 +96,12 @@ class MetricsAccumulator:
     collision_us: int = 0
     cfp_us: int = 0
     beacon_us: int = 0
+    # per station, written once when the contention driver finalizes
     wifi_bits: dict[str, int] = field(default_factory=dict)
     lte_bits: dict[str, float] = field(default_factory=dict)
     lte_airtime_us: dict[str, int] = field(default_factory=dict)
     success_events: int = 0
     collision_events: int = 0
-
-    def add_wifi_bits(self, station_id: str, bits: int) -> None:
-        self.wifi_bits[station_id] = self.wifi_bits.get(station_id, 0) + bits
 
     def add_lte_bits(self, user_id: str, bits: float) -> None:
         self.lte_bits[user_id] = self.lte_bits.get(user_id, 0.0) + bits

@@ -51,19 +51,27 @@ falls before its window's end, so a queued decision always fires. When
 the queue would fire it next anyway, it is not queued at all: the
 driver logs it with ``Simulator.fire_inline`` and fires it on the spot,
 as the last statement of the callback that made it. The ``tx-end`` that
-ends each exchange is always queued. A window is open while its anchor
-lies before its end. It ends only at its end: its last exchange may
-overrun it (the next beacon then defers to the busy boundary), or it
-closes idle there, never past the smallest effective backoff. No
-exchange may run past the end of the run, which the driver is given
-once: in the window that ends there, a decision whose exchange would
-end later is frozen, never scheduled, and ``finalize`` books the
+ends each exchange is always queued, through ``Simulator.schedule``,
+even where the queue would fire it next: the benchmark's tracer counts
+exchanges as the callbacks of queued ``tx-end`` events, so one fired
+inline would vanish from its per-exchange figures. A window is open
+while its anchor lies before its end. It ends only at its end: its last
+exchange may overrun it (the next beacon then defers to the busy
+boundary), or it closes idle there, never past the smallest effective
+backoff. No exchange may run past the end of the run, which the driver
+is given once: in the window that ends there, a decision whose exchange
+would end later is frozen, never scheduled, and ``finalize`` books the
 window's tail idle.
+
+Counts are kept once: each station counts its own successes and
+collisions, and ``finalize`` sets the ledger's per-station Wi-Fi bits
+from those counts.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from functools import partial
 from heapq import heapify, heappop, heappush
 
 from .analytics import MetricsAccumulator
@@ -104,8 +112,10 @@ class ContentionDriver:
         self._sleepers = [(n.wake_at_us + n.params.cca_us, j)
                           for j, n in enumerate(self.lbt_nodes)]
         heapify(self._sleepers)
-        for i in range(len(stations)):
-            self._file(i)
+        for i, st in enumerate(stations):
+            self._calendar.setdefault(st.counter, []).append(i)
+        self._expiries = list(self._calendar)
+        heapify(self._expiries)
 
         # Busy-period log: (start, end, wifi_involved, lte_involved).
         self.tx_intervals: list[tuple[int, int, bool, bool]] = []
@@ -141,24 +151,18 @@ class ContentionDriver:
         self.phase_start = t_us
 
     def finalize(self, t_end: int) -> None:
-        """Account the tail of the run; medium must not be mid-burst."""
+        """Account the tail of the run, and each station's delivered bits
+        from its success count; medium must not be mid-burst."""
         if self.busy_until > t_end:
             raise RuntimeError("run ended inside a transmission")
         if self.phase_start < self.window_end:
             self.metrics.idle_us += t_end - self.phase_start
             self.phase_start = t_end
+        payload_bits = self.timing.payload_bits
+        self.metrics.wifi_bits = {st.station_id: st.success_count * payload_bits
+                                  for st in self.stations}
 
     # -- decision mechanics ---------------------------------------------
-
-    def _file(self, i: int) -> None:
-        """File station i at the slot where its fresh backoff expires."""
-        slot = self._vslot + self.stations[i].counter
-        bucket = self._calendar.get(slot)
-        if bucket is None:
-            self._calendar[slot] = [i]
-            heappush(self._expiries, slot)
-        else:
-            bucket.append(i)
 
     def _consume(self, k: int) -> None:
         """Run k slots off every counter: V advances by k, and each LTE-U
@@ -192,17 +196,25 @@ class ContentionDriver:
                 horizon = anchor + s_min * slot
                 while sleepers and sleepers[0][0] <= horizon:
                     insort(walk, heappop(sleepers)[1])
-            self._leads = leads = [
-                max(0, -(-(nodes[j].wake_at_us + nodes[j].params.cca_us
-                           - anchor) // slot))
-                for j in walk]
-            if walk:
-                lte_eff = [nodes[j].counter + lead
-                           for j, lead in zip(walk, leads)]
-                lte_min = min(lte_eff)
+            self._leads = leads = []
+            lte_min = None
+            for j in walk:
+                node = nodes[j]
+                lead = -(-(node.wake_at_us + node.params.cca_us - anchor)
+                         // slot)
+                if lead < 0:
+                    lead = 0
+                leads.append(lead)
+                eff = node.counter + lead
+                if lte_min is None or eff < lte_min:
+                    lte_min, lte_w = eff, [j]
+                elif eff == lte_min:
+                    lte_w.append(j)
+            if lte_min is not None:
                 if s_min is None or lte_min < s_min:
                     s_min = lte_min
-                lte_w = [j for j, e in zip(walk, lte_eff) if e == s_min]
+                elif lte_min > s_min:
+                    lte_w = []
         if s_min is None:
             return None
         if s_min < 0:
@@ -225,66 +237,77 @@ class ContentionDriver:
         tx_time = self.phase_start + s_min * self.timing.slot_us
         if tx_time >= self.window_end:
             return   # window closes first; counters settled at close
-        duration = self._busy_duration(wifi_w, lte_w)
+        if lte_w:
+            duration = max([self.lbt_nodes[j].params.burst_us
+                            for j in lte_w])
+            if len(wifi_w) + len(lte_w) > 1:
+                duration = max(duration, self.durations.t_collision_ticks)
+        elif len(wifi_w) > 1:
+            duration = self.durations.t_collision_ticks
+        else:
+            duration = self.durations.t_success_ticks
         if (self.window_end == self.run_end_us
                 and tx_time + duration > self.window_end):
             return   # would outlast the run: frozen, the tail stays idle
-        if self.sim.fire_inline(tx_time, "slot-boundary", "medium"):
-            self._fire(s_min, wifi_w, lte_w, duration)
-        else:
-            self.sim.schedule(
-                tx_time, "slot-boundary", "medium",
-                lambda: self._fire(s_min, wifi_w, lte_w, duration))
-
-    def _busy_duration(self, wifi_w: list[int], lte_w: list[int]) -> int:
-        if lte_w:
-            burst = max(self.lbt_nodes[i].params.burst_us for i in lte_w)
-            if len(wifi_w) + len(lte_w) > 1:
-                return max(burst, self.durations.t_collision_ticks)
-            return burst
-        if len(wifi_w) > 1:
-            return self.durations.t_collision_ticks
-        return self.durations.t_success_ticks
+        sim = self.sim
+        if not sim.fire_inline(tx_time, "slot-boundary", "medium"):
+            sim.schedule(tx_time, "slot-boundary", "medium",
+                         partial(self._fire, s_min, wifi_w, lte_w, duration))
+            return
+        # fired inline: _fire's work, without its frame
+        self.metrics.idle_us += tx_time - self.phase_start
+        self.busy_until = end = tx_time + duration
+        self.tx_intervals.append((tx_time, end, bool(wifi_w), bool(lte_w)))
+        sim.schedule(end, "tx-end", "medium",
+                     partial(self._tx_end, s_min, wifi_w, lte_w, duration))
 
     def _fire(self, s_min, wifi_w, lte_w, duration) -> None:
+        """A queued decision: the exchange starts now."""
         now = self.sim.now
         self.metrics.idle_us += now - self.phase_start
-        self.busy_until = now + duration
-        self.tx_intervals.append(
-            (now, self.busy_until, bool(wifi_w), bool(lte_w)))
-        self.sim.schedule(
-            self.busy_until, "tx-end", "medium",
-            lambda: self._tx_end(s_min, wifi_w, lte_w, duration))
+        self.busy_until = end = now + duration
+        self.tx_intervals.append((now, end, bool(wifi_w), bool(lte_w)))
+        self.sim.schedule(end, "tx-end", "medium",
+                          partial(self._tx_end, s_min, wifi_w, lte_w, duration))
 
     def _tx_end(self, s_min, wifi_w, lte_w, duration) -> None:
         now = self.sim.now
+        metrics = self.metrics
         collision = len(wifi_w) + len(lte_w) > 1
         # the s_min idle slots plus the busy one; winners redraw below
         self._consume(s_min + 1)
-        if wifi_w:   # unfile the winners' bucket; they are filed on redraw
-            del self._calendar[heappop(self._expiries)]
-
         if collision:
-            self.metrics.collision_us += duration
-            self.metrics.collision_events += 1
-            for i in wifi_w:
-                self.stations[i].on_collision()
-                self._file(i)
+            metrics.collision_us += duration
+            metrics.collision_events += 1
         else:
-            self.metrics.success_us += duration
-            self.metrics.success_events += 1
-            if wifi_w:
-                st = self.stations[wifi_w[0]]
-                st.on_success()
-                self._file(wifi_w[0])
-                self.metrics.add_wifi_bits(st.station_id,
-                                           self.timing.payload_bits)
+            metrics.success_us += duration
+            metrics.success_events += 1
+
+        if wifi_w:
+            # unfile the winners' bucket, then file each at the slot where
+            # its fresh backoff expires
+            calendar, expiries = self._calendar, self._expiries
+            del calendar[heappop(expiries)]
+            stations, vslot = self.stations, self._vslot
+            for i in wifi_w:
+                st = stations[i]
+                if collision:
+                    st.on_collision()
+                else:
+                    st.on_success()
+                slot = vslot + st.counter
+                bucket = calendar.get(slot)
+                if bucket is None:
+                    calendar[slot] = [i]
+                    heappush(expiries, slot)
+                else:
+                    bucket.append(i)
 
         for j in lte_w:
             node = self.lbt_nodes[j]
-            self.metrics.add_lte_airtime(node.node_id, node.params.burst_us)
+            metrics.add_lte_airtime(node.node_id, node.params.burst_us)
             if not collision:
-                self.metrics.add_lte_bits(
+                metrics.add_lte_bits(
                     node.node_id, burst_transmit(node, self.channel))
             node.start_duty_off(now, len(self.lbt_nodes), len(self.stations))
             node.draw_backoff()

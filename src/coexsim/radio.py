@@ -43,6 +43,21 @@ class ChannelParams:
             raise ValueError("spectral_efficiency_cap must be positive")
         if not 0.0 <= self.control_overhead < 1.0:
             raise ValueError("control_overhead must lie in [0, 1)")
+        # in dB the exponent is scaled by 10, which must stay finite
+        if not 0.0 <= 10.0 * self.pathloss_exponent < math.inf:
+            raise ValueError("pathloss_exponent must be non-negative "
+                             "and finite when scaled to dB")
+        # the 1 m SNR is the largest any link sees; its linear value
+        # must be a float
+        try:
+            mean_snr(1.0, self)
+        except OverflowError:
+            snr_db = (self.tx_power_dbm - path_loss_db(1.0, self)
+                      - self.noise_power_dbm)
+            raise ValueError(
+                "tx_power_dbm, reference_loss_1m_db, noise_density_dbm_hz "
+                f"and bandwidth_hz give a 1 m SNR of {snr_db:.6g} dB, "
+                "past the float range") from None
 
     @property
     def noise_power_dbm(self) -> float:

@@ -112,11 +112,8 @@ def test_ledger_rejects_any_gap():
 
 def test_metrics_accumulator_counters():
     m = MetricsAccumulator()
-    m.add_wifi_bits("wifi-00", 12000)
-    m.add_wifi_bits("wifi-00", 12000)
     m.add_lte_bits("lte-00", 1.5e6)
     m.add_lte_airtime("lte-00", 8064)
-    assert m.wifi_bits == {"wifi-00": 24000}
     assert m.lte_bits["lte-00"] == pytest.approx(1.5e6)
     assert m.lte_airtime_us == {"lte-00": 8064}
 

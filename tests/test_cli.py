@@ -322,6 +322,25 @@ def test_negative_spectral_efficiency_cap_is_a_config_error(tmp_path, capsys):
     assert "error: channel: spectral_efficiency_cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("tx_power_dbm", 4000),          # a 1 m SNR past the float range
+    ("pathloss_exponent", -1e6),     # gain would grow with distance
+    ("bandwidth_hz", 1e-320),        # noise power of about -3374 dBm
+])
+def test_a_channel_whose_snr_overflows_is_a_config_error(
+        tmp_path, capsys, field, value):
+    # each used to exit 1 with an OverflowError from radio.mean_snr
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "scheme": "lbt", "n_wifi": 2, "m_lte": 1, "duration_s": 0.1,
+        "channel": {field: value}}))
+    rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: channel: " in err and field in err
+    assert "Traceback" not in err
+
+
 def test_lbt_burst_without_a_data_subframe_is_a_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

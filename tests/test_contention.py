@@ -158,6 +158,45 @@ def test_every_lte_counter_loses_the_slots_after_its_lead(
     assert consumes == res.metrics.success_events + res.metrics.collision_events
 
 
+@pytest.mark.parametrize("scheme", ["wifi-only", "lbt", "hap-sa", "hap-uca"])
+def test_each_count_is_kept_once_and_agrees_with_the_driver(scheme):
+    # Stations count their own successes and collisions, and the bits
+    # are set from those counts when the run ends; tally what the driver
+    # decided at each tx-end beside them
+    cfg = ScenarioConfig(scheme=scheme, n_wifi=6,
+                         m_lte=0 if scheme == "wifi-only" else 3,
+                         duration_s=1.0, channel=NEAR)
+    drivers, tally = [], {"success": 0, "collided": 0}
+    init, tx_end = ContentionDriver.__init__, ContentionDriver._tx_end
+
+    def patched_init(driver, *args, **kwargs):
+        init(driver, *args, **kwargs)
+        drivers.append(driver)
+
+    def patched_tx_end(driver, s_min, wifi_w, lte_w, duration):
+        if len(wifi_w) + len(lte_w) > 1:
+            tally["collided"] += len(wifi_w)
+        elif wifi_w:
+            tally["success"] += 1
+        tx_end(driver, s_min, wifi_w, lte_w, duration)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ContentionDriver, "__init__", patched_init)
+        mp.setattr(ContentionDriver, "_tx_end", patched_tx_end)
+        res = run_scenario(cfg, seed=3)
+    (driver,) = drivers
+    bits = cfg.timing.payload_bits
+    assert res.metrics.wifi_bits == {st.station_id: st.success_count * bits
+                                     for st in driver.stations}
+    successes = sum(st.success_count for st in driver.stations)
+    assert successes == tally["success"] > 0
+    assert sum(st.collision_count for st in driver.stations) \
+        == tally["collided"] > 0
+    if scheme != "lbt":   # no LTE-U burst is a contention success
+        assert successes == res.metrics.success_events
+    assert res.row.wifi_aggregate_bps == successes * bits / cfg.duration_s
+
+
 def test_a_counter_past_zero_is_an_error():
     timing = MacTiming()
     sim = Simulator(root_seed=1)

@@ -1,12 +1,17 @@
 """Event queue ordering, clock rules, trace records, and stream identity."""
 
+import hashlib
+import random
+from functools import partial
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from coexsim.engine import (
     EVENT_KINDS,
+    HASH_BATCH,
     KIND_RANK,
     SchedulingError,
     Simulator,
@@ -228,6 +233,65 @@ def test_fire_inline_leaves_the_trace_as_the_queue_makes_it(program):
     assert first_a == first_b
     assert last_a == last_b
     assert fired_a == fired_b
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       lengths=st.lists(st.integers(0, 3 * HASH_BATCH // 2), min_size=1,
+                        max_size=4),
+       stops=st.lists(st.integers(0, 12_000), max_size=4),
+       read_every=st.integers(1, 4 * HASH_BATCH))
+@example(seed=1, lengths=[1500, 1500], stops=[3000, 3000, 6000],
+         read_every=97)
+@example(seed=2, lengths=[1536], stops=[], read_every=4 * HASH_BATCH)
+@settings(max_examples=60, deadline=None)
+def test_batched_hash_is_the_digest_of_every_line_so_far(
+        seed, lengths, stops, read_every):
+    # Chains of events, each firing the next one inline where the queue
+    # allows it and queueing it otherwise; a reference sha256 is fed the
+    # same lines one at a time, and every digest read mid-run must be
+    # that of the lines so far.
+    rnd = random.Random(seed)
+    plans = [[(rnd.choice(EVENT_KINDS), rnd.randrange(10), rnd.random() < 0.7,
+               rnd.randrange(read_every) == 0) for _ in range(n)]
+             for n in lengths]
+    sim = Simulator(root_seed=0, hash_trace=True)
+    ref = hashlib.sha256()
+    lines = 0
+
+    def check():
+        summary = sim.trace_summary()
+        assert summary.trace_hash == ref.hexdigest()
+        assert summary.processed == lines
+
+    def run_chain(c, i):
+        # a loop, not recursion: chains outgrow the recursion limit
+        nonlocal lines
+        while True:
+            kind, _, _, read = plans[c][i]
+            ref.update(f"{sim.now} {kind} c{c}\n".encode())
+            lines += 1
+            if read:
+                check()
+            i += 1
+            if i == len(plans[c]):
+                return
+            kind, delta, inline, _ = plans[c][i]
+            t = sim.now + delta
+            if not (inline and sim.fire_inline(t, kind, f"c{c}")):
+                sim.schedule(t, kind, f"c{c}", partial(run_chain, c, i))
+                return
+
+    for c, plan in enumerate(plans):
+        if plan:
+            kind, delta, _, _ = plan[0]
+            sim.schedule(delta, kind, f"c{c}", partial(run_chain, c, 0))
+    for stop in sorted(stops):
+        summary = sim.run_until(stop)
+        assert summary.trace_hash == ref.hexdigest()
+        check()
+    sim.run_until(max(sim.now, 12 * sum(lengths) + 10))
+    check()
+    assert lines == sum(lengths)
 
 
 def test_fork_rng_rejects_duplicate_stream_ids():

@@ -123,3 +123,17 @@ def test_channel_params_validation():
     for cap in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError):
             ChannelParams(spectral_efficiency_cap=cap)
+
+
+def test_channel_params_reject_a_snr_past_the_float_range():
+    for kwargs in ({"pathloss_exponent": -0.5},
+                   {"pathloss_exponent": 1e308},   # 10x overflows: NaN SNR
+                   {"tx_power_dbm": 4000.0},
+                   {"reference_loss_1m_db": -4000.0},
+                   {"bandwidth_hz": 1e-320}):
+        with pytest.raises(ValueError):
+            ChannelParams(**kwargs)
+    # the largest SNR a link can see is at 1 m; a huge finite one is fine
+    loud = ChannelParams(tx_power_dbm=3000.0, pathloss_exponent=0.0)
+    assert math.isfinite(mean_snr(1.0, loud))
+    assert mean_snr(50.0, loud) == mean_snr(1.0, loud)
