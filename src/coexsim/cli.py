@@ -7,7 +7,8 @@ Four subcommands:
   list, and seeds; emits the raw per-run rows and the cross-seed
   aggregate table.
 * ``oracle``: the analytical saturation-throughput table for a list of
-  station counts (no simulation).
+  station counts (no simulation), for the default MAC timing or the
+  timing and access mode of a scenario config.
 * ``report``: re-aggregate an existing raw CSV.
 
 Output is CSV with a fixed column order plus an adjacent ``.meta.json``
@@ -145,13 +146,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    timing, access_mode = None, args.access_mode
+    if args.config is not None:
+        config = load_config(args.config)
+        timing = config.timing
+        access_mode = access_mode or config.access_mode
+    access_mode = access_mode or "basic"
     header = ["n", "tau", "p", "throughput_bps"]
     body = []
     for n in args.n:
         if n < 1:
             raise ConfigError("n", "station counts must be >= 1")
-        tau, p = solve_fixed_point(n)
-        s = saturation_throughput(n, access_mode=args.access_mode)
+        tau, p = solve_fixed_point(n, timing)
+        s = saturation_throughput(n, timing, access_mode)
         body.append([str(n), f"{tau:.9f}", f"{p:.9f}", f"{s:.6f}"])
     _emit_table(args.out, "oracle.csv", header, body)
     return 0
@@ -217,8 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
                               help="analytical saturation throughput table")
     p_oracle.add_argument("--n", type=_int_list, required=True,
                           help="comma-separated station counts")
+    p_oracle.add_argument("--config", default=None,
+                          help="scenario JSON whose MAC timing to use")
     p_oracle.add_argument("--access-mode", choices=ACCESS_MODES,
-                          default="basic")
+                          default=None,
+                          help="default: the config's mode, else basic")
     p_oracle.add_argument("--out", default=None)
     p_oracle.set_defaults(fn=_cmd_oracle)
 

@@ -55,6 +55,10 @@ def sa_txop_duration(n_subframes: int) -> int:
     return round_txop(FRAME_HEADER_US + n_subframes * SUBFRAME_US + FRAME_ACK_US)
 
 
+# Standalone TXOP length by n, computed once for the planner and grants.
+SA_TXOP_US = {n: sa_txop_duration(n) for n in SA_N_CHOICES}
+
+
 @dataclass(frozen=True)
 class TxopGrant:
     """One scheduled window of the contention-free period.
@@ -81,10 +85,10 @@ class TxopGrant:
             if n not in SA_N_CHOICES:
                 raise ValueError(
                     f"standalone grant needs 6 <= n <= 8, got {n}")
-            if self.duration_us != sa_txop_duration(n):
+            if self.duration_us != SA_TXOP_US[n]:
                 raise ValueError(
                     f"standalone grant of {n} subframes must last "
-                    f"{sa_txop_duration(n)} µs, got {self.duration_us}")
+                    f"{SA_TXOP_US[n]} µs, got {self.duration_us}")
 
     @property
     def end_us(self) -> int:
@@ -127,8 +131,7 @@ def _pack_standalone(budget: int, user_ids: list[str], cfp_start: int,
             attempts = k + 1
             continue
         placed = False
-        for n in SA_N_CHOICES:
-            dur = sa_txop_duration(n)
+        for n, dur in SA_TXOP_US.items():
             if offset + dur - cfp_start <= budget:
                 grants.append(TxopGrant(uid, offset, dur, n_subframes=n))
                 offset += dur
@@ -214,6 +217,11 @@ def cfp_transmit(grant: TxopGrant, link: LinkBudget, channel: ChannelParams,
     """
     full, tail = divmod(grant.data_us, SUBFRAME_US)
     segments = [SUBFRAME_US] * full + ([tail] if tail else [])
-    gains = fading_gains(rng, len(segments), channel)
-    return sum(lte_rate(link.mean_snr * float(g), channel) * (seg * 1e-6)
-               for seg, g in zip(segments, gains))
+    gains = fading_gains(rng, len(segments), channel).tolist()
+    snr = link.mean_snr
+    # a list, not a generator expression, which would resume a frame
+    # per segment; sum() adds the parts in segment order either way
+    parts = []
+    for seg, g in zip(segments, gains):
+        parts.append(lte_rate(snr * g, channel) * (seg * 1e-6))
+    return sum(parts)

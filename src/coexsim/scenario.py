@@ -149,7 +149,14 @@ def _from_dict(cls, payload: dict, path: str):
         return cls(**kwargs)
     except ConfigError:
         raise
-    except ValueError as exc:     # a block's range check names its block
+    except ValueError as exc:
+        # A range check that opens with one of the block's field names
+        # reports at that field, as a type error there does; a check
+        # across fields reports at the block.
+        field_name, _, rest = str(exc).partition(" ")
+        if field_name in names and rest:
+            raise ConfigError(f"{path}.{field_name}" if path else field_name,
+                              rest) from exc
         raise ConfigError(path, str(exc)) from exc
 
 

@@ -19,12 +19,20 @@ users may take a grant. Every transition and every ``TxopGrant`` the
 planner issues is appended to a shared trace that ``conformance_check``
 replays and audits in one forward pass; a user whose records go back in
 time fails it.
+
+A run steps machines many thousands of times (a standalone user takes
+ten subframe ticks per grant), so a step is kept cheap: each class
+compiles its ``TABLE`` once, when the class is created, into moves that
+are either a successor state or the handler function itself, and a
+``TransitionRecord`` is a named tuple, built without a Python frame.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .hap import TxopGrant
 from .radio import FRAME_SUBFRAMES
@@ -46,8 +54,7 @@ class ProtocolViolation(RuntimeError):
         self.event = event
 
 
-@dataclass(frozen=True)
-class TransitionRecord:
+class TransitionRecord(NamedTuple):
     time_us: int
     ue_id: str
     state_before: str
@@ -75,6 +82,14 @@ class _Fsm:
     EMITS: dict[tuple[str, str], tuple[str, ...]] = {}
     # resting state -> events a beacon drives the machine through
     BEACON_PATH: dict[str, tuple[str, ...]] = {}
+    # TABLE compiled: a successor state, or the handler function
+    _MOVES: dict[tuple[str, str], str | Callable[..., str]] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._MOVES = {key: getattr(cls, target)
+                      if target.startswith("_on_") else target
+                      for key, target in cls.TABLE.items()}
 
     def __init__(self, ue_id: str, trace: SignallingTrace | None = None):
         self.ue_id = ue_id
@@ -84,24 +99,23 @@ class _Fsm:
             trace.machines[ue_id] = self.KIND
 
     def step(self, event: str, time_us: int = 0, **info) -> str:
-        key = (self.state, event)
-        target = self.TABLE.get(key)
-        if target is None:
-            raise ProtocolViolation(self.KIND, self.ue_id, self.state, event)
         before = self.state
-        if target.startswith("_on_"):
-            after = getattr(self, target)(**info)
+        move = self._MOVES.get((before, event))
+        if move is None:
+            raise ProtocolViolation(self.KIND, self.ue_id, before, event)
+        if type(move) is str:
+            after = move
+        elif info:
+            after = move(self, **info)
         else:
-            after = target
+            after = move(self)
         self.state = after
         if self.trace is not None:
-            self.trace.transitions.append(TransitionRecord(
+            # tuple.__new__ skips the named tuple's Python-level __new__
+            self.trace.transitions.append(tuple.__new__(TransitionRecord, (
                 time_us, self.ue_id, before, event, after,
-                detail=info.get("n")))
+                info.get("n"))))
         return after
-
-    def emitted(self, state_before: str, event: str) -> tuple[str, ...]:
-        return self.EMITS.get((state_before, event), ())
 
     @property
     def schedulable(self) -> bool:
@@ -223,9 +237,8 @@ def fsm_step(machine: _Fsm, event: str, time_us: int = 0,
     equipment sends in response. Illegal (state, event) pairs raise
     ProtocolViolation naming both.
     """
-    before = machine.state
-    after = machine.step(event, time_us, **info)
-    return after, machine.emitted(before, event)
+    key = (machine.state, event)
+    return machine.step(event, time_us, **info), machine.EMITS.get(key, ())
 
 
 @dataclass(frozen=True)

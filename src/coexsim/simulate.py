@@ -5,11 +5,17 @@ station/node populations, and (for the coordinated schemes) the beacon
 and grant machinery. It returns both the flat result row used for CSV
 emission and the raw artifacts (busy intervals, signalling trace, event
 trace hash) that the invariant checks inspect.
+
+The coordinator queues its callbacks (beacons, subframe ticks, CFP and
+TXOP ends) as ``functools.partial`` objects built during the run; a
+subframe tick is ``fsm_step`` bound to its machine and time, so a tick
+costs the step and no wrapper frame of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 
 from .analytics import MetricsAccumulator
 from .contention import ContentionDriver
@@ -77,6 +83,11 @@ class _HapRun:
     contention-free period around the machines still inside a duty
     cycle, and hands the rest of the interval back to the contention
     driver.
+
+    Every callback it queues is a ``functools.partial`` built while the
+    run is under way, so it binds the ``fsm_step`` this module holds at
+    that moment. A subframe tick is ``fsm_step`` itself, bound to its
+    machine, event and time; the time equals the clock when it fires.
     """
 
     def __init__(self, sim: Simulator, cfg: ScenarioConfig,
@@ -107,7 +118,7 @@ class _HapRun:
             sim.schedule(0, "timer", "hap-assoc", self._associate_uca)
         for k in range(cfg.duration_us // cfg.interval_us):
             sim.schedule(k * cfg.interval_us, "beacon", "hap",
-                         lambda k=k: self._on_beacon(k))
+                         partial(self._on_beacon, k))
 
     def _associate_uca(self) -> None:
         for fsm in self.fsms.values():
@@ -118,7 +129,7 @@ class _HapRun:
         now = self.sim.now
         if self.driver.busy_until > now:
             self.sim.schedule(self.driver.busy_until, "beacon", "hap",
-                              lambda: self._on_beacon(k))
+                              partial(self._on_beacon, k))
             return
         self.driver.close_window(now)
         beacon_end = now + self.cfg.beacon_us
@@ -145,25 +156,24 @@ class _HapRun:
         for grant in plan.grants:
             self._issue_grant(grant)
         self.sim.schedule(cfp_end, "cfp-end", "hap",
-                          lambda: self._open_cp(next_tbtt))
+                          partial(self._open_cp, next_tbtt))
 
     def _issue_grant(self, grant) -> None:
         uid = grant.user_id
-        fsm = self.fsms[uid]
-        if self.cfg.sa_mode == "standalone":
-            fsm_step(fsm, "data-request", grant.start_us, n=grant.n_subframes)
-            data_start = grant.start_us + FRAME_HEADER_US
-            for j in range(1, FRAME_SUBFRAMES + 1):
+        n = grant.n_subframes
+        if n is not None:       # a standalone grant starts a duty cycle
+            fsm = self.fsms[uid]
+            fsm_step(fsm, "data-request", grant.start_us, n=n)
+            schedule = self.sim.schedule
+            tick_us = grant.start_us + FRAME_HEADER_US
+            for _ in range(FRAME_SUBFRAMES):
                 # n active ticks inside the grant, 10-n sleep ticks after
-                self.sim.schedule(data_start + j * SUBFRAME_US,
-                                  "timer", uid,
-                                  lambda u=uid: self._tick(u))
+                tick_us += SUBFRAME_US
+                schedule(tick_us, "timer", uid,
+                         partial(fsm_step, fsm, "subframe-tick", tick_us))
         self.trace.grants.append(grant)
         self.sim.schedule(grant.end_us, "txop-end", uid,
-                          lambda g=grant: self._deliver(g))
-
-    def _tick(self, uid: str) -> None:
-        fsm_step(self.fsms[uid], "subframe-tick", self.sim.now)
+                          partial(self._deliver, grant))
 
     def _deliver(self, grant) -> None:
         bits = cfp_transmit(grant, self.links[grant.user_id],

@@ -6,7 +6,9 @@ import json
 import pytest
 
 from coexsim import cli
+from coexsim.analytics import saturation_throughput, solve_fixed_point
 from coexsim.cli import main
+from coexsim.scenario import config_from_dict
 from coexsim.simulate import CSV_COLUMNS
 
 
@@ -167,6 +169,55 @@ def test_oracle_rejects_zero_stations(capsys):
     assert "station counts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,table", [
+    (["--n", "1,5,30"],
+     "n,tau,p,throughput_bps\n"
+     "1,0.117647059,0.000000000,44223954.642279\n"
+     "5,0.076148902,0.271536298,47001447.818814\n"
+     "30,0.025889989,0.532660813,40265980.161252\n"),
+    (["--n", "2,10", "--access-mode", "rts-cts"],
+     "n,tau,p,throughput_bps\n"
+     "2,0.104620632,0.104620632,37076789.033652\n"
+     "10,0.052479894,0.384403833,37710071.164031\n"),
+])
+def test_oracle_without_a_config_prints_the_default_timing_table(
+        capsys, argv, table):
+    assert main(["oracle", *argv]) == 0
+    assert capsys.readouterr().out == table
+
+
+@pytest.mark.parametrize("mode_flag,config_mode,expected_mode", [
+    ([], None, "basic"),
+    ([], "rts-cts", "rts-cts"),
+    (["--access-mode", "basic"], "rts-cts", "basic"),
+])
+def test_oracle_reads_timing_and_access_mode_from_a_config(
+        tmp_path, capsys, mode_flag, config_mode, expected_mode):
+    payload = {"timing": {"cw_min": 32, "payload_bytes": 500}}
+    if config_mode is not None:
+        payload["access_mode"] = config_mode
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    assert main(["oracle", "--n", "1,5,30", "--config", str(path),
+                 *mode_flag]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    timing = config_from_dict(payload).timing
+    for n, row in zip((1, 5, 30), rows, strict=True):
+        tau, p = solve_fixed_point(n, timing)
+        s = saturation_throughput(n, timing, expected_mode)
+        assert row == f"{n},{tau:.9f},{p:.9f},{s:.6f}"
+    # the config's timing moves every column off the default table
+    assert rows[0].split(",")[1] == f"{2 / 33:.9f}"
+
+
+def test_oracle_with_a_bad_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"timing": {"cw_min": 0}}))
+    assert main(["oracle", "--n", "5", "--config", str(path)]) == 2
+    assert "error: timing: need 1 <= cw_min <= cw_max" in (
+        capsys.readouterr().err)
+
+
 def test_report_round_trips_sweep_output(tmp_path, capsys):
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({
@@ -309,7 +360,8 @@ def test_zero_bit_rate_is_a_config_error(tmp_path, capsys):
     bad.write_text(json.dumps({"timing": {"bit_rate_mbps": 0}}))
     rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "error: timing: bit_rate_mbps" in capsys.readouterr().err
+    assert "error: timing.bit_rate_mbps: must be positive" in (
+        capsys.readouterr().err)
 
 
 def test_negative_spectral_efficiency_cap_is_a_config_error(tmp_path, capsys):
@@ -319,16 +371,20 @@ def test_negative_spectral_efficiency_cap_is_a_config_error(tmp_path, capsys):
         "channel": {"spectral_efficiency_cap": -1}}))
     rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "error: channel: spectral_efficiency_cap" in capsys.readouterr().err
+    assert "error: channel.spectral_efficiency_cap: must be positive" in (
+        capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("field,value", [
-    ("tx_power_dbm", 4000),          # a 1 m SNR past the float range
-    ("pathloss_exponent", -1e6),     # gain would grow with distance
-    ("bandwidth_hz", 1e-320),        # noise power of about -3374 dBm
+@pytest.mark.parametrize("field,value,where", [
+    # a 1 m SNR past the float range, a check across fields
+    ("tx_power_dbm", 4000, "channel: "),
+    # gain would grow with distance, a check of the field alone
+    ("pathloss_exponent", -1e6, "channel.pathloss_exponent: "),
+    # noise power of about -3374 dBm, a check across fields
+    ("bandwidth_hz", 1e-320, "channel: "),
 ])
 def test_a_channel_whose_snr_overflows_is_a_config_error(
-        tmp_path, capsys, field, value):
+        tmp_path, capsys, field, value, where):
     # each used to exit 1 with an OverflowError from radio.mean_snr
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -337,7 +393,7 @@ def test_a_channel_whose_snr_overflows_is_a_config_error(
     rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "error: channel: " in err and field in err
+    assert f"error: {where}" in err and field in err
     assert "Traceback" not in err
 
 
@@ -348,7 +404,7 @@ def test_lbt_burst_without_a_data_subframe_is_a_config_error(tmp_path, capsys):
         "lbt": {"burst_us": 10}}))
     rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "error: lbt: burst_us" in capsys.readouterr().err
+    assert "error: lbt.burst_us: must hold" in capsys.readouterr().err
 
 
 def test_zero_payload_is_a_config_error(tmp_path, capsys):
@@ -358,7 +414,8 @@ def test_zero_payload_is_a_config_error(tmp_path, capsys):
         "timing": {"payload_bytes": 0}}))
     rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "error: timing: payload_bytes" in capsys.readouterr().err
+    assert "error: timing.payload_bytes: must be >= 1" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("scheme", ["hap-sa", "hap-uca"])

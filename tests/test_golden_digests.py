@@ -10,7 +10,13 @@ backoff and collisions redraw several at once; lbt with no duty-off at
 a 20 us slot, where awake LTE-U nodes tie with stations; and hap-sa
 with 40 stations at a 20 ms interval in rts-cts mode, where contention
 periods end in an exchange that overruns them and defers the next
-beacon. A change that is meant to alter behaviour re-records the file
+beacon.
+
+The trace hash covers each event's time, kind and target only, so each
+coordinated case also pins the sha256 of its signalling trace, in
+``golden_signalling.json``: the machine of every user, every field of
+every transition record and every field of every grant, one text line
+each. A change that is meant to alter behaviour re-records both files
 with
 
     PYTHONPATH=src python tests/test_golden_digests.py
@@ -19,6 +25,7 @@ and says why in its change notes.
 """
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -27,9 +34,11 @@ import pytest
 from coexsim.dcf import MacTiming
 from coexsim.radio import ChannelParams
 from coexsim.scenario import ScenarioConfig
-from coexsim.simulate import run_scenario
+from coexsim.signalling import SignallingTrace
+from coexsim.simulate import RunResult, run_scenario
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
+GOLDEN_SIGNALLING = Path(__file__).with_name("golden_signalling.json")
 NEAR = ChannelParams(pathloss_exponent=2.0)
 SCHEMES = ("wifi-only", "lbt", "hap-sa", "hap-uca")
 
@@ -68,19 +77,50 @@ def _cases() -> dict[str, tuple[ScenarioConfig, int]]:
     return cases
 
 
-def _digest(cfg: ScenarioConfig, seed: int) -> dict:
-    res = run_scenario(cfg, seed)
+def _digest(res: RunResult) -> dict:
     return {"trace_hash": res.trace_hash, "csv": res.row.csv_values()}
+
+
+def _signalling_digest(trace: SignallingTrace) -> str:
+    """sha256 of the trace as text, one line per machine, record and grant."""
+    lines = [f"machine {uid} {kind}\n" for uid, kind in trace.machines.items()]
+    lines += [f"transition {r.time_us} {r.ue_id} {r.state_before} {r.event} "
+              f"{r.state_after} {r.detail}\n" for r in trace.transitions]
+    lines += [f"grant {g.user_id} {g.start_us} {g.duration_us} "
+              f"{g.n_subframes}\n" for g in trace.grants]
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+def _coordinated() -> list[str]:
+    return sorted(name for name, (cfg, _seed) in _cases().items()
+                  if cfg.scheme in ("hap-sa", "hap-uca"))
 
 
 @pytest.mark.parametrize("name", sorted(_cases()))
 def test_run_matches_golden_digest(name):
     golden = json.loads(GOLDEN.read_text())
     assert set(golden) == set(_cases())
-    assert _digest(*_cases()[name]) == golden[name]
+    assert _digest(run_scenario(*_cases()[name])) == golden[name]
+
+
+@pytest.mark.parametrize("name", _coordinated())
+def test_signalling_trace_matches_golden_digest(name):
+    golden = json.loads(GOLDEN_SIGNALLING.read_text())
+    assert sorted(golden) == _coordinated()
+    res = run_scenario(*_cases()[name])
+    assert _signalling_digest(res.signalling) == golden[name]
+
+
+def _write(path: Path, digests: dict) -> None:
+    rows = [f" {json.dumps(name)}: {json.dumps(value)}"
+            for name, value in sorted(digests.items())]
+    path.write_text("{\n" + ",\n".join(rows) + "\n}\n")
 
 
 if __name__ == "__main__":
-    rows = [f" {json.dumps(name)}: {json.dumps(_digest(cfg, seed))}"
-            for name, (cfg, seed) in sorted(_cases().items())]
-    GOLDEN.write_text("{\n" + ",\n".join(rows) + "\n}\n")
+    results = {name: run_scenario(cfg, seed)
+               for name, (cfg, seed) in _cases().items()}
+    _write(GOLDEN, {name: _digest(res) for name, res in results.items()})
+    _write(GOLDEN_SIGNALLING,
+           {name: _signalling_digest(results[name].signalling)
+            for name in _coordinated()})

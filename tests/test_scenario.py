@@ -165,6 +165,52 @@ def test_every_field_rejects_a_value_of_the_wrong_kind(payload, path):
     assert exc.value.path == path
 
 
+# One field per single-field range check of each block, a value out of
+# range and a value of the wrong kind.
+RANGE_ERRORS = [
+    ("timing", "slot_us", 0, "x"),
+    ("timing", "bit_rate_mbps", 0, "x"),
+    ("timing", "payload_bytes", 0, 2.5),
+    ("timing", "sifs_us", -1, "x"),
+    ("timing", "rts_bits", -1, 2.5),
+    ("timing", "cw_max", 2 ** 33, "x"),
+    ("timing", "max_backoff_stage", -1, 2.5),
+    ("channel", "fading", "rician", 1),
+    ("channel", "bandwidth_hz", 0, "x"),
+    ("channel", "spectral_efficiency_cap", 0, "x"),
+    ("channel", "control_overhead", 1.0, "x"),
+    ("channel", "pathloss_exponent", -1, "x"),
+    ("lbt", "contention_window", 0, 2.5),
+    ("lbt", "burst_us", 10, "x"),
+    ("lbt", "cca_us", -1, "x"),
+    ("lbt", "duty_off_factor", -1, 2.5),
+]
+
+
+@pytest.mark.parametrize("block,name,out_of_range,wrong_kind", RANGE_ERRORS,
+                         ids=[f"{b}.{n}" for b, n, *_ in RANGE_ERRORS])
+def test_a_range_error_and_a_type_error_in_one_field_share_its_path(
+        block, name, out_of_range, wrong_kind):
+    paths = []
+    for value in (out_of_range, wrong_kind):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict({block: {name: value}})
+        paths.append(exc.value.path)
+    assert paths == [f"{block}.{name}"] * 2
+    assert not str(exc.value).startswith(f"{block}.{name}: {name}")
+
+
+@pytest.mark.parametrize("block,payload,message", [
+    ("timing", {"cw_min": 0}, "need 1 <= cw_min <= cw_max"),
+    ("channel", {"tx_power_dbm": 4000}, "tx_power_dbm, reference_loss_1m_db"),
+])
+def test_a_check_across_fields_reports_at_its_block(block, payload, message):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({block: payload})
+    assert exc.value.path == block
+    assert str(exc.value).startswith(f"{block}: {message}")
+
+
 @pytest.mark.parametrize("cfg", [
     ScenarioConfig(),
     ScenarioConfig(scheme="hap-sa", m_lte=4, duration_s=0.2, seeds=(3, 4),

@@ -13,7 +13,6 @@ from coexsim.signalling import (
     SignallingTrace,
     TransitionRecord,
     UcaFsm,
-    _CycleFsm,
     conformance_check,
     fsm_step,
 )
@@ -122,8 +121,12 @@ def test_tables_are_deterministic_and_kinds_registered():
         # guarantees it, so just confirm every target resolves
         for (state, event), target in cls.TABLE.items():
             assert isinstance(target, str)
+            move = cls._MOVES[state, event]
             if target.startswith("_on_"):
-                assert callable(getattr(cls, target))
+                assert move is getattr(cls, target) and callable(move)
+            else:
+                assert move == target
+        assert cls._MOVES.keys() == cls.TABLE.keys()
     assert DATA_STATES == {"aggregating", "transferring", "receiving"}
 
 
@@ -189,15 +192,18 @@ def test_conformance_rejects_forged_cycle_length():
 
 def test_conformance_rejects_broken_cycle_arithmetic(monkeypatch):
     # a machine whose cycle is one sleep subframe short; the replay runs
-    # the same broken code, so only the cycle arithmetic can catch it
-    def short_cycle(self, n=0, **_ignored):
-        self.active_remaining = n
-        self.sleep_remaining = FRAME_SUBFRAMES - n - 1
-        return self.ACTIVE_STATE
+    # the same broken code, so only the cycle arithmetic can catch it.
+    # A class compiles its table when it is created, so the broken
+    # handler comes in by subclassing, not by patching the method.
+    class ShortCycleDtx(SaDtxFsm):
+        def _on_data_request(self, n=0, **_ignored):
+            self.active_remaining = n
+            self.sleep_remaining = FRAME_SUBFRAMES - n - 1
+            return self.ACTIVE_STATE
 
-    monkeypatch.setattr(_CycleFsm, "_on_data_request", short_cycle)
+    monkeypatch.setitem(FSM_KINDS, "sa-dtx", ShortCycleDtx)
     trace = SignallingTrace()
-    fsm = SaDtxFsm("lte-01", trace=trace)
+    fsm = ShortCycleDtx("lte-01", trace=trace)
     fsm.step("beacon", 500)
     fsm.step("identity", 500)
     fsm.step("data-request", 1000, n=6)
