@@ -63,6 +63,14 @@ is given once: in the window that ends there, a decision whose exchange
 would end later is frozen, never scheduled, and ``finalize`` books the
 window's tail idle.
 
+An exchange runs in the frames the driver already has. ``_arm`` makes
+the decision in place, the scan for the smallest effective backoff
+included; without LTE-U nodes it reads only the calendar head. The
+queued ``tx-end`` callback, ``_tx_end``, consumes the exchange's s + 1
+slots in place, walking the LTE-U leads only when there are nodes, then
+books the exchange, redraws the winners and decides again. ``_consume``
+is left to a window that closes idle, once per window.
+
 Counts are kept once: each station counts its own successes and
 collisions, and ``finalize`` sets the ledger's per-station Wi-Fi bits
 from those counts.
@@ -166,38 +174,53 @@ class ContentionDriver:
 
     def _consume(self, k: int) -> None:
         """Run k slots off every counter: V advances by k, and each LTE-U
-        node on the walk skips its lead (a sleeper's lead is at least k)."""
+        node on the walk skips its lead (a sleeper's lead is at least k).
+        An exchange does the same in ``_tx_end``, in place."""
         self._vslot += k
         nodes = self.lbt_nodes
         for j, lead in zip(self._walk, self._leads):
             if k > lead:
                 nodes[j].counter -= k - lead
 
-    def _contenders(self) -> tuple[int, list[int], list[int]] | None:
-        """(s_min, wifi_w, lte_w): the smallest effective backoff and the
-        stations and nodes that hold it, or None with nobody to contend.
+    def _arm(self) -> None:
+        """Decide the next exchange and fire it, from the queue or inline.
 
-        First moves onto the walk every sleeping LTE-U node whose CCA ends
-        by the slot where the calendar head expires (every sleeper, with
-        no Wi-Fi station); one that ends later has a lead above s_min.
-        Fixes the walked nodes' leads at the current anchor for the next
-        consume.
+        The decision is the smallest effective backoff s_min and the
+        stations and nodes that hold it. With LTE-U nodes, it first moves
+        onto the walk every sleeping node whose CCA ends by the slot
+        where the calendar head expires (every sleeper, with no Wi-Fi
+        station); one that ends later has a lead above s_min. It fixes
+        the walked nodes' leads at the current anchor for the consume
+        that follows. Without nodes it reads only the calendar head.
+
+        Must be the last statement of the event callback that reaches
+        it, so that firing the decision inline, when the queue would fire
+        it next anyway, runs it exactly where it would have run.
         """
         expiries = self._expiries
-        s_min = expiries[0] - self._vslot if expiries else None
-        lte_w = []
-        if self.lbt_nodes:
-            slot, anchor = self.timing.slot_us, self.phase_start
-            sleepers, walk, nodes = self._sleepers, self._walk, self.lbt_nodes
-            if s_min is None:
-                while sleepers:
-                    insort(walk, heappop(sleepers)[1])
-            else:
+        anchor = self.phase_start
+        nodes = self.lbt_nodes
+        slot = self.timing.slot_us
+        if not nodes:
+            if not expiries:
+                return
+            head = expiries[0]
+            s_min = head - self._vslot
+            wifi_w = self._calendar[head]
+            lte_w = ()
+        else:
+            sleepers, walk = self._sleepers, self._walk
+            if expiries:
+                s_min = expiries[0] - self._vslot
                 horizon = anchor + s_min * slot
                 while sleepers and sleepers[0][0] <= horizon:
                     insort(walk, heappop(sleepers)[1])
+            else:
+                s_min = None
+                while sleepers:
+                    insort(walk, heappop(sleepers)[1])
             self._leads = leads = []
-            lte_min = None
+            lte_min, lte_w = None, []
             for j in walk:
                 node = nodes[j]
                 lead = -(-(node.wake_at_us + node.params.cca_us - anchor)
@@ -215,39 +238,29 @@ class ContentionDriver:
                     s_min = lte_min
                 elif lte_min > s_min:
                     lte_w = []
-        if s_min is None:
-            return None
+            if s_min is None:
+                return
+            wifi_w = (self._calendar[expiries[0]]
+                      if expiries and expiries[0] - self._vslot == s_min
+                      else [])
         if s_min < 0:
             raise RuntimeError(f"backoff ran {-s_min} slots past zero")
-        wifi_w = (sorted(self._calendar[expiries[0]])
-                  if expiries and expiries[0] - self._vslot == s_min else [])
-        return s_min, wifi_w, lte_w
-
-    def _arm(self) -> None:
-        """Decide the next exchange and fire it, from the queue or inline.
-
-        Must be the last statement of the event callback that reaches
-        it, so that firing the decision inline, when the queue would fire
-        it next anyway, runs it exactly where it would have run.
-        """
-        contenders = self._contenders()
-        if contenders is None:
-            return
-        s_min, wifi_w, lte_w = contenders
-        tx_time = self.phase_start + s_min * self.timing.slot_us
+        tx_time = anchor + s_min * slot
         if tx_time >= self.window_end:
             return   # window closes first; counters settled at close
+        wifi_w = sorted(wifi_w)
+        durations = self.durations
         if lte_w:
-            duration = max([self.lbt_nodes[j].params.burst_us
-                            for j in lte_w])
+            duration = max([nodes[j].params.burst_us for j in lte_w])
             if len(wifi_w) + len(lte_w) > 1:
-                duration = max(duration, self.durations.t_collision_ticks)
+                duration = max(duration, durations.t_collision_ticks)
         elif len(wifi_w) > 1:
-            duration = self.durations.t_collision_ticks
+            duration = durations.t_collision_ticks
         else:
-            duration = self.durations.t_success_ticks
-        if (self.window_end == self.run_end_us
-                and tx_time + duration > self.window_end):
+            duration = durations.t_success_ticks
+        end = tx_time + duration
+        window_end = self.window_end
+        if window_end == self.run_end_us and end > window_end:
             return   # would outlast the run: frozen, the tail stays idle
         sim = self.sim
         if not sim.fire_inline(tx_time, "slot-boundary", "medium"):
@@ -255,8 +268,8 @@ class ContentionDriver:
                          partial(self._fire, s_min, wifi_w, lte_w, duration))
             return
         # fired inline: _fire's work, without its frame
-        self.metrics.idle_us += tx_time - self.phase_start
-        self.busy_until = end = tx_time + duration
+        self.metrics.idle_us += tx_time - anchor
+        self.busy_until = end
         self.tx_intervals.append((tx_time, end, bool(wifi_w), bool(lte_w)))
         sim.schedule(end, "tx-end", "medium",
                      partial(self._tx_end, s_min, wifi_w, lte_w, duration))
@@ -271,11 +284,19 @@ class ContentionDriver:
                           partial(self._tx_end, s_min, wifi_w, lte_w, duration))
 
     def _tx_end(self, s_min, wifi_w, lte_w, duration) -> None:
+        """The exchange ends now: consume its slots, book it, redraw the
+        winners and decide the next one."""
         now = self.sim.now
         metrics = self.metrics
         collision = len(wifi_w) + len(lte_w) > 1
-        # the s_min idle slots plus the busy one; winners redraw below
-        self._consume(s_min + 1)
+        # the s_min idle slots plus the busy one, as _consume(s_min + 1)
+        k = s_min + 1
+        self._vslot = vslot = self._vslot + k
+        nodes = self.lbt_nodes
+        if nodes:
+            for j, lead in zip(self._walk, self._leads):
+                if k > lead:
+                    nodes[j].counter -= k - lead
         if collision:
             metrics.collision_us += duration
             metrics.collision_events += 1
@@ -288,7 +309,7 @@ class ContentionDriver:
             # its fresh backoff expires
             calendar, expiries = self._calendar, self._expiries
             del calendar[heappop(expiries)]
-            stations, vslot = self.stations, self._vslot
+            stations = self.stations
             for i in wifi_w:
                 st = stations[i]
                 if collision:
@@ -304,12 +325,12 @@ class ContentionDriver:
                     bucket.append(i)
 
         for j in lte_w:
-            node = self.lbt_nodes[j]
+            node = nodes[j]
             metrics.add_lte_airtime(node.node_id, node.params.burst_us)
             if not collision:
                 metrics.add_lte_bits(
                     node.node_id, burst_transmit(node, self.channel))
-            node.start_duty_off(now, len(self.lbt_nodes), len(self.stations))
+            node.start_duty_off(now, len(nodes), len(self.stations))
             node.draw_backoff()
             i = self._walk.index(j)   # off the walk until it wakes
             del self._walk[i], self._leads[i]

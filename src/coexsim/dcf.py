@@ -7,14 +7,15 @@ unrounded figures.  Each exchange duration carries its leading DIFS, so
 on the timeline idle time is purely backoff slots: busy-end -> slots ->
 exchange(DIFS + frames).
 
-Wi-Fi stations draw their backoffs through ``BackoffReplay``, which
-replays ``Generator.integers(0, W)`` from the stream's raw 64-bit words
-in plain Python. For 1 <= W <= 2^32 numpy's draw is a buffered 32-bit
-Lemire rejection over the halves of each raw word, low half first: W=1
-consumes nothing, and a draw whose low product word falls below
-(2^32 - W) mod W is rejected and takes the next half. The replay runs the
-same arithmetic on the same halves, so every draw, and every trace hash,
-is the one numpy would give; it only skips numpy's per-call overhead.
+Wi-Fi stations draw their backoffs with ``draw_backoff``, which replays
+``Generator.integers(0, W)`` from the stream's raw 64-bit words in plain
+Python; a ``BackoffReplay`` holds those words as 32-bit halves. For
+1 <= W <= 2^32 numpy's draw is a buffered 32-bit Lemire rejection over
+the halves of each raw word, low half first: W=1 consumes nothing, and a
+draw whose low product word falls below (2^32 - W) mod W is rejected and
+takes the next half. ``draw_backoff`` runs the same arithmetic on the
+same halves, in its own frame, so every draw, and every trace hash, is
+the one numpy would give; it only skips numpy's per-call overhead.
 ``MacTiming`` caps ``cw_max`` at 2^32, the largest window this covers.
 """
 
@@ -26,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-# Largest contention window BackoffReplay draws exactly (see module doc).
+# Largest contention window draw_backoff replays exactly (see module doc).
 MAX_WINDOW = 1 << 32
 _HALF_MASK = 0xFFFFFFFF
 _REFILL_WORDS = 16
@@ -124,17 +125,32 @@ def contention_window(stage: int, timing: MacTiming) -> int:
     return min(timing.cw_min << stage, timing.cw_max)
 
 
-def draw_backoff(rng: np.random.Generator | BackoffReplay, stage: int,
-                 timing: MacTiming) -> int:
-    """Uniform draw over [0, CW(stage) - 1] slots.
+def draw_backoff(replay: BackoffReplay, stage: int, timing: MacTiming) -> int:
+    """Uniform draw over [0, CW(stage) - 1] slots, as numpy draws it.
 
-    Computes ``contention_window`` itself, one call fewer per draw.
+    Computes ``contention_window`` itself and runs the replay's Lemire
+    step on its halves in place, so a draw costs one Python frame.
     """
-    return int(rng.integers(0, min(timing.cw_min << stage, timing.cw_max)))
+    w = timing.cw_min << stage
+    if w > timing.cw_max:
+        w = timing.cw_max
+    if w == 1:
+        return 0
+    halves = replay.halves
+    if not halves:
+        replay._refill()
+    m = halves.pop() * w
+    if m & _HALF_MASK < w:
+        threshold = (MAX_WINDOW - w) % w
+        while m & _HALF_MASK < threshold:
+            if not halves:
+                replay._refill()
+            m = halves.pop() * w
+    return m >> 32
 
 
 class BackoffReplay:
-    """``integers(low, high)`` of a fresh PCG64 ``Generator``, replayed.
+    """The raw words of a fresh PCG64 ``Generator``, for ``draw_backoff``.
 
     Owns every draw of the stream it wraps: the generator itself must not
     be drawn from again, since numpy keeps the unused high half of a raw
@@ -156,23 +172,6 @@ class BackoffReplay:
         for word in words:   # low half on top
             push(word >> 32)
             push(word & _HALF_MASK)
-
-    def integers(self, low: int, high: int) -> int:
-        """Uniform draw over [low, high - 1], as numpy draws it."""
-        w = high - low
-        if w == 1:
-            return low
-        halves = self.halves
-        if not halves:
-            self._refill()
-        m = halves.pop() * w
-        if m & _HALF_MASK < w:
-            threshold = (MAX_WINDOW - w) % w
-            while m & _HALF_MASK < threshold:
-                if not halves:
-                    self._refill()
-                m = halves.pop() * w
-        return low + (m >> 32)
 
 
 class WifiStation:
@@ -204,5 +203,9 @@ class WifiStation:
 
     def on_collision(self) -> None:
         self.collision_count += 1
-        self.stage = min(self.stage + 1, self.timing.max_backoff_stage)
-        self.counter = draw_backoff(self.rng, self.stage, self.timing)
+        timing = self.timing
+        stage = self.stage + 1
+        if stage > timing.max_backoff_stage:
+            stage = timing.max_backoff_stage
+        self.stage = stage
+        self.counter = draw_backoff(self.rng, stage, timing)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Optional
@@ -88,7 +87,10 @@ class Simulator:
                                Optional[Callable[[], None]]]] = []
         self._seq = itertools.count()
         self._streams: dict[str, np.random.Generator] = {}
-        self._by_kind: Counter[str] = Counter()
+        # fired events by kind: a plain dict with every kind at 0, so a
+        # count stays on the interpreter's exact-dict path (a Counter, a
+        # dict subclass, does not); a summary lists the kinds seen
+        self._by_kind: dict[str, int] = dict.fromkeys(EVENT_KINDS, 0)
         self._hasher = hashlib.sha256() if hash_trace else None
         # hash lines not yet fed to the hasher; None without hash_trace
         self._lines: Optional[list[str]] = [] if hash_trace else None
@@ -184,7 +186,7 @@ class Simulator:
             trace_hash = self._hasher.hexdigest()
         return TraceSummary(
             processed=sum(self._by_kind.values()),
-            by_kind=dict(self._by_kind),
+            by_kind={kind: n for kind, n in self._by_kind.items() if n},
             trace_hash=trace_hash,
             records=self._records,
         )

@@ -199,9 +199,13 @@ def build_superframe(m_lte: int, n_wifi: int,
     else:
         grants = _pack_uca(budget, user_ids, cfp_start)
 
-    cfp_len = sum(g.duration_us for g in grants)
-    if any(a.end_us > b.start_us for a, b in zip(grants, grants[1:])):
-        raise RuntimeError("planner produced overlapping grants")
+    # one plain pass: no generator or end_us property frame per grant
+    cfp_len, end = 0, cfp_start
+    for g in grants:
+        if g.start_us < end:
+            raise RuntimeError("planner produced overlapping grants")
+        end = g.start_us + g.duration_us
+        cfp_len += g.duration_us
     return SuperframePlan(tuple(grants), cfp_len, budget - cfp_len,
                           next_rotation)
 

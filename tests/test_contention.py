@@ -1,13 +1,18 @@
 """Contention driver: the calendar of Wi-Fi expiries against a full scan.
 
 The driver files each station once per draw at the absolute slot where
-its backoff expires. These tests keep the rule the calendar replaces,
-every station's counter run down by every consumed slot, beside a real
-run, and check that every decision the driver makes is the one a scan
-of all counters makes.
+its backoff expires, and decides and consumes in place, in ``_arm`` and
+``_tx_end``. These tests keep the rule the calendar replaces beside a
+real run: every station's and every LTE-U node's counter run down by
+every consumed slot, with the slots worked out by the test itself (an
+exchange takes the smallest effective backoff plus one, a window that
+closes idle its idle slots). Every decision the driver makes must be the
+one a scan of all counters makes, and every counter must agree after
+every exchange and every window close.
 """
 
 import dataclasses
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +21,8 @@ from coexsim.analytics import MetricsAccumulator
 from coexsim.contention import ContentionDriver
 from coexsim.dcf import MacTiming, WifiStation, exchange_durations
 from coexsim.engine import Simulator
-from coexsim.lbt import LbtNode
-from coexsim.radio import ChannelParams
+from coexsim.lbt import LbtNode, LbtParams
+from coexsim.radio import ChannelParams, LinkBudget
 from coexsim.scenario import ScenarioConfig
 from coexsim.simulate import run_scenario
 
@@ -25,17 +30,29 @@ NEAR = ChannelParams(pathloss_exponent=2.0)
 
 
 class _Scan:
-    """Brute-force shadow of one run's contention driver."""
+    """Brute-force shadow of one run's contention driver.
+
+    Keeps every station's counter, run down slot by slot by the rule
+    itself, with the slots worked out here: an exchange takes the scan's
+    own s_min + 1, a window that closes idle its whole idle slots. At
+    each decision (every ``_arm`` entry, whether or not the decision
+    fires) the calendar must file every station at its counter, and the
+    scan of every counter and every node's lead + counter gives the
+    minimum set; the decision that starts an exchange must carry exactly
+    that set into ``_fire`` (when queued) and ``_tx_end``.
+    """
 
     def __init__(self):
         self.live: list[int] = []   # every station's counter, slot by slot
         self.index: dict[int, int] = {}
+        self.expected = None        # (s_min, wifi_w, lte_w) of the decision
         self.decisions = 0
+        self.exchanges = 0
 
     def patches(self, mp: pytest.MonkeyPatch) -> None:
-        init = ContentionDriver.__init__
-        consume = ContentionDriver._consume
-        contenders = ContentionDriver._contenders
+        cls = ContentionDriver
+        init, arm, fire = cls.__init__, cls._arm, cls._fire
+        tx_end, close = cls._tx_end, cls.close_window
         scan = self
 
         def patched_init(driver, *args, **kwargs):
@@ -43,14 +60,27 @@ class _Scan:
             scan.live = [s.counter for s in driver.stations]
             scan.index = {id(s): i for i, s in enumerate(driver.stations)}
 
-        def patched_consume(driver, k):
-            consume(driver, k)
-            scan.live = [c - k for c in scan.live]
+        def patched_arm(driver):
+            scan.decide(driver)
+            arm(driver)
 
-        def patched_contenders(driver):
-            got = contenders(driver)
-            scan.check(driver, got)
-            return got
+        def patched_fire(driver, s_min, wifi_w, lte_w, duration):
+            scan.check(s_min, wifi_w, lte_w)
+            fire(driver, s_min, wifi_w, lte_w, duration)
+
+        def patched_tx_end(driver, s_min, wifi_w, lte_w, duration):
+            scan.check(s_min, wifi_w, lte_w)
+            scan.run_down(scan.expected[0] + 1)
+            scan.expected = None
+            scan.exchanges += 1
+            tx_end(driver, s_min, wifi_w, lte_w, duration)
+
+        def patched_close(driver, t_us):
+            k = 0
+            if driver.phase_start < driver.window_end:
+                k = (t_us - driver.phase_start) // driver.timing.slot_us
+            close(driver, t_us)
+            scan.run_down(k)
 
         def redraw(orig):
             def patched(station):
@@ -58,13 +88,18 @@ class _Scan:
                 scan.live[scan.index[id(station)]] = station.counter
             return patched
 
-        mp.setattr(ContentionDriver, "__init__", patched_init)
-        mp.setattr(ContentionDriver, "_consume", patched_consume)
-        mp.setattr(ContentionDriver, "_contenders", patched_contenders)
+        mp.setattr(cls, "__init__", patched_init)
+        mp.setattr(cls, "_arm", patched_arm)
+        mp.setattr(cls, "_fire", patched_fire)
+        mp.setattr(cls, "_tx_end", patched_tx_end)
+        mp.setattr(cls, "close_window", patched_close)
         for name in ("on_success", "on_collision"):
             mp.setattr(WifiStation, name, redraw(getattr(WifiStation, name)))
 
-    def check(self, driver, got) -> None:
+    def run_down(self, k: int) -> None:
+        self.live = [c - k for c in self.live]
+
+    def decide(self, driver) -> None:
         filed = [(i, slot - driver._vslot)
                  for slot, bucket in driver._calendar.items() for i in bucket]
         assert sorted(filed) == list(enumerate(self.live))
@@ -76,15 +111,18 @@ class _Scan:
             lte_eff.append(node.counter + max(0, (lead + slot_us - 1)
                                               // slot_us))
         everyone = self.live + lte_eff
+        self.expected = None
         if not everyone:
-            assert got is None
             return
         s_min = min(everyone)
         assert s_min >= 0
-        assert got == (s_min,
-                       [i for i, c in enumerate(self.live) if c == s_min],
-                       [j for j, e in enumerate(lte_eff) if e == s_min])
+        self.expected = (s_min,
+                         [i for i, c in enumerate(self.live) if c == s_min],
+                         [j for j, e in enumerate(lte_eff) if e == s_min])
         self.decisions += 1
+
+    def check(self, s_min, wifi_w, lte_w) -> None:
+        assert self.expected == (s_min, list(wifi_w), list(lte_w))
 
 
 @given(scheme=st.sampled_from(["wifi-only", "lbt", "hap-sa"]),
@@ -112,19 +150,24 @@ def test_calendar_decides_as_a_scan_of_every_counter(
     with pytest.MonkeyPatch.context() as mp:
         scan.patches(mp)
         res = run_scenario(cfg, seed=seed)
-    assert scan.decisions >= res.metrics.success_events \
-        + res.metrics.collision_events
+    exchanges = res.metrics.success_events + res.metrics.collision_events
+    assert scan.exchanges == exchanges
+    assert scan.decisions >= exchanges
 
 
 @given(n=st.integers(0, 12), m=st.integers(1, 6),
        slot_us=st.sampled_from([9, 20]), lbt_cw=st.integers(1, 32),
        duty_off_factor=st.one_of(st.none(), st.integers(0, 3)),
+       window_us=st.one_of(st.none(), st.integers(50, 2_000)),
        seed=st.integers(1, 1000))
 @settings(max_examples=30, deadline=None)
 def test_every_lte_counter_loses_the_slots_after_its_lead(
-        n, m, slot_us, lbt_cw, duty_off_factor, seed):
+        n, m, slot_us, lbt_cw, duty_off_factor, window_us, seed):
     # The driver leaves sleeping nodes off its walk; a shadow of every
-    # node's counter, run down by the rule itself, must still agree
+    # node's counter, run down by the rule itself, must still agree after
+    # every exchange and every window close. With window_us the run is
+    # cut into windows that close at their end, or after an exchange
+    # that overruns one, as beacons cut a coordinated run.
     cfg = ScenarioConfig(
         scheme="lbt", n_wifi=n, m_lte=m, duration_s=0.1,
         timing=MacTiming(slot_us=slot_us), channel=NEAR,
@@ -132,30 +175,74 @@ def test_every_lte_counter_loses_the_slots_after_its_lead(
                                 contention_window=lbt_cw,
                                 duty_off_factor=duty_off_factor))
     shadow: dict[int, int] = {}
-    consumes = 0
-    consume, draw = ContentionDriver._consume, LbtNode.draw_backoff
+    checked = {"exchanges": 0, "closes": 0}
+    cls = ContentionDriver
+    tx_end, close, draw = cls._tx_end, cls.close_window, LbtNode.draw_backoff
+    open_window = cls.open_window
 
-    def patched_consume(driver, k):
-        nonlocal consumes
-        expected = {}
+    def run_down(driver, k):
+        # every node loses the slots after its lead at the anchor
         for node in driver.lbt_nodes:
             lead = max(0, -(-(node.wake_at_us + node.params.cca_us
                               - driver.phase_start) // slot_us))
-            expected[id(node)] = shadow[id(node)] - max(0, k - lead)
-        consume(driver, k)
-        assert {id(nd): nd.counter for nd in driver.lbt_nodes} == expected
-        shadow.update(expected)
-        consumes += 1
+            shadow[id(node)] -= max(0, k - lead)
+
+    def agree(driver, what):
+        assert {id(nd): nd.counter for nd in driver.lbt_nodes} == shadow
+        checked[what] += 1
+
+    def patched_tx_end(driver, s_min, wifi_w, lte_w, duration):
+        run_down(driver, s_min + 1)   # winners then redraw into the shadow
+        tx_end(driver, s_min, wifi_w, lte_w, duration)
+        agree(driver, "exchanges")
+
+    def patched_close(driver, t_us):
+        if driver.phase_start < driver.window_end:
+            run_down(driver, (t_us - driver.phase_start) // slot_us)
+        close(driver, t_us)
+        agree(driver, "closes")
 
     def patched_draw(node):
         draw(node)
         shadow[id(node)] = node.counter
 
+    # a window ends at least one longest exchange before the run's end,
+    # so an exchange that overruns it still ends inside the run
+    durations = exchange_durations(cfg.timing)
+    longest = max(cfg.lbt.burst_us, durations.t_success_ticks,
+                  durations.t_collision_ticks)
+    cuts = 0
+
+    def open_next(driver, start_us, end_us):
+        next_end = start_us + window_us
+        if next_end + longest > end_us:
+            open_window(driver, start_us, end_us)
+            return
+        open_window(driver, start_us, next_end)
+        driver.sim.schedule(next_end, "beacon", "cut",
+                            partial(cut, driver, end_us))
+
+    def cut(driver, end_us):
+        nonlocal cuts
+        now = driver.sim.now
+        if driver.busy_until > now:   # overrun: close when it ends
+            driver.sim.schedule(driver.busy_until, "beacon", "cut",
+                                partial(cut, driver, end_us))
+            return
+        cuts += 1
+        patched_close(driver, now)
+        open_next(driver, now, end_us)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ContentionDriver, "_consume", patched_consume)
+        mp.setattr(cls, "_tx_end", patched_tx_end)
+        mp.setattr(cls, "close_window", patched_close)
         mp.setattr(LbtNode, "draw_backoff", patched_draw)
+        if window_us is not None:
+            mp.setattr(cls, "open_window", open_next)
         res = run_scenario(cfg, seed=seed)
-    assert consumes == res.metrics.success_events + res.metrics.collision_events
+    assert checked["exchanges"] == (res.metrics.success_events
+                                    + res.metrics.collision_events)
+    assert checked["closes"] == cuts
 
 
 @pytest.mark.parametrize("scheme", ["wifi-only", "lbt", "hap-sa", "hap-uca"])
@@ -199,13 +286,18 @@ def test_each_count_is_kept_once_and_agrees_with_the_driver(scheme):
 
 def test_a_counter_past_zero_is_an_error():
     timing = MacTiming()
-    sim = Simulator(root_seed=1)
-    station = WifiStation("wifi-00", timing, sim.fork_rng("wifi-00"))
-    driver = ContentionDriver(sim, timing, exchange_durations(timing),
-                              [station], MetricsAccumulator(), 1_000)
-    driver._consume(station.counter + 1)
-    with pytest.raises(RuntimeError, match="past zero"):
-        driver.open_window(0, 1_000)
+    for m_lte in (0, 1):   # a decision with LTE-U nodes takes its own path
+        sim = Simulator(root_seed=1)
+        station = WifiStation("wifi-00", timing, sim.fork_rng("wifi-00"))
+        nodes = [LbtNode(f"lte-{j:02d}", LbtParams(),
+                         LinkBudget(f"lte-{j:02d}", 10.0, 66.4, 100.0),
+                         sim.fork_rng(f"lte-{j:02d}")) for j in range(m_lte)]
+        driver = ContentionDriver(sim, timing, exchange_durations(timing),
+                                  [station], MetricsAccumulator(), 1_000,
+                                  nodes, NEAR)
+        driver._consume(station.counter + 1)
+        with pytest.raises(RuntimeError, match="past zero"):
+            driver.open_window(0, 1_000)
 
 
 def _one_station_driver(run_end_us=1_000_000):
@@ -229,9 +321,12 @@ def test_a_window_closes_only_at_its_end():
     driver.close_window(end)
     assert driver.phase_start == driver.window_end
     assert driver.metrics.idle_us == end
-    assert driver._contenders() == (0, [0], [])   # all idle slots consumed
     driver.close_window(end)   # already closed: nothing happens
     assert driver._vslot == counter
+    # all idle slots consumed: the next window starts with the exchange
+    driver.open_window(end, 2 * end)
+    sim.run_until(end)
+    assert driver.tx_intervals == [(end, driver.busy_until, True, False)]
 
 
 def test_a_window_that_forbids_overrun_ends_with_the_run():

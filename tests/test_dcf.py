@@ -91,14 +91,14 @@ def test_mac_timing_validation():
 
 @given(stage=st.integers(min_value=0, max_value=10), seed=st.integers(0, 2**16))
 def test_draw_backoff_stays_inside_the_window(stage, seed):
-    rng = np.random.default_rng(seed)
-    v = draw_backoff(rng, stage, T)
+    replay = BackoffReplay(np.random.default_rng(seed))
+    v = draw_backoff(replay, stage, T)
     assert 0 <= v < contention_window(stage, T)
 
 
 def test_draw_backoff_stage0_mean():
-    rng = np.random.default_rng(5)
-    draws = [draw_backoff(rng, 0, T) for _ in range(100_000)]
+    replay = BackoffReplay(np.random.default_rng(5))
+    draws = [draw_backoff(replay, 0, T) for _ in range(100_000)]
     assert np.mean(draws) == pytest.approx(7.5, rel=0.01)
     assert set(draws) == set(range(16))
 
@@ -138,10 +138,13 @@ def test_replay_draws_what_numpy_draws(seed):
                                            size=20_000)]
     windows += LADDER_WINDOWS + WIDE_WINDOWS
     assert 1 in windows
+    # a window of exactly w at stage 0, one timing per distinct window
+    timings = {w: MacTiming(cw_min=w, cw_max=w) for w in set(windows)}
     numpy_rng = np.random.default_rng(seed)
     replay = BackoffReplay(np.random.default_rng(seed))
     for w in windows:
-        assert replay.integers(0, w) == int(numpy_rng.integers(0, w)), w
+        assert draw_backoff(replay, 0, timings[w]) \
+            == int(numpy_rng.integers(0, w)), w
         assert len(replay.halves) <= 32
 
 

@@ -183,10 +183,27 @@ def test_packing_conserves_budget_and_never_overlaps(m, n, mode, rotation):
 
 
 def test_overlapping_grants_raise(monkeypatch):
-    monkeypatch.setattr(hap, "_pack_uca", lambda budget, ids, start: [
-        TxopGrant(ids[0], start, 64), TxopGrant(ids[1], start + 32, 64)])
+    def packer(offsets):
+        # grants of 64 µs at these offsets from the CFP start
+        return lambda budget, ids, start, *_: [
+            TxopGrant(ids[k], start + off, 64)
+            for k, off in enumerate(offsets)]
+
+    monkeypatch.setattr(hap, "_pack_uca", packer([0, 32]))
     with pytest.raises(RuntimeError, match="overlapping"):
         build_superframe(2, 2, mode="uca")
+    # a grant that reaches back into the beacon overlaps it
+    monkeypatch.setattr(hap, "_pack_uca", packer([-32]))
+    with pytest.raises(RuntimeError, match="overlapping"):
+        build_superframe(2, 2, mode="uca")
+    # grants that only touch are laid end to end
+    monkeypatch.setattr(hap, "_pack_uca", packer([0, 64]))
+    assert build_superframe(2, 2, mode="uca").cfp_us == 128
+    standalone = packer([0, 10])
+    monkeypatch.setattr(hap, "_pack_standalone",
+                        lambda *args: (standalone(*args), 0))
+    with pytest.raises(RuntimeError, match="overlapping"):
+        build_superframe(2, 2)
 
 
 # -- delivery --------------------------------------------------------------
