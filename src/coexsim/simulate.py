@@ -245,13 +245,11 @@ def run_scenario(config: ScenarioConfig, seed: int) -> RunResult:
         airtime_cfp_frac=metrics.cfp_us / t_end,
         airtime_beacon_frac=metrics.beacon_us / t_end,
     )
-    wifi_tx = [(a, b) for a, b, w, _l in driver.tx_intervals if w]
     lte_tx = ([(g.start_us, g.end_us) for g in trace.grants]
-              if trace is not None
-              else [(a, b) for a, b, _w, l in driver.tx_intervals if l])
+              if trace is not None else driver.lte_intervals)
     return RunResult(
         row=row, metrics=metrics, trace_hash=summary.trace_hash,
-        wifi_tx_intervals=wifi_tx, lte_tx_intervals=lte_tx,
+        wifi_tx_intervals=driver.tx_intervals, lte_tx_intervals=lte_tx,
         cfp_intervals=hap.cfp_intervals if hap else [],
         beacon_intervals=hap.beacon_intervals if hap else [],
         signalling=trace)

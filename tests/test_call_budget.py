@@ -8,11 +8,14 @@ helper each for the exchange duration, the contention window and
 filing a station. The engine then logged events inline and the driver
 did that work in place, which brought an exchange to about 11 frames
 (wifi-only 10.96, lbt 11.64 here; 13.57 for wifi-only at N=120). The
-decision now runs the scan for the smallest backoff in ``_arm`` itself,
-``_tx_end`` consumes the exchange's slots in place, and ``draw_backoff``
-runs the replayed draw in its own frame: about 7.4 frames for wifi-only,
-8.1 for lbt and 9.4 for wifi-only at N=120, where the same set-up is
-spread over fewer exchanges per station.
+decision then ran its scan for the smallest backoff in place, the
+``tx-end`` callback consumed the exchange's slots in place, and
+``draw_backoff`` ran the replayed draw in its own frame: about 7.4
+frames for wifi-only, 8.1 for lbt and 9.4 for wifi-only at N=120, where
+the same set-up is spread over fewer exchanges per station. The medium
+is now one process, a generator the engine resumes at each ``tx-end``,
+that decides the next exchange in the same frame, so the decision's own
+frame is gone: 6.45, 7.05 and 8.42.
 
 The coordinated schemes spend most of their time in the contention-free
 period, so they are held per planned grant instead. A standalone grant
@@ -24,7 +27,7 @@ as partials, a machine's table is compiled once per class and records
 are named tuples, which brought them to about 121 and 34. Planning sums
 its grants and checks them for overlap in one plain loop, and the
 contention period's draws and exchanges cost less as above: about 105
-and 28.
+and 28, then 101 and 27.1 with the medium as one process.
 
 The tests count Python ``call`` events with ``sys.setprofile`` over
 short seeded runs, so host speed cannot make them flaky, and fail if a
@@ -41,11 +44,11 @@ from coexsim.radio import ChannelParams
 from coexsim.scenario import ScenarioConfig
 from coexsim.simulate import RunResult, run_scenario
 
-# The figures these runs make, rounded up. hap-sa makes 104.99 alone and
+# The figures these runs make, rounded up. hap-sa makes 100.96 alone and
 # a few calls more after other tests have run in the process, so it gets
 # one more call per grant.
-BUDGET = {("wifi-only", 30): 8, ("lbt", 30): 9, ("wifi-only", 120): 10}
-GRANT_BUDGET = {"hap-sa": 106, "hap-uca": 28}
+BUDGET = {("wifi-only", 30): 7, ("lbt", 30): 8, ("wifi-only", 120): 9}
+GRANT_BUDGET = {"hap-sa": 102, "hap-uca": 28}
 
 
 def _counted_run(cfg: ScenarioConfig) -> tuple[int, RunResult]:
