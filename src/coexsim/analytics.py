@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .dcf import MacTiming, contention_window, exchange_durations
 
@@ -34,9 +34,14 @@ def _tau_from_p(p: float, windows: tuple[int, ...]) -> float:
     return 2.0 / den
 
 
-def solve_fixed_point(n_stations: int, timing: MacTiming | None = None,
-                      tol: float = 1e-10, max_iter: int = 200) -> tuple[float, float]:
-    """Return (tau, p) with both residuals below tol.
+# bisection stops once the residual and the bracket are below TOL
+TOL = 1e-10
+MAX_ITER = 200
+
+
+def solve_fixed_point(n_stations: int,
+                      timing: MacTiming | None = None) -> tuple[float, float]:
+    """Return (tau, p) with both residuals below TOL.
 
     tau - tau(p) is strictly increasing in tau, so bisection is safe.
     """
@@ -54,18 +59,18 @@ def solve_fixed_point(n_stations: int, timing: MacTiming | None = None,
     if residual(lo) > 0 or residual(hi) < 0:
         raise FixedPointError("fixed point not bracketed")
     tau = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         tau = 0.5 * (lo + hi)
         r = residual(tau)
-        if abs(r) < tol and hi - lo < tol:
+        if abs(r) < TOL and hi - lo < TOL:
             break
         if r < 0:
             lo = tau
         else:
             hi = tau
     p = 1.0 - (1.0 - tau) ** (n_stations - 1)
-    if abs(tau - _tau_from_p(p, windows)) >= tol:
-        raise FixedPointError(f"residual target {tol} not reached for n={n_stations}")
+    if abs(tau - _tau_from_p(p, windows)) >= TOL:
+        raise FixedPointError(f"residual target {TOL} not reached for n={n_stations}")
     return tau, p
 
 
@@ -96,8 +101,6 @@ class MetricsAccumulator:
     collision_us: int = 0
     cfp_us: int = 0
     beacon_us: int = 0
-    # per station, written once when the contention driver finalizes
-    wifi_bits: dict[str, int] = field(default_factory=dict)
     lte_bits: dict[str, float] = field(default_factory=dict)
     lte_airtime_us: dict[str, int] = field(default_factory=dict)
     success_events: int = 0
@@ -140,9 +143,9 @@ AGG_METRICS = ("per_user_wifi_throughput_bps", "wifi_aggregate_bps",
                "lte_aggregate_bps", "total_bps", "collision_rate")
 
 
-def aggregate(rows: Sequence[dict],
-              metrics: Iterable[str] = AGG_METRICS) -> list[AggregateRow]:
-    """Mean and 95% normal-approximation CI per metric, grouped by scenario.
+def aggregate(rows: Sequence[dict]) -> list[AggregateRow]:
+    """Mean and 95% normal-approximation CI per ``AGG_METRICS`` name,
+    grouped by scenario.
 
     Rows are dicts keyed by ResultRow field names. A single seed yields a
     zero-width interval.
@@ -156,7 +159,7 @@ def aggregate(rows: Sequence[dict],
     for key in sorted(groups):
         members = groups[key]
         means, ci = {}, {}
-        for name in metrics:
+        for name in AGG_METRICS:
             values = [r[name] for r in members]
             mu = statistics.fmean(values)
             if len(values) > 1:

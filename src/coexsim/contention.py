@@ -47,24 +47,26 @@ Backoff draws come from per-entity streams, so outcomes do not depend on
 participant interleave or on the order in which winners redraw.
 
 Windows: the run loop opens the medium for a span (a whole run, or one
-contention period between beacons). A window is open while its anchor
-lies before its end. A decision is queued only if it falls before its
-window's end, so a queued decision always fires. It ends only at its
-end: its last exchange may overrun it (the next beacon then defers to
-the busy boundary), or it closes idle there, never past the smallest
-effective backoff. No exchange may run past the end of the run, which
-the driver is given once: in the window that ends there, a decision
-whose exchange would end later is frozen, never scheduled, and
-``finalize`` books the window's tail idle.
+contention period between beacons), and gives its end once. A window is
+open while its anchor lies before its end. A decision is queued only if
+it falls before its window's end, so a queued decision always fires. It
+ends only at its end: its last exchange may overrun it (the next beacon
+then defers to the busy boundary), or the decision that finds the window
+closing first ends it idle on the spot. That decision consumes the
+window's idle slots, never more than the smallest effective backoff,
+books the idle time to the window's end and moves the anchor there. No
+exchange may run past the end of the run, which the driver is given
+once: in the window that ends there, a decision whose exchange would end
+later is frozen, never scheduled, and the window ends idle the same way.
+``close_window`` changes nothing: it is the beacon's check that the
+medium is idle and its window over.
 
 The medium is one simulation process, the generator ``_medium``, which
 keeps its hot state in locals: V, the window's anchor and end, the slot
-and exchange lengths, the calendar and the LTE-U walk. It waits at four
+and exchange lengths, the calendar and the LTE-U walk. It waits at three
 points, and each is resumed by one party:
 
 - no window open: ``open_window`` resumes it, and it decides;
-- idle until the window closes: ``close_window(t)`` sends it t, and it
-  consumes the window's idle slots;
 - a queued ``slot-boundary``: the engine resumes it when the decision
   fires, and the exchange starts;
 - an exchange in flight: the engine resumes it at the exchange's
@@ -87,8 +89,8 @@ the process, which frees its frame and the driver it holds.
 Busy periods are recorded once per exchange, as ``(start, end)`` pairs:
 ``tx_intervals`` for exchanges with a Wi-Fi station in them and
 ``lte_intervals`` for those with an LTE-U burst. Counts are kept once:
-each station counts its own successes and collisions, and ``finalize``
-sets the ledger's per-station Wi-Fi bits from those counts.
+each station counts its own successes and collisions, and
+``run_scenario`` reads the Wi-Fi bits from those counts.
 """
 
 from __future__ import annotations
@@ -153,32 +155,18 @@ class ContentionDriver:
         next(self._process)
 
     def close_window(self, t_us: int) -> None:
-        """End an idle window at its end, t_us; participants keep their
-        counters. The window that ends at the run's end is not closed
-        here: it can hold a frozen decision, and ends with the run."""
+        """Check, at a beacon at t_us, that the medium is idle and its
+        window over; the medium ends each window itself."""
         if self.busy_until > t_us:
             raise RuntimeError("cannot close a busy medium")
-        if self.phase_start >= self.window_end:
-            return
-        if t_us != self.window_end:
-            raise RuntimeError(f"window ends at {self.window_end} us, "
-                               f"not at {t_us} us")
-        if t_us == self.run_end_us:
-            raise RuntimeError("the run's last window ends with the run")
-        self._process.send(t_us)
+        if self.phase_start < self.window_end or t_us < self.window_end:
+            raise RuntimeError(f"the window to {self.window_end} us is not "
+                               f"over at {t_us} us")
 
     def finalize(self, t_end: int) -> None:
-        """Account the tail of the run, and each station's delivered bits
-        from its success count; medium must not be mid-burst. Ends the
-        medium process."""
+        """End the medium process; it must not be mid-burst."""
         if self.busy_until > t_end:
             raise RuntimeError("run ended inside a transmission")
-        if self.phase_start < self.window_end:
-            self.metrics.idle_us += t_end - self.phase_start
-            self.phase_start = t_end
-        payload_bits = self.timing.payload_bits
-        self.metrics.wifi_bits = {st.station_id: st.success_count * payload_bits
-                                  for st in self.stations}
         self._process.close()
 
     # -- the medium process ---------------------------------------------
@@ -275,17 +263,18 @@ class ContentionDriver:
                     if window_end == run_end and end > window_end:
                         tx_time = window_end    # would outlast the run
                 if tx_time >= window_end:
-                    # the window closes first: idle to its end (in the
-                    # run's last window, a frozen decision and the tail)
-                    t = yield       # idle: close_window sends t
-                    elapsed = t - anchor
-                    k = elapsed // slot
+                    # the window closes first: it ends idle now, taking
+                    # its idle slots but never more than s_min, so a
+                    # frozen decision keeps its winners at zero
+                    k = (window_end - anchor) // slot
+                    if s_min is not None and s_min < k:
+                        k = s_min
                     self._vslot = vslot = vslot + k
                     for j, lead in zip(walk, leads):
                         if k > lead:
                             nodes[j].counter -= k - lead
-                    metrics.idle_us += elapsed
-                    self.phase_start = t
+                    metrics.idle_us += window_end - anchor
+                    self.phase_start = window_end
                     break
 
                 # -- the exchange starts at tx_time ---------------------

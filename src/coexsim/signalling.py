@@ -74,7 +74,8 @@ class SignallingTrace:
 
 class _Fsm:
     """Table-driven base. Subclasses fill TABLE with either a successor
-    state name or the name of a method computing one."""
+    state name or the name of a method computing one from the step's n,
+    which only a data-request carries."""
 
     KIND = "fsm"
     INITIAL = "idle"
@@ -98,23 +99,18 @@ class _Fsm:
         if trace is not None:
             trace.machines[ue_id] = self.KIND
 
-    def step(self, event: str, time_us: int = 0, **info) -> str:
+    def step(self, event: str, time_us: int = 0, n: int | None = None) -> str:
+        """Take one event; n is the cycle length of a data-request."""
         before = self.state
         move = self._MOVES.get((before, event))
         if move is None:
             raise ProtocolViolation(self.KIND, self.ue_id, before, event)
-        if type(move) is str:
-            after = move
-        elif info:
-            after = move(self, **info)
-        else:
-            after = move(self)
+        after = move if type(move) is str else move(self, n)
         self.state = after
         if self.trace is not None:
             # tuple.__new__ skips the named tuple's Python-level __new__
             self.trace.transitions.append(tuple.__new__(TransitionRecord, (
-                time_us, self.ue_id, before, event, after,
-                info.get("n"))))
+                time_us, self.ue_id, before, event, after, n)))
         return after
 
     @property
@@ -154,14 +150,14 @@ class _CycleFsm(_Fsm):
         self.active_remaining = 0
         self.sleep_remaining = 0
 
-    def _on_data_request(self, n: int = 0, **_ignored) -> str:
-        if not 1 <= n <= FRAME_SUBFRAMES:
+    def _on_data_request(self, n: int | None) -> str:
+        if n is None or not 1 <= n <= FRAME_SUBFRAMES:
             raise ValueError(f"cycle length n={n} outside [1, {FRAME_SUBFRAMES}]")
         self.active_remaining = n
         self.sleep_remaining = FRAME_SUBFRAMES - n
         return self.ACTIVE_STATE
 
-    def _on_active_tick(self, **_ignored) -> str:
+    def _on_active_tick(self, _n: int | None) -> str:
         self.active_remaining -= 1
         if self.active_remaining > 0:
             return self.ACTIVE_STATE
@@ -169,7 +165,7 @@ class _CycleFsm(_Fsm):
             return self.RESUME_STATE
         return self.SLEEP_STATE
 
-    def _on_sleep_tick(self, **_ignored) -> str:
+    def _on_sleep_tick(self, _n: int | None) -> str:
         self.sleep_remaining -= 1
         if self.sleep_remaining > 0:
             return self.SLEEP_STATE
@@ -230,7 +226,7 @@ FSM_KINDS = {"uca": UcaFsm, "sa-dtx": SaDtxFsm, "sa-drx": SaDrxFsm}
 
 
 def fsm_step(machine: _Fsm, event: str, time_us: int = 0,
-             **info) -> tuple[str, tuple[str, ...]]:
+             n: int | None = None) -> tuple[str, tuple[str, ...]]:
     """Advance one machine by one event.
 
     Returns the new state together with the abstract messages the user
@@ -238,7 +234,7 @@ def fsm_step(machine: _Fsm, event: str, time_us: int = 0,
     ProtocolViolation naming both.
     """
     key = (machine.state, event)
-    return machine.step(event, time_us, **info), machine.EMITS.get(key, ())
+    return machine.step(event, time_us, n), machine.EMITS.get(key, ())
 
 
 @dataclass(frozen=True)
@@ -296,8 +292,7 @@ def conformance_check(trace: SignallingTrace) -> ConformanceReport:
                 f"record {idx}: {rec.ue_id} claims state {rec.state_before!r}"
                 f" but replay holds {fsm.state!r}", idx, 0, n_cycles)
         try:
-            info = {"n": rec.detail} if rec.detail is not None else {}
-            after = fsm.step(rec.event, rec.time_us, **info)
+            after = fsm.step(rec.event, rec.time_us, rec.detail)
         except (ProtocolViolation, ValueError) as exc:
             return _fail(f"record {idx}: {exc}", idx, 0, n_cycles)
         if after != rec.state_after:

@@ -78,11 +78,11 @@ class _HapRun:
     Pre-schedules a beacon per nominal interval boundary; a beacon that
     lands inside a still-running contention exchange is deferred to the
     busy boundary (the contention period shrinks by the same amount, so
-    the interval grid stays fixed). Each beacon closes the medium, walks
-    every resting machine through its ``BEACON_PATH``, plans the next
-    contention-free period around the machines still inside a duty
-    cycle, and hands the rest of the interval back to the contention
-    driver.
+    the interval grid stays fixed). Each beacon checks that the medium
+    is idle and has ended its contention window, walks every resting
+    machine through its ``BEACON_PATH``, plans the next contention-free
+    period around the machines still inside a duty cycle, and hands the
+    rest of the interval back to the contention driver.
 
     Every callback it queues is a ``functools.partial`` built while the
     run is under way, so it binds the ``fsm_step`` this module holds at
@@ -227,7 +227,8 @@ def run_scenario(config: ScenarioConfig, seed: int) -> RunResult:
     metrics.assert_ledger(t_end)
 
     dur_s = t_end / 1e6
-    wifi_agg = sum(metrics.wifi_bits.values()) / dur_s
+    wifi_agg = (sum(st.success_count for st in stations)
+                * timing.payload_bits / dur_s)
     lte_agg = sum(metrics.lte_bits.values()) / dur_s
     events = metrics.success_events + metrics.collision_events
     row = ResultRow(

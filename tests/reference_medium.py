@@ -82,9 +82,6 @@ class ReferenceMedium:
         if self.phase_start < self.window_end:
             self.metrics.idle_us += t_end - self.phase_start
             self.phase_start = t_end
-        bits = self.timing.payload_bits
-        self.metrics.wifi_bits = {st.station_id: n * bits for st, n
-                                  in zip(self.stations, self.successes)}
 
     # -- stepping ---------------------------------------------------------
 

@@ -3,17 +3,19 @@ and the whole medium against a slot-stepping reference.
 
 The driver files each station once per draw at the absolute slot where
 its backoff expires, and runs the medium as one process that decides and
-consumes in place. These tests keep the rule the calendar replaces beside
-a real run: every station's and every LTE-U node's counter run down by
-every consumed slot, with the slots worked out by the test itself (an
-exchange takes the smallest effective backoff plus one, a window that
-closes idle its idle slots). They watch the driver at the seams it
-offers: where it queues an exchange's ``tx-end`` (the clock is then the
-exchange's start, ``phase_start`` its anchor and ``busy_until`` its end),
-where the winners redraw, and where a window closes or the run ends.
-Every exchange the driver starts must be the one a scan of all counters
-makes, every decision that leaves a window idle must fall past its end,
-and every counter must agree after every exchange and every window close.
+consumes in place, and ends each window itself. These tests keep the
+rule the calendar replaces beside a real run: every station's and every
+LTE-U node's counter run down by every consumed slot, with the slots
+worked out by the test itself (an exchange takes the smallest effective
+backoff plus one, a window that ends idle its idle slots, never more
+than that backoff). They watch the driver at the seams it offers: where
+a window opens, where it queues an exchange's ``tx-end`` (the clock is
+then the exchange's start, ``phase_start`` its anchor and ``busy_until``
+its end), where the winners redraw, where a beacon checks that a window
+is over, and where the run ends. Every exchange the driver starts must
+be the one a scan of all counters makes, every window that ends idle
+must hold no decision before its end, and every counter must agree
+before every exchange and after every window.
 
 ``reference_medium.ReferenceMedium`` steps the medium slot by slot by the
 rules alone; patched in for the driver, it must give every scheme the
@@ -51,41 +53,53 @@ def _lead(node, anchor_us, slot_us):
 class _Scan:
     """Brute-force shadow of one run's contention driver.
 
-    Keeps every station's counter, run down slot by slot by the rule
-    itself, with the slots worked out here: an exchange takes the scan's
-    own s_min + 1, a window that closes idle its whole idle slots. Where
-    the driver queues an exchange's ``tx-end``, the calendar must file
-    every station at its counter, and the scan of every counter and every
-    node's lead + counter gives the minimum set: the exchange must start
-    s_min slots after its anchor and last as long as that set makes it,
-    and exactly that set must redraw, in index order, through
+    Keeps every station's and every LTE-U node's counter and its own
+    window anchor: a window's start, then each exchange's end. Counters
+    run down by the rule itself, with the slots worked out here: an
+    exchange takes the scan's own s_min + 1 (a node only the slots after
+    its lead), a window that ends idle its idle slots, never more than
+    s_min. Where the driver queues an exchange's ``tx-end``, the driver's
+    counters must be the shadow's, and the scan of every counter and
+    every node's lead + counter gives the minimum set: the exchange must
+    start s_min slots after the anchor and last as long as that set makes
+    it, and exactly that set must redraw, in index order, through
     ``on_success``/``on_collision`` and ``start_duty_off``. A window that
-    closes idle, or the run's last window at the end, must hold no
-    decision before its end, or (last window only) a frozen one.
+    ends idle, seen where a beacon checks it or the run ends, must hold
+    no decision before its end, or (last window only) a frozen one; then
+    the counters must agree again.
     """
 
     def __init__(self):
         self.driver = None
         self.live: list[int] = []   # every station's counter, slot by slot
+        self.lte_live: list[int] = []   # every node's counter
         self.index: dict[int, int] = {}
+        self.anchor = self.window_end = 0
         self.pending = None         # the last exchange: expected, redrawn
         self.decisions = 0
         self.exchanges = 0
+        self.closes = 0
         self.tally = {"success": 0, "collided": 0}
 
     def patches(self, mp: pytest.MonkeyPatch) -> None:
-        init, close = ContentionDriver.__init__, ContentionDriver.close_window
-        finalize, schedule = ContentionDriver.finalize, Simulator.schedule
-        duty_off = LbtNode.start_duty_off
+        cls = ContentionDriver
+        init, open_window = cls.__init__, cls.open_window
+        close, finalize = cls.close_window, cls.finalize
+        schedule, duty_off = Simulator.schedule, LbtNode.start_duty_off
         scan = self
 
         def patched_init(driver, *args, **kwargs):
             init(driver, *args, **kwargs)
             scan.driver = driver
             scan.live = [s.counter for s in driver.stations]
+            scan.lte_live = [n.counter for n in driver.lbt_nodes]
             scan.index = {id(s): i for i, s in enumerate(driver.stations)}
             scan.index.update({id(n): j for j, n
                                in enumerate(driver.lbt_nodes)})
+
+        def patched_open(driver, start_us, end_us):
+            scan.anchor, scan.window_end = start_us, end_us
+            open_window(driver, start_us, end_us)
 
         def patched_schedule(sim, time_us, kind, target, fn=None):
             if kind == "tx-end":
@@ -93,34 +107,28 @@ class _Scan:
             schedule(sim, time_us, kind, target, fn)
 
         def patched_close(driver, t_us):
-            k = 0
-            if driver.phase_start < driver.window_end:
-                scan.idle(t_us)
-                k = (t_us - driver.phase_start) // driver.timing.slot_us
             close(driver, t_us)
-            scan.run_down(k)
+            scan.window_over()
+            scan.closes += 1
 
         def patched_finalize(driver, t_end):
-            if driver.phase_start < driver.window_end:
-                scan.idle(t_end)
-            scan.settle()
+            scan.window_over()
             finalize(driver, t_end)
 
         def redraw(orig, collision):
             def patched(station):
                 orig(station)
-                i = scan.index[id(station)]
-                scan.live[i] = station.counter
-                scan.redrew("wifi", i, collision)
+                scan.redrew("wifi", scan.index[id(station)], collision)
             return patched
 
         def patched_duty_off(node, *args):
             duty_off(node, *args)
             scan.redrew("lte", scan.index[id(node)], None)
 
-        mp.setattr(ContentionDriver, "__init__", patched_init)
-        mp.setattr(ContentionDriver, "close_window", patched_close)
-        mp.setattr(ContentionDriver, "finalize", patched_finalize)
+        mp.setattr(cls, "__init__", patched_init)
+        mp.setattr(cls, "open_window", patched_open)
+        mp.setattr(cls, "close_window", patched_close)
+        mp.setattr(cls, "finalize", patched_finalize)
         mp.setattr(Simulator, "schedule", patched_schedule)
         mp.setattr(WifiStation, "on_success",
                    redraw(WifiStation.on_success, False))
@@ -129,20 +137,29 @@ class _Scan:
         mp.setattr(LbtNode, "start_duty_off", patched_duty_off)
 
     def run_down(self, k: int) -> None:
+        """k slots pass from the anchor: a node loses those after its
+        lead."""
+        slot_us = self.driver.timing.slot_us
         self.live = [c - k for c in self.live]
+        for j, node in enumerate(self.driver.lbt_nodes):
+            self.lte_live[j] -= max(0, k - _lead(node, self.anchor, slot_us))
 
-    def decide(self):
-        """The scan's decision at the driver's anchor: (s_min, stations,
-        nodes) holding the smallest effective backoff, or None."""
-        self.settle()
+    def agree(self) -> None:
+        """The driver's calendar and node counters are the shadow's."""
         driver = self.driver
         filed = [(i, slot - driver._vslot)
                  for slot, bucket in driver._calendar.items() for i in bucket]
         assert sorted(filed) == list(enumerate(self.live))
         assert sorted(driver._expiries) == sorted(driver._calendar)
-        slot_us = driver.timing.slot_us
-        lte_eff = [node.counter + _lead(node, driver.phase_start, slot_us)
-                   for node in driver.lbt_nodes]
+        assert [n.counter for n in driver.lbt_nodes] == self.lte_live
+
+    def decide(self):
+        """The scan's decision at its anchor: (s_min, stations, nodes)
+        holding the smallest effective backoff, or None."""
+        self.settle()
+        slot_us = self.driver.timing.slot_us
+        lte_eff = [c + _lead(node, self.anchor, slot_us)
+                   for c, node in zip(self.lte_live, self.driver.lbt_nodes)]
         everyone = self.live + lte_eff
         if not everyone:
             return None
@@ -168,13 +185,16 @@ class _Scan:
         """The driver queues the tx-end of an exchange starting now."""
         driver = self.driver
         s_min, wifi_w, lte_w = self.decide()
+        self.agree()
         now = driver.sim.now
-        assert now == driver.phase_start + s_min * driver.timing.slot_us
+        assert driver.phase_start == self.anchor
+        assert now == self.anchor + s_min * driver.timing.slot_us
         assert driver.busy_until == now + self.duration(wifi_w, lte_w)
         collision = len(wifi_w) + len(lte_w) > 1
         self.pending = ({"wifi": wifi_w, "lte": lte_w},
                         {"wifi": [], "lte": []}, collision)
         self.run_down(s_min + 1)
+        self.anchor = driver.busy_until
         self.exchanges += 1
         if collision:
             self.tally["collided"] += len(wifi_w)
@@ -189,35 +209,92 @@ class _Scan:
             assert collision == expected_collision
 
     def settle(self) -> None:
-        """The last exchange's winners, and only they, have redrawn."""
+        """The last exchange's winners, and only they, have redrawn; the
+        shadow takes their fresh counters."""
         if self.pending is not None:
             expected, redrawn, _ = self.pending
             assert redrawn == expected
+            for i in expected["wifi"]:
+                self.live[i] = self.driver.stations[i].counter
+            for j in expected["lte"]:
+                self.lte_live[j] = self.driver.lbt_nodes[j].counter
             self.pending = None
 
-    def idle(self, t_us: int) -> None:
-        """The open window ends idle at t_us: its decision, if any, falls
-        past its end, or is frozen in the run's last window."""
+    def window_over(self) -> None:
+        """The window is over. If no exchange reached its end, it ended
+        idle: its decision, if any, falls past its end, or is frozen in
+        the run's last window, and it took its idle slots, never more
+        than s_min."""
         driver = self.driver
-        decision = self.decide()
-        if decision is None:
+        self.settle()
+        end = self.window_end
+        if self.anchor < end:
+            decision = self.decide()
+            slot_us = driver.timing.slot_us
+            k = (end - self.anchor) // slot_us
+            if decision is not None:
+                s_min, wifi_w, lte_w = decision
+                tx = self.anchor + s_min * slot_us
+                if tx < end:
+                    assert end == driver.run_end_us
+                    assert tx + self.duration(wifi_w, lte_w) > end
+                k = min(k, s_min)
+            self.run_down(k)
+            self.anchor = end
+        assert driver.phase_start == self.anchor
+        self.agree()
+
+
+def _cut_windows(mp, cfg, cut_us) -> list[int]:
+    """Cut a one-window run into windows of cut_us, as beacons cut a
+    coordinated run: a beacon at each window's end, deferred to the end
+    of an exchange that overruns it, checks the window is over and opens
+    the next. Returns the beacon times, filled in as the run goes."""
+    open_window = ContentionDriver.open_window
+    # a window ends at least one longest exchange before the run's end,
+    # so an exchange that overruns it still ends inside the run
+    durations = exchange_durations(cfg.timing)
+    longest = max(cfg.lbt.burst_us, durations.t_success_ticks,
+                  durations.t_collision_ticks)
+    cuts: list[int] = []
+
+    def open_next(driver, start_us, end_us):
+        next_end = start_us + cut_us
+        if next_end + longest > end_us:
+            open_window(driver, start_us, end_us)
             return
-        s_min, wifi_w, lte_w = decision
-        tx = driver.phase_start + s_min * driver.timing.slot_us
-        if tx < t_us:
-            assert t_us == driver.run_end_us
-            assert tx + self.duration(wifi_w, lte_w) > t_us
+        open_window(driver, start_us, next_end)
+        driver.sim.schedule(next_end, "beacon", "cut",
+                            partial(cut, driver, end_us))
+
+    def cut(driver, end_us):
+        now = driver.sim.now
+        if driver.busy_until > now:   # overrun: check when it ends
+            driver.sim.schedule(driver.busy_until, "beacon", "cut",
+                                partial(cut, driver, end_us))
+            return
+        cuts.append(now)
+        driver.close_window(now)
+        open_next(driver, now, end_us)
+
+    mp.setattr(ContentionDriver, "open_window", open_next)
+    return cuts
 
 
-def _scanned_run(cfg, seed):
+def _scanned_run(cfg, seed, cut_us=None):
     scan = _Scan()
+    cuts: list[int] = []
     with pytest.MonkeyPatch.context() as mp:
         scan.patches(mp)
+        if cut_us is not None:
+            cuts = _cut_windows(mp, cfg, cut_us)
         res = run_scenario(cfg, seed=seed)
     exchanges = res.metrics.success_events + res.metrics.collision_events
     assert scan.exchanges == exchanges
     assert scan.decisions >= exchanges
     assert scan.pending is None
+    if cut_us is not None:
+        assert scan.closes == len(cuts)
     return scan, res
 
 
@@ -253,112 +330,31 @@ def test_calendar_decides_as_a_scan_of_every_counter(
 @settings(max_examples=30, deadline=None)
 def test_every_lte_counter_loses_the_slots_after_its_lead(
         n, m, slot_us, lbt_cw, duty_off_factor, window_us, seed):
-    # The driver leaves sleeping nodes off its walk; a shadow of every
-    # node's counter, run down by the rule itself, must still agree at
-    # every decision that starts an exchange, after every window close
-    # and at the end. With window_us the run is cut into windows that
-    # close at their end, or after an exchange that overruns one, as
-    # beacons cut a coordinated run.
+    # The driver leaves sleeping nodes off its walk; the scan's shadow of
+    # every node's counter, run down by the rule itself, must still agree
+    # before every exchange and after every window. With window_us the
+    # run is cut into windows that end at their end, or after an exchange
+    # that overruns one, as beacons cut a coordinated run.
     cfg = ScenarioConfig(
         scheme="lbt", n_wifi=n, m_lte=m, duration_s=0.1,
         timing=MacTiming(slot_us=slot_us), channel=NEAR,
         lbt=dataclasses.replace(ScenarioConfig().lbt,
                                 contention_window=lbt_cw,
                                 duty_off_factor=duty_off_factor))
-    shadow: dict[int, int] = {}
-    checked = {"exchanges": 0, "closes": 0, "end": 0}
-    drivers = []
-    cls = ContentionDriver
-    init, close, open_window = cls.__init__, cls.close_window, cls.open_window
-    schedule, draw = Simulator.schedule, LbtNode.draw_backoff
-
-    def run_down(driver, k):
-        # every node loses the slots after its lead at the anchor
-        for node in driver.lbt_nodes:
-            shadow[id(node)] -= max(0, k - _lead(node, driver.phase_start,
-                                                 slot_us))
-
-    def agree(driver, what):
-        assert {id(nd): nd.counter for nd in driver.lbt_nodes} == shadow
-        checked[what] += 1
-
-    def patched_init(driver, *args, **kwargs):
-        init(driver, *args, **kwargs)
-        drivers.append(driver)
-
-    def patched_schedule(sim, time_us, kind, target, fn=None):
-        if kind == "tx-end":
-            # an exchange starts now: what came before it must agree,
-            # then it takes s_min + 1 (the winners redraw into the shadow)
-            (driver,) = drivers
-            agree(driver, "exchanges")
-            run_down(driver, (sim.now - driver.phase_start) // slot_us + 1)
-        schedule(sim, time_us, kind, target, fn)
-
-    def patched_close(driver, t_us):
-        if driver.phase_start < driver.window_end:
-            run_down(driver, (t_us - driver.phase_start) // slot_us)
-        close(driver, t_us)
-        agree(driver, "closes")
-
-    def patched_draw(node):
-        draw(node)
-        shadow[id(node)] = node.counter
-
-    # a window ends at least one longest exchange before the run's end,
-    # so an exchange that overruns it still ends inside the run
-    durations = exchange_durations(cfg.timing)
-    longest = max(cfg.lbt.burst_us, durations.t_success_ticks,
-                  durations.t_collision_ticks)
-    cuts = 0
-
-    def open_next(driver, start_us, end_us):
-        next_end = start_us + window_us
-        if next_end + longest > end_us:
-            open_window(driver, start_us, end_us)
-            return
-        open_window(driver, start_us, next_end)
-        driver.sim.schedule(next_end, "beacon", "cut",
-                            partial(cut, driver, end_us))
-
-    def cut(driver, end_us):
-        nonlocal cuts
-        now = driver.sim.now
-        if driver.busy_until > now:   # overrun: close when it ends
-            driver.sim.schedule(driver.busy_until, "beacon", "cut",
-                                partial(cut, driver, end_us))
-            return
-        cuts += 1
-        patched_close(driver, now)
-        open_next(driver, now, end_us)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cls, "__init__", patched_init)
-        mp.setattr(Simulator, "schedule", patched_schedule)
-        mp.setattr(cls, "close_window", patched_close)
-        mp.setattr(LbtNode, "draw_backoff", patched_draw)
-        if window_us is not None:
-            mp.setattr(cls, "open_window", open_next)
-        res = run_scenario(cfg, seed=seed)
-    agree(drivers[0], "end")   # the last exchange, too
-    assert checked["exchanges"] == (res.metrics.success_events
-                                    + res.metrics.collision_events)
-    assert checked["closes"] == cuts
+    _scanned_run(cfg, seed, cut_us=window_us)
 
 
 @pytest.mark.parametrize("scheme", ["wifi-only", "lbt", "hap-sa", "hap-uca"])
 def test_each_count_is_kept_once_and_agrees_with_the_driver(scheme):
-    # Stations count their own successes and collisions, and the bits
-    # are set from those counts when the run ends; tally the exchanges
-    # the scan saw the driver start beside them
+    # Stations count their own successes and collisions, and the Wi-Fi
+    # bits are read from those counts; tally the exchanges the scan saw
+    # the driver start beside them
     cfg = ScenarioConfig(scheme=scheme, n_wifi=6,
                          m_lte=0 if scheme == "wifi-only" else 3,
                          duration_s=1.0, channel=NEAR)
     scan, res = _scanned_run(cfg, seed=3)
     stations, tally = scan.driver.stations, scan.tally
     bits = cfg.timing.payload_bits
-    assert res.metrics.wifi_bits == {st.station_id: st.success_count * bits
-                                     for st in stations}
     successes = sum(st.success_count for st in stations)
     assert successes == tally["success"] > 0
     assert sum(st.collision_count for st in stations) \
@@ -423,10 +419,15 @@ def test_the_driver_runs_the_medium_as_a_slot_stepping_reference(cfg, seed):
     assert counts == list(zip(ref.successes, ref.collisions))
     assert counts == [(st.success_count, st.collision_count)
                       for st in ref.stations]
-    for name in ("wifi_bits", "lte_bits", "lte_airtime_us",
+    for name in ("lte_bits", "lte_airtime_us",
                  "success_events", "collision_events"):
         assert getattr(res.metrics, name) == getattr(ref_res.metrics, name)
     assert res.row.csv_values() == ref_res.row.csv_values()
+    # the counters left when the run ends, its last idle slots taken
+    left = {i: slot - driver._vslot
+            for slot, bucket in driver._calendar.items() for i in bucket}
+    assert [left[i] for i in range(len(driver.stations))] == ref.wifi_left
+    assert [node.counter for node in driver.lbt_nodes] == ref.lte_left
 
 
 def _driver(n_wifi=1, m_lte=0, run_end_us=1_000_000, wakes_us=(), **lbt):
@@ -511,39 +512,65 @@ def _one_station_driver(run_end_us=1_000_000):
 
 
 def test_a_window_closes_only_at_its_end():
+    # the first decision falls at the window's end, so the window ends
+    # idle as it opens; a beacon's check passes only from its end on
     sim, station, driver = _one_station_driver()
     counter = station.counter
-    end = counter * driver.timing.slot_us   # the first decision falls here
+    end = counter * driver.timing.slot_us
     assert end > 0
     driver.open_window(0, end)
-    with pytest.raises(RuntimeError, match="window ends at"):
+    assert driver.phase_start == driver.window_end == end
+    assert driver.metrics.idle_us == end
+    assert driver._vslot == counter
+    with pytest.raises(RuntimeError, match="not over"):
         driver.close_window(end - 1)
     assert sim.run_until(end).processed == 0
     driver.close_window(end)
-    assert driver.phase_start == driver.window_end
-    assert driver.metrics.idle_us == end
-    driver.close_window(end)   # already closed: nothing happens
-    assert driver._vslot == counter
+    driver.close_window(end)   # a check: it changes nothing
+    assert driver.metrics.idle_us == end and driver._vslot == counter
     # all idle slots consumed: the next window starts with the exchange
     driver.open_window(end, 2 * end)
     sim.run_until(end)
     assert driver.tx_intervals == [(end, driver.busy_until)]
 
 
+def test_a_close_before_a_queued_decision_fires_is_an_error():
+    # the decision at tx is queued; a beacon's check at the window's end
+    # before the engine reaches tx finds the window open and changes
+    # nothing: the decision still starts its exchange when it fires
+    sim, station, driver = _one_station_driver()
+    tx = station.counter * driver.timing.slot_us
+    driver.open_window(0, tx + 100)
+    with pytest.raises(RuntimeError, match="not over"):
+        driver.close_window(tx + 100)
+    assert driver.busy_until == 0 and driver.tx_intervals == []
+    assert driver.phase_start == 0 and driver.metrics.idle_us == 0
+    sim.run_until(tx + 100)
+    assert driver.tx_intervals == [(tx, driver.busy_until)]
+    with pytest.raises(RuntimeError, match="busy medium"):
+        driver.close_window(tx + 100)
+
+
 def test_a_window_that_forbids_overrun_ends_with_the_run():
+    # the run's last window ends idle at the run's end by itself: a
+    # check there passes, and finalize books nothing more
     sim, _, driver = _one_station_driver()
     driver.open_window(0, 1_000_000)
     sim.run_until(1_000_000)
-    with pytest.raises(RuntimeError, match="last window ends with the run"):
-        driver.close_window(1_000_000)
+    assert driver.phase_start == driver.window_end == 1_000_000
+    idle = driver.metrics.idle_us
+    driver.close_window(1_000_000)
     driver.finalize(1_000_000)
-    assert driver.phase_start == driver.window_end
+    assert driver.metrics.idle_us == idle
+    driver.metrics.assert_ledger(1_000_000)
 
 
 def test_only_the_runs_last_window_freezes_an_exchange_past_its_end():
     _, station, _ = _one_station_driver()
-    tx = station.counter * MacTiming().slot_us   # the first decision
-    end = tx + 1                                 # falls inside its exchange
+    slot = MacTiming().slot_us
+    counter = station.counter
+    tx = counter * slot          # the first decision
+    end = tx + 3 * slot          # falls inside its exchange
 
     # a window that ends before the run's end is overrun
     sim, _, driver = _one_station_driver()
@@ -552,7 +579,8 @@ def test_only_the_runs_last_window_freezes_an_exchange_past_its_end():
     assert driver.tx_intervals == [(tx, driver.busy_until)]
     assert driver.busy_until > end
 
-    # the window that ends at the run's end leaves the decision frozen
+    # the window that ends at the run's end leaves the decision frozen;
+    # it ends idle and takes s_min slots, not all three past it
     sim, _, driver = _one_station_driver(run_end_us=end)
     with pytest.raises(ValueError, match="end by the run's end"):
         driver.open_window(0, end + 1)
@@ -562,3 +590,4 @@ def test_only_the_runs_last_window_freezes_an_exchange_past_its_end():
     assert driver.tx_intervals == [] and driver.busy_until == 0
     assert driver.metrics.idle_us == end
     assert driver.phase_start == driver.window_end
+    assert driver._vslot == counter
