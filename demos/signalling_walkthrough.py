@@ -22,16 +22,17 @@ trace = SignallingTrace()
 
 def beacon(fsm, time_us):
     """The events a beacon at time_us drives this machine through."""
-    return [(time_us, event, {}) for event in fsm.BEACON_PATH.get(fsm.state, ())]
+    return [(time_us, event) for event in fsm.BEACON_PATH.get(fsm.state, ())]
 
 
-def drive(fsm, script):
+def drive(fsm, script, n=None):
+    """Step fsm through (time_us, event) pairs; n goes to a data-request."""
     print(f"-- {fsm.KIND} ({fsm.ue_id}), starts {fsm.state!r}")
-    for time_us, event, info in script:
+    for time_us, event in script:
         before = fsm.state
-        after, emitted = fsm_step(fsm, event, time_us, **info)
-        sent = f"  -> sends {', '.join(emitted)}" if emitted else ""
-        print(f"   {time_us:>6} us  {before:<22} --{event}--> {after}{sent}")
+        after = fsm_step(fsm, event, time_us,
+                         n if event == "data-request" else None)
+        print(f"   {time_us:>6} us  {before:<22} --{event}--> {after}")
     print()
 
 
@@ -39,10 +40,10 @@ def drive(fsm, script):
 # the beacon that opens aggregation
 uca = UcaFsm("lte-00", trace)
 drive(uca, [
-    (0, "assoc-request", {}),
-    (10, "ul-grant", {}),
-    (20, "identity", {}),
-    (30, "rrc", {}),
+    (0, "assoc-request"),
+    (10, "ul-grant"),
+    (20, "identity"),
+    (30, "rrc"),
 ])
 drive(uca, beacon(uca, 500))
 
@@ -52,19 +53,19 @@ dtx = SaDtxFsm("lte-01", trace)
 drive(dtx, beacon(dtx, 500))
 grant = TxopGrant("lte-01", 1000, sa_txop_duration(6), n_subframes=6)
 trace.grants.append(grant)
-dtx_script = [(grant.start_us, "data-request", {"n": grant.n_subframes})]
-dtx_script += [(1000 + 1000 * (k + 1), "subframe-tick", {}) for k in range(7)]
-drive(dtx, dtx_script)
+dtx_script = [(grant.start_us, "data-request")]
+dtx_script += [(1000 + 1000 * (k + 1), "subframe-tick") for k in range(7)]
+drive(dtx, dtx_script, n=grant.n_subframes)
 print(f"   beacon while {dtx.state!r}: path {beacon(dtx, 8500)}, "
       f"schedulable={dtx.schedulable}\n")
-drive(dtx, [(1000 + 1000 * (k + 1), "subframe-tick", {}) for k in range(7, 10)])
+drive(dtx, [(1000 + 1000 * (k + 1), "subframe-tick") for k in range(7, 10)])
 
 # standalone downlink user: periodic control-channel checks, then the
 # beacon path that configures it
 drx = SaDrxFsm("lte-02", trace)
 drive(drx, [
-    (2000, "subframe-tick", {}),
-    (2000, "pdcch-absent", {}),
+    (2000, "subframe-tick"),
+    (2000, "pdcch-absent"),
 ])
 drive(drx, beacon(drx, 3000))
 

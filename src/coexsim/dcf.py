@@ -184,11 +184,10 @@ class WifiStation:
     ``BackoffReplay`` of the fresh stream ``rng``.
     """
 
-    __slots__ = ("station_id", "timing", "rng", "stage", "counter",
-                 "success_count", "collision_count")
+    __slots__ = ("timing", "rng", "stage", "counter", "success_count",
+                 "collision_count")
 
-    def __init__(self, station_id: str, timing: MacTiming, rng: np.random.Generator):
-        self.station_id = station_id
+    def __init__(self, timing: MacTiming, rng: np.random.Generator):
         self.timing = timing
         self.rng = BackoffReplay(rng)
         self.stage = 0

@@ -20,10 +20,12 @@ planner issues is appended to a shared trace that ``conformance_check``
 replays and audits in one forward pass; a user whose records go back in
 time fails it.
 
-A run steps machines many thousands of times (a standalone user takes
-ten subframe ticks per grant), so a step is kept cheap: each class
-compiles its ``TABLE`` once, when the class is created, into moves that
-are either a successor state or the handler function itself, and a
+A machine is its ``TABLE``, read as written with no compile pass: each
+(state, event) maps to a successor state or to the handler function
+that computes one, so a step is one lookup and a handler is replaced
+by replacing it in the table. ``fsm_step`` is ``_Fsm.step`` itself and
+returns the new state. A run steps machines many thousands of times (a
+standalone user takes ten subframe ticks per grant), and a
 ``TransitionRecord`` is a named tuple, built without a Python frame.
 """
 
@@ -74,23 +76,14 @@ class SignallingTrace:
 
 class _Fsm:
     """Table-driven base. Subclasses fill TABLE with either a successor
-    state name or the name of a method computing one from the step's n,
+    state name or the handler function computing one from the step's n,
     which only a data-request carries."""
 
     KIND = "fsm"
     INITIAL = "idle"
-    TABLE: dict[tuple[str, str], str] = {}
-    EMITS: dict[tuple[str, str], tuple[str, ...]] = {}
+    TABLE: dict[tuple[str, str], str | Callable[[_Fsm, int | None], str]] = {}
     # resting state -> events a beacon drives the machine through
     BEACON_PATH: dict[str, tuple[str, ...]] = {}
-    # TABLE compiled: a successor state, or the handler function
-    _MOVES: dict[tuple[str, str], str | Callable[..., str]] = {}
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._MOVES = {key: getattr(cls, target)
-                      if target.startswith("_on_") else target
-                      for key, target in cls.TABLE.items()}
 
     def __init__(self, ue_id: str, trace: SignallingTrace | None = None):
         self.ue_id = ue_id
@@ -100,9 +93,11 @@ class _Fsm:
             trace.machines[ue_id] = self.KIND
 
     def step(self, event: str, time_us: int = 0, n: int | None = None) -> str:
-        """Take one event; n is the cycle length of a data-request."""
+        """Take one event and return the new state; n is the cycle length
+        of a data-request. An illegal (state, event) pair raises
+        ProtocolViolation naming both."""
         before = self.state
-        move = self._MOVES.get((before, event))
+        move = self.TABLE.get((before, event))
         if move is None:
             raise ProtocolViolation(self.KIND, self.ue_id, before, event)
         after = move if type(move) is str else move(self, n)
@@ -118,6 +113,10 @@ class _Fsm:
         return self.state in GRANTABLE_STATES
 
 
+# The module-level name the coordinator steps every machine by.
+fsm_step = _Fsm.step
+
+
 class UcaFsm(_Fsm):
     """Aggregation user: association rides the licensed band, data the
     unlicensed one. Hearing a beacon after RRC setup opens aggregation."""
@@ -131,15 +130,12 @@ class UcaFsm(_Fsm):
         ("rrc-configured", "beacon"): "aggregating",
         ("aggregating", "beacon"): "aggregating",
     }
-    EMITS = {
-        ("association-requested", "ul-grant"): ("identity",),
-        ("identity-sent", "rrc"): ("rrc-complete",),
-    }
     BEACON_PATH = {"rrc-configured": ("beacon",), "aggregating": ("beacon",)}
 
 
 class _CycleFsm(_Fsm):
-    """Shared n-active / (10-n)-sleep bookkeeping."""
+    """Shared n-active / (10-n)-sleep bookkeeping: a cycle is n and the
+    count of subframe ticks heard since its data-request."""
 
     ACTIVE_STATE = ""
     SLEEP_STATE = ""
@@ -147,27 +143,21 @@ class _CycleFsm(_Fsm):
 
     def __init__(self, ue_id: str, trace: SignallingTrace | None = None):
         super().__init__(ue_id, trace)
-        self.active_remaining = 0
-        self.sleep_remaining = 0
+        self.n = 0
+        self.ticks = 0
 
     def _on_data_request(self, n: int | None) -> str:
         if n is None or not 1 <= n <= FRAME_SUBFRAMES:
             raise ValueError(f"cycle length n={n} outside [1, {FRAME_SUBFRAMES}]")
-        self.active_remaining = n
-        self.sleep_remaining = FRAME_SUBFRAMES - n
+        self.n = n
+        self.ticks = 0
         return self.ACTIVE_STATE
 
-    def _on_active_tick(self, _n: int | None) -> str:
-        self.active_remaining -= 1
-        if self.active_remaining > 0:
+    def _on_tick(self, _n: int | None) -> str:
+        ticks = self.ticks = self.ticks + 1
+        if ticks < self.n:
             return self.ACTIVE_STATE
-        if self.sleep_remaining == 0:
-            return self.RESUME_STATE
-        return self.SLEEP_STATE
-
-    def _on_sleep_tick(self, _n: int | None) -> str:
-        self.sleep_remaining -= 1
-        if self.sleep_remaining > 0:
+        if ticks < FRAME_SUBFRAMES:
             return self.SLEEP_STATE
         return self.RESUME_STATE
 
@@ -184,12 +174,9 @@ class SaDtxFsm(_CycleFsm):
         ("idle", "beacon"): "discovery",
         ("discovery", "identity"): "associated",
         ("associated", "beacon"): "associated",
-        ("associated", "data-request"): "_on_data_request",
-        ("transferring", "subframe-tick"): "_on_active_tick",
-        ("dtx-sleep", "subframe-tick"): "_on_sleep_tick",
-    }
-    EMITS = {
-        ("idle", "beacon"): ("identity",),
+        ("associated", "data-request"): _CycleFsm._on_data_request,
+        ("transferring", "subframe-tick"): _CycleFsm._on_tick,
+        ("dtx-sleep", "subframe-tick"): _CycleFsm._on_tick,
     }
     BEACON_PATH = {"idle": ("beacon", "identity"), "associated": ("beacon",)}
 
@@ -209,12 +196,9 @@ class SaDrxFsm(_CycleFsm):
         ("pdcch-check", "pdcch-present"): "request-pending",
         ("request-pending", "identity"): "configured",
         ("configured", "beacon"): "configured",
-        ("configured", "data-request"): "_on_data_request",
-        ("receiving", "subframe-tick"): "_on_active_tick",
-        ("drx-sleep", "subframe-tick"): "_on_sleep_tick",
-    }
-    EMITS = {
-        ("pdcch-check", "pdcch-present"): ("identity",),
+        ("configured", "data-request"): _CycleFsm._on_data_request,
+        ("receiving", "subframe-tick"): _CycleFsm._on_tick,
+        ("drx-sleep", "subframe-tick"): _CycleFsm._on_tick,
     }
     BEACON_PATH = {
         "sleeping": ("subframe-tick", "pdcch-present", "identity"),
@@ -223,18 +207,6 @@ class SaDrxFsm(_CycleFsm):
 
 
 FSM_KINDS = {"uca": UcaFsm, "sa-dtx": SaDtxFsm, "sa-drx": SaDrxFsm}
-
-
-def fsm_step(machine: _Fsm, event: str, time_us: int = 0,
-             n: int | None = None) -> tuple[str, tuple[str, ...]]:
-    """Advance one machine by one event.
-
-    Returns the new state together with the abstract messages the user
-    equipment sends in response. Illegal (state, event) pairs raise
-    ProtocolViolation naming both.
-    """
-    key = (machine.state, event)
-    return machine.step(event, time_us, n), machine.EMITS.get(key, ())
 
 
 @dataclass(frozen=True)

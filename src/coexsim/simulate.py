@@ -8,8 +8,8 @@ trace hash) that the invariant checks inspect.
 
 The coordinator queues its callbacks (beacons, subframe ticks, CFP and
 TXOP ends) as ``functools.partial`` objects built during the run; a
-subframe tick is ``fsm_step`` bound to its machine and time, so a tick
-costs the step and no wrapper frame of its own.
+subframe tick is ``fsm_step``, the machine's own step, bound to its
+machine and time, so a tick costs the step and its tick handler.
 """
 
 from __future__ import annotations
@@ -195,8 +195,7 @@ def run_scenario(config: ScenarioConfig, seed: int) -> RunResult:
     metrics = MetricsAccumulator()
     t_end = config.duration_us
 
-    stations = [WifiStation(f"wifi-{i:02d}", timing,
-                            sim.fork_rng(f"wifi-{i:02d}"))
+    stations = [WifiStation(timing, sim.fork_rng(f"wifi-{i:02d}"))
                 for i in range(config.n_wifi)]
 
     links: dict = {}

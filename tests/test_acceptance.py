@@ -282,7 +282,7 @@ def test_criterion_8_structural_suite(criterion_log):
     if [contention_window(s, t) for s in range(8)] != [
             16, 32, 64, 128, 256, 512, 1024, 1024]:
         failures.append("contention window ladder")
-    station = WifiStation("w", t, np.random.default_rng(0))
+    station = WifiStation(t, np.random.default_rng(0))
     for _ in range(9):
         station.on_collision()
     if station.stage != 6:

@@ -20,14 +20,17 @@ frame is gone: 6.45, 7.05 and 8.42.
 The coordinated schemes spend most of their time in the contention-free
 period, so they are held per planned grant instead. A standalone grant
 queues ten subframe ticks, and each tick used to go through a lambda, a
-helper of the run (``_tick``), the step, a lookup of what the step emits and a
-dataclass record: 184.8 calls per grant for hap-sa and 43.6 for hap-uca
-at N=2, M=30. Ticks and the other coordinator callbacks are now queued
-as partials, a machine's table is compiled once per class and records
-are named tuples, which brought them to about 121 and 34. Planning sums
-its grants and checks them for overlap in one plain loop, and the
-contention period's draws and exchanges cost less as above: about 105
-and 28, then 101 and 27.1 with the medium as one process.
+helper of the run (``_tick``), a step wrapper, the step, a lookup of
+what the step emits and a dataclass record: 184.8 calls per grant for
+hap-sa and 43.6 for hap-uca at N=2, M=30. Ticks and the other
+coordinator callbacks are now queued as partials, a machine's table
+was compiled once per class and records are named tuples, which brought
+them to about 121 and 34. Planning sums its grants and checks them for
+overlap in one plain loop, and the contention period's draws and
+exchanges cost less as above: about 105 and 28, then 101 and 27.1 with
+the medium as one process. The step wrapper and its emits lookup are
+gone: a tick is the machine's own step and one tick handler, 86.9 and
+25.7.
 
 The tests count Python ``call`` events with ``sys.setprofile`` over
 short seeded runs, so host speed cannot make them flaky, and fail if a
@@ -44,11 +47,11 @@ from coexsim.radio import ChannelParams
 from coexsim.scenario import ScenarioConfig
 from coexsim.simulate import RunResult, run_scenario
 
-# The figures these runs make, rounded up. hap-sa makes 100.96 alone and
+# The figures these runs make, rounded up. hap-sa makes 86.87 alone and
 # a few calls more after other tests have run in the process, so it gets
 # one more call per grant.
 BUDGET = {("wifi-only", 30): 7, ("lbt", 30): 8, ("wifi-only", 120): 9}
-GRANT_BUDGET = {"hap-sa": 102, "hap-uca": 28}
+GRANT_BUDGET = {"hap-sa": 88, "hap-uca": 26}
 
 
 def _counted_run(cfg: ScenarioConfig) -> tuple[int, RunResult]:

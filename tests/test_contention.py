@@ -76,6 +76,7 @@ class _Scan:
         self.index: dict[int, int] = {}
         self.anchor = self.window_end = 0
         self.pending = None         # the last exchange: expected, redrawn
+        self.drawn: dict[int, int] = {}     # node -> its counter as drawn
         self.decisions = 0
         self.exchanges = 0
         self.closes = 0
@@ -86,6 +87,7 @@ class _Scan:
         init, open_window = cls.__init__, cls.open_window
         close, finalize = cls.close_window, cls.finalize
         schedule, duty_off = Simulator.schedule, LbtNode.start_duty_off
+        draw = LbtNode.draw_backoff
         scan = self
 
         def patched_init(driver, *args, **kwargs):
@@ -125,6 +127,12 @@ class _Scan:
             duty_off(node, *args)
             scan.redrew("lte", scan.index[id(node)], None)
 
+        def patched_draw(node):
+            draw(node)
+            j = scan.index.get(id(node))
+            if j is not None:   # a node's first draw comes before the driver
+                scan.drawn[j] = node.counter
+
         mp.setattr(cls, "__init__", patched_init)
         mp.setattr(cls, "open_window", patched_open)
         mp.setattr(cls, "close_window", patched_close)
@@ -135,6 +143,7 @@ class _Scan:
         mp.setattr(WifiStation, "on_collision",
                    redraw(WifiStation.on_collision, True))
         mp.setattr(LbtNode, "start_duty_off", patched_duty_off)
+        mp.setattr(LbtNode, "draw_backoff", patched_draw)
 
     def run_down(self, k: int) -> None:
         """k slots pass from the anchor: a node loses those after its
@@ -210,14 +219,16 @@ class _Scan:
 
     def settle(self) -> None:
         """The last exchange's winners, and only they, have redrawn; the
-        shadow takes their fresh counters."""
+        shadow takes their fresh counters. A node's is the one it drew:
+        the decision after its burst may already have ended a window idle
+        and run the node's own counter down."""
         if self.pending is not None:
             expected, redrawn, _ = self.pending
             assert redrawn == expected
             for i in expected["wifi"]:
                 self.live[i] = self.driver.stations[i].counter
             for j in expected["lte"]:
-                self.lte_live[j] = self.driver.lbt_nodes[j].counter
+                self.lte_live[j] = self.drawn.pop(j)
             self.pending = None
 
     def window_over(self) -> None:
@@ -434,8 +445,7 @@ def _driver(n_wifi=1, m_lte=0, run_end_us=1_000_000, wakes_us=(), **lbt):
     """A driver on the default timing; node j wakes at wakes_us[j]."""
     timing = MacTiming()
     sim = Simulator(root_seed=1)
-    stations = [WifiStation(f"wifi-{i:02d}", timing,
-                            sim.fork_rng(f"wifi-{i:02d}"))
+    stations = [WifiStation(timing, sim.fork_rng(f"wifi-{i:02d}"))
                 for i in range(n_wifi)]
     nodes = [LbtNode(f"lte-{j:02d}", LbtParams(**lbt),
                      LinkBudget(f"lte-{j:02d}", 10.0, 66.4, 100.0),

@@ -104,7 +104,7 @@ def test_draw_backoff_stage0_mean():
 
 
 def test_station_success_resets_stage_and_counts_payload():
-    st_ = WifiStation("wifi-00", T, np.random.default_rng(0))
+    st_ = WifiStation(T, np.random.default_rng(0))
     st_.on_collision()
     st_.on_collision()
     assert st_.stage == 2 and st_.collision_count == 2
@@ -115,7 +115,7 @@ def test_station_success_resets_stage_and_counts_payload():
 
 
 def test_station_stage_clamps_at_max():
-    st_ = WifiStation("wifi-00", T, np.random.default_rng(0))
+    st_ = WifiStation(T, np.random.default_rng(0))
     for _ in range(20):
         st_.on_collision()
     assert st_.stage == T.max_backoff_stage == 6
@@ -151,7 +151,7 @@ def test_replay_draws_what_numpy_draws(seed):
 @pytest.mark.parametrize("timing", [T, MacTiming(cw_min=1, cw_max=4,
                                                  max_backoff_stage=3)])
 def test_station_counters_match_a_numpy_reference(timing):
-    station = WifiStation("wifi-00", timing, np.random.default_rng(21))
+    station = WifiStation(timing, np.random.default_rng(21))
     ref_rng, ref_stage = np.random.default_rng(21), 0
     ref = [int(ref_rng.integers(0, contention_window(0, timing)))]
     got = [station.counter]

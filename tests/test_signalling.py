@@ -13,6 +13,7 @@ from coexsim.signalling import (
     SignallingTrace,
     TransitionRecord,
     UcaFsm,
+    _CycleFsm,
     conformance_check,
     fsm_step,
 )
@@ -23,16 +24,11 @@ from coexsim.signalling import (
 def test_uca_association_happy_path():
     fsm = UcaFsm("lte-00")
     assert fsm.state == "idle" and not fsm.schedulable
-    state, emitted = fsm_step(fsm, "assoc-request")
-    assert state == "association-requested" and emitted == ()
-    state, emitted = fsm_step(fsm, "ul-grant")
-    assert state == "granted" and emitted == ("identity",)
-    state, _ = fsm_step(fsm, "identity")
-    assert state == "identity-sent"
-    state, emitted = fsm_step(fsm, "rrc")
-    assert state == "rrc-configured" and emitted == ("rrc-complete",)
-    state, _ = fsm_step(fsm, "beacon")
-    assert state == "aggregating" and fsm.schedulable
+    assert fsm_step(fsm, "assoc-request") == "association-requested"
+    assert fsm_step(fsm, "ul-grant") == "granted"
+    assert fsm_step(fsm, "identity") == "identity-sent"
+    assert fsm_step(fsm, "rrc") == "rrc-configured"
+    assert fsm_step(fsm, "beacon") == "aggregating" and fsm.schedulable
     # further beacons keep the session alive
     assert fsm.step("beacon") == "aggregating"
 
@@ -50,8 +46,7 @@ def test_uca_rejects_out_of_order_events():
 def test_dtx_full_cycle_n6():
     fsm = SaDtxFsm("lte-01")
     assert fsm.state == "idle"
-    state, emitted = fsm_step(fsm, "beacon")
-    assert state == "discovery" and emitted == ("identity",)
+    assert fsm_step(fsm, "beacon") == "discovery"
     assert fsm.step("identity") == "associated"
     assert fsm.schedulable
     assert fsm.step("data-request", n=6) == "transferring"
@@ -102,8 +97,7 @@ def test_drx_absent_control_goes_back_to_sleep():
 def test_drx_full_path_with_cycle():
     fsm = SaDrxFsm("lte-02")
     fsm.step("subframe-tick")
-    state, emitted = fsm_step(fsm, "pdcch-present")
-    assert state == "request-pending" and emitted == ("identity",)
+    assert fsm_step(fsm, "pdcch-present") == "request-pending"
     assert fsm.step("identity") == "configured"
     assert fsm.step("beacon") == "configured"
     assert fsm.step("data-request", n=8) == "receiving"
@@ -114,19 +108,36 @@ def test_drx_full_path_with_cycle():
     assert fsm.step("subframe-tick") == "configured"
 
 
+@pytest.mark.parametrize("cls", [SaDtxFsm, SaDrxFsm], ids=["dtx", "drx"])
+@pytest.mark.parametrize("n", range(1, FRAME_SUBFRAMES + 1))
+def test_a_cycle_of_n_runs_n_active_then_the_rest_asleep(cls, n):
+    trace = SignallingTrace()
+    fsm = cls("lte-01", trace=trace)
+    for event in cls.BEACON_PATH[cls.INITIAL]:
+        fsm.step(event, 500)
+    # the path is the data-request's state, then one state per tick
+    path = [fsm.step("data-request", 1000, n=n)]
+    path += [fsm.step("subframe-tick", 1000 + 1000 * k)
+             for k in range(1, FRAME_SUBFRAMES + 1)]
+    assert path == ([cls.ACTIVE_STATE] * n
+                    + [cls.SLEEP_STATE] * (FRAME_SUBFRAMES - n)
+                    + [cls.RESUME_STATE])
+    with pytest.raises(ProtocolViolation):
+        fsm.step("subframe-tick", 12_000)
+    report = conformance_check(trace)
+    assert report and report.cycles_checked == 1
+
+
 def test_tables_are_deterministic_and_kinds_registered():
     for kind, cls in FSM_KINDS.items():
         assert cls.KIND == kind
         # one successor per (state, event); dict construction already
-        # guarantees it, so just confirm every target resolves
-        for (state, event), target in cls.TABLE.items():
-            assert isinstance(target, str)
-            move = cls._MOVES[state, event]
-            if target.startswith("_on_"):
-                assert move is getattr(cls, target) and callable(move)
-            else:
-                assert move == target
-        assert cls._MOVES.keys() == cls.TABLE.keys()
+        # guarantees it, so just confirm every target is a state name or
+        # one of the cycle machine's handlers
+        handlers = ({_CycleFsm._on_data_request, _CycleFsm._on_tick}
+                    if issubclass(cls, _CycleFsm) else set())
+        for target in cls.TABLE.values():
+            assert isinstance(target, str) or target in handlers, target
     assert DATA_STATES == {"aggregating", "transferring", "receiving"}
 
 
@@ -193,17 +204,22 @@ def test_conformance_rejects_forged_cycle_length():
 def test_conformance_rejects_broken_cycle_arithmetic(monkeypatch):
     # a machine whose cycle is one sleep subframe short; the replay runs
     # the same broken code, so only the cycle arithmetic can catch it.
-    # A class compiles its table when it is created, so the broken
-    # handler comes in by subclassing, not by patching the method.
-    class ShortCycleDtx(SaDtxFsm):
-        def _on_data_request(self, n=0, **_ignored):
-            self.active_remaining = n
-            self.sleep_remaining = FRAME_SUBFRAMES - n - 1
-            return self.ACTIVE_STATE
+    # The table holds the handler itself, so the broken one goes into a
+    # copy of the table.
+    def short_tick(fsm, _n):
+        fsm.ticks += 1
+        if fsm.ticks < fsm.n:
+            return fsm.ACTIVE_STATE
+        if fsm.ticks < FRAME_SUBFRAMES - 1:
+            return fsm.SLEEP_STATE
+        return fsm.RESUME_STATE
 
-    monkeypatch.setitem(FSM_KINDS, "sa-dtx", ShortCycleDtx)
+    monkeypatch.setattr(SaDtxFsm, "TABLE", {
+        **SaDtxFsm.TABLE,
+        ("transferring", "subframe-tick"): short_tick,
+        ("dtx-sleep", "subframe-tick"): short_tick})
     trace = SignallingTrace()
-    fsm = ShortCycleDtx("lte-01", trace=trace)
+    fsm = SaDtxFsm("lte-01", trace=trace)
     fsm.step("beacon", 500)
     fsm.step("identity", 500)
     fsm.step("data-request", 1000, n=6)
