@@ -88,13 +88,19 @@ the process, which frees its frame and the driver it holds.
 
 Busy periods are recorded once per exchange, as ``(start, end)`` pairs:
 ``tx_intervals`` for exchanges with a Wi-Fi station in them and
-``lte_intervals`` for those with an LTE-U burst. Counts are kept once:
+``lte_intervals`` for those with an LTE-U burst. Each is a
+``BusyPeriods``, which keeps its pairs flat in one int64 array, 16 bytes
+a pair where a list of tuples takes about 129, and the medium logs an
+exchange with two prebound ``array.append`` calls; it reads as a
+sequence of pairs (``len``, iteration, ``==``, ``append``). Counts are
+kept once:
 each station counts its own successes and collisions, and
 ``run_scenario`` reads the Wi-Fi bits from those counts.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import insort
 from heapq import heapify, heappop, heappush
 
@@ -103,6 +109,43 @@ from .dcf import ExchangeDurations, MacTiming, WifiStation
 from .engine import Simulator
 from .lbt import LbtNode, burst_transmit
 from .radio import ChannelParams
+
+
+class BusyPeriods:
+    """(start, end) pairs kept flat in one int64 array: start, end, start,
+    end, ... Reads as a sequence of pairs: ``len`` counts pairs,
+    iteration yields ``(start, end)`` tuples of ints, and ``==`` compares
+    with any sequence of pairs."""
+
+    __slots__ = ("flat",)
+
+    def __init__(self, pairs=()):
+        self.flat = flat = array("q")
+        for start, end in pairs:
+            flat.append(start)
+            flat.append(end)
+
+    def append(self, pair: tuple[int, int]) -> None:
+        start, end = pair
+        self.flat.append(start)
+        self.flat.append(end)
+
+    def __len__(self) -> int:
+        return len(self.flat) // 2
+
+    def __iter__(self):
+        values = iter(self.flat)
+        return zip(values, values)
+
+    def __eq__(self, other):
+        try:
+            pairs = [tuple(pair) for pair in other]
+        except TypeError:
+            return NotImplemented
+        return list(self) == pairs
+
+    def __repr__(self) -> str:
+        return f"BusyPeriods({list(self)!r})"
 
 
 class ContentionDriver:
@@ -136,8 +179,8 @@ class ContentionDriver:
         heapify(self._expiries)
 
         # Busy periods, (start, end): with a Wi-Fi station, with LTE-U.
-        self.tx_intervals: list[tuple[int, int]] = []
-        self.lte_intervals: list[tuple[int, int]] = []
+        self.tx_intervals = BusyPeriods()
+        self.lte_intervals = BusyPeriods()
 
         self._process = self._medium()
         next(self._process)         # to its first wait: no window open
@@ -199,8 +242,8 @@ class ContentionDriver:
         t_success = self.durations.t_success_ticks
         t_collision = self.durations.t_collision_ticks
         run_end = self.run_end_us
-        wifi_log = self.tx_intervals.append
-        lte_log = self.lte_intervals.append
+        wifi_log = self.tx_intervals.flat.append
+        lte_log = self.lte_intervals.flat.append
         vslot = 0
 
         while True:
@@ -284,9 +327,11 @@ class ContentionDriver:
                 metrics.idle_us += tx_time - anchor
                 self.busy_until = end
                 if wifi_w:
-                    wifi_log((tx_time, end))
+                    wifi_log(tx_time)
+                    wifi_log(end)
                 if lte_w:
-                    lte_log((tx_time, end))
+                    lte_log(tx_time)
+                    lte_log(end)
                 schedule(end, "tx-end", "medium", resume)
                 yield               # in flight: the engine resumes at end
 

@@ -17,7 +17,7 @@ before its end time, and with the heap head sorting strictly after the
 event's (time, rank). On an equal (time, rank) the queued event goes
 first, since it has the lower sequence number, so ``fire_inline``
 declines and the caller schedules as usual. Either way the clock, the
-counts, the records and the hash are those that queueing would give.
+counts and the hash are those that queueing would give.
 
 With ``hash_trace``, each fired event adds the line "time kind target"
 to a sha256 digest. Lines are buffered, at most ``HASH_BATCH`` of them,
@@ -66,19 +66,17 @@ class SchedulingError(ValueError):
 
 @dataclass
 class TraceSummary:
-    """What run_until saw: counts, an optional hash, optional raw records."""
+    """What run_until saw: counts and an optional hash."""
 
     processed: int
     by_kind: dict[str, int]
     trace_hash: Optional[str] = None
-    records: Optional[list[tuple[int, str, str]]] = None
 
 
 class Simulator:
     """Event queue, clock, and RNG stream registry for one run."""
 
-    def __init__(self, root_seed: int, keep_trace: bool = False,
-                 hash_trace: bool = False):
+    def __init__(self, root_seed: int, hash_trace: bool = False):
         self.root_seed = root_seed
         self.now: int = 0
         # (time, rank, seq, kind, target, fn); seq is unique, so ties
@@ -94,7 +92,6 @@ class Simulator:
         self._hasher = hashlib.sha256() if hash_trace else None
         # hash lines not yet fed to the hasher; None without hash_trace
         self._lines: Optional[list[str]] = [] if hash_trace else None
-        self._records: Optional[list[tuple[int, str, str]]] = [] if keep_trace else None
         self._t_end: Optional[int] = None   # set while run_until is active
 
     # -- events --------------------------------------------------------
@@ -146,14 +143,11 @@ class Simulator:
             lines.append(f"{time} {kind} {target}\n")
             if len(lines) >= HASH_BATCH:
                 self._flush_hash()
-        if self._records is not None:
-            self._records.append((time, kind, target))
         return True
 
     def run_until(self, t_end: int) -> TraceSummary:
         """Process every event with time <= t_end, then pin the clock there."""
         heap, by_kind, lines = self._heap, self._by_kind, self._lines
-        records = self._records
         self._t_end = t_end
         try:
             while heap and heap[0][0] <= t_end:
@@ -165,8 +159,6 @@ class Simulator:
                     lines.append(f"{time} {kind} {target}\n")
                     if len(lines) >= HASH_BATCH:
                         self._flush_hash()
-                if records is not None:
-                    records.append((time, kind, target))
                 if fn is not None:
                     fn()
         finally:
@@ -188,7 +180,6 @@ class Simulator:
             processed=sum(self._by_kind.values()),
             by_kind={kind: n for kind, n in self._by_kind.items() if n},
             trace_hash=trace_hash,
-            records=self._records,
         )
 
     # -- random streams -------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from functools import partial
 
 from .analytics import MetricsAccumulator
-from .contention import ContentionDriver
+from .contention import BusyPeriods, ContentionDriver
 from .dcf import WifiStation, exchange_durations
 from .engine import Simulator
 from .hap import build_superframe, cfp_transmit
@@ -65,8 +65,8 @@ class RunResult:
     row: ResultRow
     metrics: MetricsAccumulator
     trace_hash: str
-    wifi_tx_intervals: list[tuple[int, int]]
-    lte_tx_intervals: list[tuple[int, int]]
+    wifi_tx_intervals: BusyPeriods
+    lte_tx_intervals: BusyPeriods
     cfp_intervals: list[tuple[int, int]]
     beacon_intervals: list[tuple[int, int]]
     signalling: SignallingTrace | None
@@ -245,7 +245,7 @@ def run_scenario(config: ScenarioConfig, seed: int) -> RunResult:
         airtime_cfp_frac=metrics.cfp_us / t_end,
         airtime_beacon_frac=metrics.beacon_us / t_end,
     )
-    lte_tx = ([(g.start_us, g.end_us) for g in trace.grants]
+    lte_tx = (BusyPeriods([(g.start_us, g.end_us) for g in trace.grants])
               if trace is not None else driver.lte_intervals)
     return RunResult(
         row=row, metrics=metrics, trace_hash=summary.trace_hash,

@@ -32,7 +32,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from coexsim import simulate
 from coexsim.analytics import MetricsAccumulator
-from coexsim.contention import ContentionDriver
+from coexsim.contention import BusyPeriods, ContentionDriver
 from coexsim.dcf import MacTiming, WifiStation, exchange_durations
 from coexsim.engine import Simulator
 from coexsim.lbt import LbtNode, LbtParams
@@ -601,3 +601,47 @@ def test_only_the_runs_last_window_freezes_an_exchange_past_its_end():
     assert driver.metrics.idle_us == end
     assert driver.phase_start == driver.window_end
     assert driver._vslot == counter
+
+
+def test_busy_periods_read_as_a_list_of_pairs():
+    pairs = [(40, 90), (0, 25), (40, 60)]
+    periods = BusyPeriods(pairs)
+    assert len(periods) == 3 and len(periods.flat) == 6
+    assert list(periods.flat) == [40, 90, 0, 25, 40, 60]
+    assert list(periods) == pairs
+    assert all(type(t) is int for pair in periods for t in pair)
+    assert sorted(periods) == sorted(pairs)
+    # equal to the same pairs in either operand order, as lists or tuples
+    assert periods == pairs and pairs == periods
+    assert periods == [list(p) for p in pairs] and tuple(pairs) == periods
+    assert periods == BusyPeriods(pairs) and BusyPeriods(periods) == periods
+    assert not periods != pairs
+    # a pair more, a pair less, another pair or no pairs are unequal
+    assert periods != pairs + [(90, 95)] and pairs[:2] != periods
+    assert periods != [(40, 90), (0, 25), (40, 61)]
+    assert periods != 3 and BusyPeriods() != periods
+    assert BusyPeriods() == [] and [] == BusyPeriods()
+
+
+def test_busy_periods_append_one_pair_at_a_time():
+    periods = BusyPeriods()
+    assert len(periods) == 0 and list(periods) == []
+    periods.append((5, 12))
+    assert len(periods) == 1 and periods == [(5, 12)]
+    periods.append([12, 20])
+    assert periods == [(5, 12), (12, 20)]
+    with pytest.raises(ValueError):
+        periods.append((1, 2, 3))
+    assert periods == [(5, 12), (12, 20)]
+
+
+@pytest.mark.parametrize("scheme", ["lbt", "hap-sa"])
+def test_a_run_keeps_its_busy_periods_flat(scheme):
+    res = run_scenario(ScenarioConfig(scheme=scheme, n_wifi=5, m_lte=2,
+                                      duration_s=0.1, channel=NEAR), seed=3)
+    for periods in (res.wifi_tx_intervals, res.lte_tx_intervals):
+        assert type(periods) is BusyPeriods and len(periods) > 0
+        assert all(s < e for s, e in periods)
+    if res.signalling is not None:      # a hap run's LTE-U periods: grants
+        assert res.lte_tx_intervals == [(g.start_us, g.end_us)
+                                        for g in res.signalling.grants]

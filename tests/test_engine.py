@@ -1,4 +1,4 @@
-"""Event queue ordering, clock rules, trace records, and stream identity."""
+"""Event queue ordering, clock rules, trace hashes, and stream identity."""
 
 import hashlib
 import random
@@ -17,6 +17,13 @@ from coexsim.engine import (
     Simulator,
     make_stream,
 )
+
+
+def _digest(*events):
+    """The trace hash of these (time, kind, target) events, fired in order."""
+    return hashlib.sha256("".join(
+        f"{t} {kind} {target}\n" for t, kind, target in events
+    ).encode()).hexdigest()
 
 
 def test_kind_ranks_cover_expected_order():
@@ -61,13 +68,12 @@ def test_schedule_rejects_non_integer_time():
 
 
 def test_schedule_accepts_numpy_integer_times():
-    sim = Simulator(root_seed=0, keep_trace=True)
+    sim = Simulator(root_seed=0, hash_trace=True)
     seen = []
     sim.schedule(np.int64(12), "timer", "x", lambda: seen.append(sim.now))
     summary = sim.run_until(20)
     assert seen == [12] and type(seen[0]) is int
-    assert summary.records == [(12, "timer", "x")]
-    assert type(summary.records[0][0]) is int
+    assert summary.trace_hash == _digest((12, "timer", "x"))
 
 
 def test_schedule_rejects_unknown_kind():
@@ -83,20 +89,20 @@ def test_run_until_pins_clock_even_with_no_events():
 
 
 def test_run_until_includes_events_at_t_end():
-    sim = Simulator(root_seed=0, keep_trace=True)
+    sim = Simulator(root_seed=0, hash_trace=True)
     fired = []
     sim.schedule(50, "timer", "edge", lambda: fired.append(50))
     sim.schedule(51, "timer", "past-edge", lambda: fired.append(51))
     summary = sim.run_until(50)
     assert fired == [50]
-    # the records list exactly the processed events, nothing still queued
+    # the hash covers exactly the processed events, nothing still queued
     assert summary.processed == 1
-    assert summary.records == [(50, "timer", "edge")]
+    assert summary.trace_hash == _digest((50, "timer", "edge"))
     summary = sim.run_until(51)
     assert fired == [50, 51]
     assert summary.processed == 2
-    assert summary.records == [(50, "timer", "edge"),
-                               (51, "timer", "past-edge")]
+    assert summary.trace_hash == _digest((50, "timer", "edge"),
+                                         (51, "timer", "past-edge"))
 
 
 def test_trace_hash_is_replay_stable_and_order_sensitive():
@@ -116,7 +122,7 @@ def test_trace_hash_absent_unless_requested():
     sim = Simulator(root_seed=0)
     sim.schedule(1, "timer", "x")
     summary = sim.run_until(1)
-    assert summary.trace_hash is None and summary.records is None
+    assert summary.trace_hash is None
 
 
 def test_by_kind_counts_processed_events():
@@ -130,23 +136,34 @@ def test_by_kind_counts_processed_events():
 
 
 def _inline_probe(time, kind, *queued):
-    """Ask fire_inline about (time, kind) from a callback at t=5."""
-    sim = Simulator(root_seed=0, keep_trace=True)
-    got = []
+    """Ask fire_inline about (time, kind) from a callback at t=5; every
+    callback, and the inline event's work, logs (now, kind, target)."""
+    sim = Simulator(root_seed=0, hash_trace=True)
+    got, fired = [], []
+
+    def log(kind, target):
+        fired.append((sim.now, kind, target))
+
+    def probe():
+        log("timer", "probe")
+        got.append(sim.fire_inline(time, kind, "inline"))
+        if got[0]:
+            log(kind, "inline")
+
     for t, k in queued:
-        sim.schedule(t, k, "queued")
-    sim.schedule(5, "timer", "probe",
-                 lambda: got.append(sim.fire_inline(time, kind, "inline")))
+        sim.schedule(t, k, "queued", partial(log, k, "queued"))
+    sim.schedule(5, "timer", "probe", probe)
     summary = sim.run_until(10)
-    return got[0], summary
+    assert summary.trace_hash == _digest(*fired)
+    return got[0], summary, fired
 
 
 def test_fire_inline_logs_the_event_as_the_queue_would():
-    got, summary = _inline_probe(7, "slot-boundary", (7, "timer"))
+    got, summary, fired = _inline_probe(7, "slot-boundary", (7, "timer"))
     assert got is True
-    assert summary.records == [(5, "timer", "probe"),
-                               (7, "slot-boundary", "inline"),
-                               (7, "timer", "queued")]
+    assert fired == [(5, "timer", "probe"),
+                     (7, "slot-boundary", "inline"),
+                     (7, "timer", "queued")]
     assert summary.processed == 3
     assert summary.by_kind == {"timer": 2, "slot-boundary": 1}
 
@@ -157,8 +174,9 @@ def test_fire_inline_declines_an_equal_time_and_rank_head():
     assert _inline_probe(7, "timer", (7, "tx-end"))[0] is False
     assert _inline_probe(7, "timer", (6, "beacon"))[0] is False
     assert _inline_probe(7, "timer", (7, "beacon"))[0] is True
-    got, summary = _inline_probe(7, "timer", (7, "timer"))
-    assert summary.records == [(5, "timer", "probe"), (7, "timer", "queued")]
+    got, summary, fired = _inline_probe(7, "timer", (7, "timer"))
+    assert fired == [(5, "timer", "probe"), (7, "timer", "queued")]
+    assert summary.trace_hash == _digest(*fired)
 
 
 def test_fire_inline_declines_past_t_end_and_outside_run_until():
@@ -194,7 +212,7 @@ def _programs(draw):
 
 def _run_program(program, inline: bool):
     specs, parents, t_end, t_later = program
-    sim = Simulator(root_seed=0, keep_trace=True, hash_trace=True)
+    sim = Simulator(root_seed=0, hash_trace=True)
     if not inline:
         sim.fire_inline = lambda time, kind, target: False
     children = [[j for j, p in enumerate(parents) if p == i]
@@ -220,8 +238,7 @@ def _run_program(program, inline: bool):
             delta, kind, target, _ = specs[i]
             sim.schedule(delta, kind, target, lambda i=i: body(i))
     first = sim.run_until(t_end)
-    first = (first.trace_hash, first.processed, first.by_kind,
-             list(first.records))
+    first = (first.trace_hash, first.processed, first.by_kind)
     return first, sim.run_until(t_later), fired
 
 

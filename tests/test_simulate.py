@@ -5,6 +5,9 @@ acceptance suite, which runs the full-length matrix.
 """
 
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,6 +134,27 @@ def test_hap_wifi_and_lte_never_overlap():
         for ls, le in lte:
             if ls < we and ws < le:
                 pytest.fail(f"wifi [{ws},{we}) overlaps lte [{ls},{le})")
+
+
+def _bench_workloads():
+    """The benchmark's run checks, coexbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "coexbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_audit_flags_a_wifi_period_inside_a_cfp():
+    audit = _bench_workloads().audit
+    cfg = ScenarioConfig(scheme="hap-sa", n_wifi=5, m_lte=3, duration_s=0.5,
+                         channel=NEAR)
+    res = run_scenario(cfg, seed=1)
+    assert audit(cfg, res) == []
+    start, end = res.cfp_intervals[len(res.cfp_intervals) // 2]
+    res.wifi_tx_intervals.append((start + 1, end - 1))
+    assert audit(cfg, res) == ["isolation: 1 Wi-Fi tx in CFP, 0 LTE tx in CP"]
 
 
 @given(scheme=st.sampled_from(["hap-sa", "hap-uca"]),
