@@ -61,10 +61,22 @@ later is frozen, never scheduled, and the window ends idle the same way.
 ``close_window`` changes nothing: it is the beacon's check that the
 medium is idle and its window over.
 
-The medium is one simulation process, the generator ``_medium``, which
-keeps its hot state in locals: V, the window's anchor and end, the slot
-and exchange lengths, the calendar and the LTE-U walk. It waits at three
-points, and each is resumed by one party:
+The medium is one simulation process, a generator, and the driver picks
+one of two at construction, by whether it has LTE-U nodes. With none
+(wifi-only, and the contention periods of hap-sa and hap-uca, whose
+LTE-U users never contend) it runs ``_calendar_medium``: each decision
+reads only the calendar head, whose expiry less V is s_min and whose
+bucket holds the winners, so there are no leads, walk or sleepers to
+keep, and a success files its one winner without a sort or a loop. With
+one or more it runs ``_medium``, which walks the nodes as above. The two
+share every rule and seam described here: a counter past zero is an
+error, an exchange consumes s_min + 1 slots, a window that ends idle
+takes at most s_min, the run's last window freezes a decision that
+would outlast it, and winners redraw through ``on_success`` or
+``on_collision`` and are filed in index order. Each keeps its hot state
+in locals: V, the window's anchor and end, the slot and exchange
+lengths, the calendar, and in ``_medium`` the LTE-U walk. Each waits at
+three points, and each wait is resumed by one party:
 
 - no window open: ``open_window`` resumes it, and it decides;
 - a queued ``slot-boundary``: the engine resumes it when the decision
@@ -182,7 +194,8 @@ class ContentionDriver:
         self.tx_intervals = BusyPeriods()
         self.lte_intervals = BusyPeriods()
 
-        self._process = self._medium()
+        self._process = (self._medium() if self.lbt_nodes
+                         else self._calendar_medium())
         next(self._process)         # to its first wait: no window open
 
     # -- window control -------------------------------------------------
@@ -212,10 +225,112 @@ class ContentionDriver:
             raise RuntimeError("run ended inside a transmission")
         self._process.close()
 
-    # -- the medium process ---------------------------------------------
+    # -- the medium processes -------------------------------------------
+
+    def _calendar_medium(self):
+        """The medium with no LTE-U node, from window to window and
+        exchange to exchange.
+
+        Each decision reads only the calendar head: s_min is its expiry
+        slot less V, and its bucket holds the winners (nobody contends
+        with no station). A success has one winner, which redraws and is
+        filed again; a collision's winners are filed in index order.
+        """
+        sim = self.sim
+        schedule, fire_inline = sim.schedule, sim.fire_inline
+        resume = self._process.__next__
+        metrics = self.metrics
+        stations = self.stations
+        calendar, expiries = self._calendar, self._expiries
+        slot = self.timing.slot_us
+        t_success = self.durations.t_success_ticks
+        t_collision = self.durations.t_collision_ticks
+        run_end = self.run_end_us
+        wifi_log = self.tx_intervals.flat.append
+        vslot = 0
+
+        while True:
+            yield                   # no window open: open_window resumes
+            anchor, window_end = self.phase_start, self.window_end
+            while True:
+                # -- decide ---------------------------------------------
+                if expiries:
+                    head = expiries[0]
+                    s_min = head - vslot
+                    if s_min < 0:
+                        raise RuntimeError(
+                            f"backoff ran {-s_min} slots past zero")
+                    tx_time = anchor + s_min * slot
+                    winners = calendar[head]
+                    collision = len(winners) > 1
+                    duration = t_collision if collision else t_success
+                    end = tx_time + duration
+                    if window_end == run_end and end > window_end:
+                        tx_time = window_end    # would outlast the run
+                else:               # nobody contends: every idle slot
+                    s_min, tx_time = (window_end - anchor) // slot, window_end
+                if tx_time >= window_end:
+                    # the window closes first: it ends idle now, taking
+                    # its idle slots but never more than s_min, so a
+                    # frozen decision keeps its winners at zero
+                    k = (window_end - anchor) // slot
+                    if s_min < k:
+                        k = s_min
+                    self._vslot = vslot = vslot + k
+                    metrics.idle_us += window_end - anchor
+                    self.phase_start = window_end
+                    break
+
+                # -- the exchange starts at tx_time ---------------------
+                if not fire_inline(tx_time, "slot-boundary", "medium"):
+                    schedule(tx_time, "slot-boundary", "medium", resume)
+                    yield           # a queued decision: the engine resumes
+                metrics.idle_us += tx_time - anchor
+                self.busy_until = end
+                wifi_log(tx_time)
+                wifi_log(end)
+                schedule(end, "tx-end", "medium", resume)
+                yield               # in flight: the engine resumes at end
+
+                # -- it ends: consume s_min + 1 slots, book, redraw -----
+                self._vslot = vslot = vslot + s_min + 1
+                # unfile the winners' bucket, then file each at the slot
+                # where its fresh backoff expires
+                del calendar[heappop(expiries)]
+                if collision:
+                    metrics.collision_us += duration
+                    metrics.collision_events += 1
+                    winners.sort()
+                    for i in winners:
+                        st = stations[i]
+                        st.on_collision()
+                        expiry = vslot + st.counter
+                        bucket = calendar.get(expiry)
+                        if bucket is None:
+                            calendar[expiry] = [i]
+                            heappush(expiries, expiry)
+                        else:
+                            bucket.append(i)
+                else:
+                    metrics.success_us += duration
+                    metrics.success_events += 1
+                    i = winners[0]
+                    st = stations[i]
+                    st.on_success()
+                    expiry = vslot + st.counter
+                    bucket = calendar.get(expiry)
+                    if bucket is None:
+                        calendar[expiry] = [i]
+                        heappush(expiries, expiry)
+                    else:
+                        bucket.append(i)
+                self.phase_start = anchor = end
+                if end >= window_end:
+                    break           # overrun, or ended at the window's end
 
     def _medium(self):
-        """The medium, from window to window and exchange to exchange.
+        """The medium with at least one LTE-U node, from window to window
+        and exchange to exchange.
 
         Each decision takes the smallest effective backoff s_min and the
         stations and nodes that hold it. With nodes on the walk or a
@@ -223,7 +338,8 @@ class ContentionDriver:
         ends by the slot where the calendar head expires (every sleeper,
         with no Wi-Fi station), and fixes the walked nodes' leads at the
         anchor for the consume that follows; otherwise it reads only the
-        calendar head.
+        calendar head. Some node is always on the walk or asleep, so
+        someone always contends.
         """
         sim = self.sim
         schedule, fire_inline = sim.schedule, sim.fire_inline
@@ -282,35 +398,31 @@ class ContentionDriver:
                         s_min, wifi_w = lte_min, []
                     elif lte_min > s_min:
                         lte_w = ()
-                if s_min is None:
-                    tx_time = window_end    # nobody contends
-                else:
-                    if s_min < 0:
-                        raise RuntimeError(
-                            f"backoff ran {-s_min} slots past zero")
-                    tx_time = anchor + s_min * slot
-                    collision = len(wifi_w) + len(lte_w) > 1
-                    if lte_w:
-                        duration = 0
-                        for j in lte_w:
-                            burst = nodes[j].params.burst_us
-                            if burst > duration:
-                                duration = burst
-                        if collision and t_collision > duration:
-                            duration = t_collision
-                    elif collision:
+                if s_min < 0:
+                    raise RuntimeError(f"backoff ran {-s_min} slots past zero")
+                tx_time = anchor + s_min * slot
+                collision = len(wifi_w) + len(lte_w) > 1
+                if lte_w:
+                    duration = 0
+                    for j in lte_w:
+                        burst = nodes[j].params.burst_us
+                        if burst > duration:
+                            duration = burst
+                    if collision and t_collision > duration:
                         duration = t_collision
-                    else:
-                        duration = t_success
-                    end = tx_time + duration
-                    if window_end == run_end and end > window_end:
-                        tx_time = window_end    # would outlast the run
+                elif collision:
+                    duration = t_collision
+                else:
+                    duration = t_success
+                end = tx_time + duration
+                if window_end == run_end and end > window_end:
+                    tx_time = window_end    # would outlast the run
                 if tx_time >= window_end:
                     # the window closes first: it ends idle now, taking
                     # its idle slots but never more than s_min, so a
                     # frozen decision keeps its winners at zero
                     k = (window_end - anchor) // slot
-                    if s_min is not None and s_min < k:
+                    if s_min < k:
                         k = s_min
                     self._vslot = vslot = vslot + k
                     for j, lead in zip(walk, leads):

@@ -314,11 +314,15 @@ def _scanned_run(cfg, seed, cut_us=None):
        slot_us=st.sampled_from([9, 20]), cw_min=st.integers(1, 32),
        cw_doublings=st.integers(0, 6), max_stage=st.integers(0, 7),
        duty_off_factor=st.one_of(st.none(), st.integers(0, 3)),
+       window_us=st.one_of(st.none(), st.integers(50, 2_000)),
        seed=st.integers(1, 1000))
 @settings(max_examples=30, deadline=None)
 def test_calendar_decides_as_a_scan_of_every_counter(
         scheme, n, m, slot_us, cw_min, cw_doublings, max_stage,
-        duty_off_factor, seed):
+        duty_off_factor, window_us, seed):
+    # With window_us a wifi-only or lbt run is cut into windows as
+    # beacons cut a coordinated run, so the calendar process, too, ends
+    # windows idle and is overrun; hap-sa is cut by its own beacons.
     timing = MacTiming(slot_us=slot_us, cw_min=cw_min,
                        cw_max=cw_min << cw_doublings,
                        max_backoff_stage=max_stage)
@@ -330,7 +334,7 @@ def test_calendar_decides_as_a_scan_of_every_counter(
         timing=timing, channel=NEAR,
         lbt=dataclasses.replace(ScenarioConfig().lbt,
                                 duty_off_factor=duty_off_factor))
-    _scanned_run(cfg, seed)
+    _scanned_run(cfg, seed, cut_us=None if coordinated else window_us)
 
 
 @given(n=st.integers(0, 12), m=st.integers(1, 6),
@@ -467,9 +471,9 @@ def _file(driver, **slots):
 
 
 def test_a_counter_past_zero_is_an_error():
-    # a station filed below V, without and with an LTE-U node (a decision
-    # with a node on the walk takes its own path), and a node whose
-    # counter went negative
+    # a station filed below V, without and with an LTE-U node (the
+    # calendar process and the walking one), and a node whose counter
+    # went negative
     for m_lte in (0, 1):
         _, driver = _driver(m_lte=m_lte, cca_us=0)
         _file(driver, s0=-1)
@@ -499,11 +503,44 @@ def test_an_idle_close_takes_from_a_walked_node_only_the_slots_after_its_lead():
     assert (early.counter, late.counter) == (5, 10)
 
 
-def test_finalize_ends_the_medium_process_and_frees_the_driver():
+# The driver runs the calendar process with no LTE-U node and the walking
+# one with a node; a node asleep past the run changes no expected value,
+# so the window tests run on both processes.
+ASLEEP = {"m_lte": 1, "wakes_us": (10**9,)}
+BOTH_PROCESSES = pytest.mark.parametrize("lte", [{}, ASLEEP],
+                                         ids=["calendar", "walk"])
+
+
+def _process_of(driver) -> str:
+    return driver._process.__name__
+
+
+def test_the_driver_walks_only_with_an_lte_u_node():
+    assert _process_of(_driver()[1]) == "_calendar_medium"
+    assert _process_of(_driver(n_wifi=0)[1]) == "_calendar_medium"
+    assert _process_of(_driver(**ASLEEP)[1]) == "_medium"
+    assert _process_of(_driver(n_wifi=0, m_lte=2)[1]) == "_medium"
+
+
+def test_with_nobody_to_contend_a_window_ends_idle_as_it_opens():
+    # no station and no node: the window takes all its idle slots
+    sim, driver = _driver(n_wifi=0)
+    driver.open_window(0, 1_000)
+    assert driver.phase_start == driver.window_end == 1_000
+    assert driver.metrics.idle_us == 1_000
+    assert driver._vslot == 1_000 // driver.timing.slot_us
+    assert sim.run_until(1_000).processed == 0
+    driver.close_window(1_000)
+    assert driver.tx_intervals == [] and driver.busy_until == 0
+
+
+@pytest.mark.parametrize("lte", [{}, ASLEEP, {"m_lte": 1}],
+                         ids=["calendar", "walk-asleep", "walk-bursting"])
+def test_finalize_ends_the_medium_process_and_frees_the_driver(lte):
     # the process's frame holds the driver; finalize closes it, so a run
     # frees its driver and busy-period lists without waiting for a full
     # collection
-    sim, driver = _driver(m_lte=1)
+    sim, driver = _driver(**lte)
     driver.open_window(0, 1_000_000)
     sim.run_until(1_000_000)
     driver.finalize(1_000_000)
@@ -516,15 +553,17 @@ def test_finalize_ends_the_medium_process_and_frees_the_driver():
         gc.enable()
 
 
-def _one_station_driver(run_end_us=1_000_000):
-    sim, driver = _driver(run_end_us=run_end_us)
+def _one_station_driver(lte, run_end_us=1_000_000):
+    sim, driver = _driver(run_end_us=run_end_us, **lte)
+    assert _process_of(driver) == ("_medium" if lte else "_calendar_medium")
     return sim, driver.stations[0], driver
 
 
-def test_a_window_closes_only_at_its_end():
+@BOTH_PROCESSES
+def test_a_window_closes_only_at_its_end(lte):
     # the first decision falls at the window's end, so the window ends
     # idle as it opens; a beacon's check passes only from its end on
-    sim, station, driver = _one_station_driver()
+    sim, station, driver = _one_station_driver(lte)
     counter = station.counter
     end = counter * driver.timing.slot_us
     assert end > 0
@@ -544,11 +583,12 @@ def test_a_window_closes_only_at_its_end():
     assert driver.tx_intervals == [(end, driver.busy_until)]
 
 
-def test_a_close_before_a_queued_decision_fires_is_an_error():
+@BOTH_PROCESSES
+def test_a_close_before_a_queued_decision_fires_is_an_error(lte):
     # the decision at tx is queued; a beacon's check at the window's end
     # before the engine reaches tx finds the window open and changes
     # nothing: the decision still starts its exchange when it fires
-    sim, station, driver = _one_station_driver()
+    sim, station, driver = _one_station_driver(lte)
     tx = station.counter * driver.timing.slot_us
     driver.open_window(0, tx + 100)
     with pytest.raises(RuntimeError, match="not over"):
@@ -561,10 +601,11 @@ def test_a_close_before_a_queued_decision_fires_is_an_error():
         driver.close_window(tx + 100)
 
 
-def test_a_window_that_forbids_overrun_ends_with_the_run():
+@BOTH_PROCESSES
+def test_a_window_that_forbids_overrun_ends_with_the_run(lte):
     # the run's last window ends idle at the run's end by itself: a
     # check there passes, and finalize books nothing more
-    sim, _, driver = _one_station_driver()
+    sim, _, driver = _one_station_driver(lte)
     driver.open_window(0, 1_000_000)
     sim.run_until(1_000_000)
     assert driver.phase_start == driver.window_end == 1_000_000
@@ -575,15 +616,16 @@ def test_a_window_that_forbids_overrun_ends_with_the_run():
     driver.metrics.assert_ledger(1_000_000)
 
 
-def test_only_the_runs_last_window_freezes_an_exchange_past_its_end():
-    _, station, _ = _one_station_driver()
+@BOTH_PROCESSES
+def test_only_the_runs_last_window_freezes_an_exchange_past_its_end(lte):
+    _, station, _ = _one_station_driver(lte)
     slot = MacTiming().slot_us
     counter = station.counter
     tx = counter * slot          # the first decision
     end = tx + 3 * slot          # falls inside its exchange
 
     # a window that ends before the run's end is overrun
-    sim, _, driver = _one_station_driver()
+    sim, _, driver = _one_station_driver(lte)
     driver.open_window(0, end)
     sim.run_until(end)
     assert driver.tx_intervals == [(tx, driver.busy_until)]
@@ -591,7 +633,7 @@ def test_only_the_runs_last_window_freezes_an_exchange_past_its_end():
 
     # the window that ends at the run's end leaves the decision frozen;
     # it ends idle and takes s_min slots, not all three past it
-    sim, _, driver = _one_station_driver(run_end_us=end)
+    sim, _, driver = _one_station_driver(lte, run_end_us=end)
     with pytest.raises(ValueError, match="end by the run's end"):
         driver.open_window(0, end + 1)
     driver.open_window(0, end)
