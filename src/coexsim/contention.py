@@ -9,42 +9,43 @@ medium stays busy for the exchange duration with the post-exchange
 spacing folded in, so idle time advances in exact slot multiples.
 
 One rule runs the counters down: k slots take k from every station and
-max(0, k - lead) from every LTE-U node. An exchange after s idle slots
-consumes s + 1, because a busy period counts as one backoff slot, the
-convention of the slotted renewal chain behind the analytical saturation
-model. A window that closes idle consumes its whole idle slots, never
-more than the smallest effective backoff. Winners redraw after their
-exchange.
+max(0, k - lead) from every LTE-U node, a node's lead being the whole
+slots from the window anchor until its CCA ends (below). An exchange
+after s idle slots consumes s + 1, because a busy period counts as one
+backoff slot, the convention of the slotted renewal chain behind the
+analytical saturation model. A window that closes idle consumes its
+whole idle slots, never more than s_min, the smallest effective backoff.
+Winners redraw after their exchange.
 
-Wi-Fi stations are run down on a virtual slot clock V, the count of
-slots consumed so far, so taking k slots from every station is V += k.
-A station is filed once per draw, at the absolute slot V + counter where
-its backoff expires, in a calendar queue (Brown, CACM 1988): a bucket of
-station indices per expiry slot and a heap of the distinct expiry slots,
-of which there are at most min(N, cw_max). The bucket at the head of the
-heap holds the Wi-Fi contenders of the next exchange, in station-index
-order; after their exchange they redraw and are filed again. A station
-that only waits costs nothing per exchange.
+Contenders are run down on a virtual slot clock V, the count of slots
+consumed so far, so taking k slots from every contender is V += k. A
+contender is filed once per draw, at the absolute slot where its backoff
+expires, in a calendar queue (Brown, CACM 1988): a bucket of entities
+per expiry slot and a heap of the distinct expiry slots. Entity e is
+station e for e < N and LTE-U node e - N otherwise. The bucket at the
+head of the heap holds the contenders of the next exchange; a collision
+sorts it, so stations redraw first and then nodes, each in index order.
+A contender that only waits costs nothing per exchange.
 
-LTE-U nodes keep their counters and are run down one by one. A node's
-lead is its duty-off wake plus a clear-channel assessment, counted from
-the window anchor and rounded up to whole slots; its effective backoff
-is lead + counter. The anchor does not move between deciding an
-exchange and consuming its slots, so the leads are computed once per
-decision and the next consume reuses them. Only the nodes on the walk,
-a sorted list of node indices, are looked at; the others sleep in a heap
-keyed by the time their CCA ends, wake + CCA. A decision with nodes on
-the walk, or with a sleeper due, first moves onto the walk every sleeper
-whose key is at most the anchor plus s_wifi slots, s_wifi being the
-calendar head's backoff (every sleeper, with no Wi-Fi station). A node
-left asleep has lead > s_wifi >= s_min, so it neither holds the smallest
-backoff nor loses a slot to the consume that follows (an exchange
-consumes s_min + 1 <= lead, an idle close at most s_min): leaving it out
-changes nothing. With the walk empty and no sleeper due, the decision is
-the calendar head alone. A node goes back to sleep when it bursts, which
-with the default duty-off of (M + N - 1) bursts is almost all the time.
-Backoff draws come from per-entity streams, so outcomes do not depend on
-participant interleave or on the order in which winners redraw.
+An LTE-U node counts only once its duty-off wake plus a clear-channel
+assessment (CCA) has passed. Until a decision wakes it, it sleeps
+outside the calendar, in a heap keyed by the time its CCA ends, wake +
+CCA. At a decision with anchor a, let idle = (window_end - a) // slot
+and s be the calendar head less V, or idle with an empty calendar.
+While the first sleeper's key is at most a + min(s, idle) slots, it is
+popped and filed at V + lead + counter, with lead = max(0, ceil((key -
+a) / slot)), and s drops to lead + counter if that is smaller; only then
+is the head read. This is exact. The decision consumes at least lead
+slots, since an exchange takes s_min + 1 > lead and a window that ends
+idle takes min(idle, s_min) >= lead, so the node's CCA has ended by the
+next anchor and from there its count runs down on V as a station's
+does. A node left asleep has lead > min(s_min, idle): past s_min it
+neither holds the smallest backoff nor loses a slot, and past idle the
+window ends idle before its CCA does, taking idle slots with the node
+filed or not. A node sleeps again when it bursts, which with the default
+duty-off of (M + N - 1) bursts is almost all the time. Backoff draws
+come from per-entity streams, so outcomes do not depend on participant
+interleave or on the order in which winners redraw.
 
 Windows: the run loop opens the medium for a span (a whole run, or one
 contention period between beacons), and gives its end once. A window is
@@ -61,22 +62,10 @@ later is frozen, never scheduled, and the window ends idle the same way.
 ``close_window`` changes nothing: it is the beacon's check that the
 medium is idle and its window over.
 
-The medium is one simulation process, a generator, and the driver picks
-one of two at construction, by whether it has LTE-U nodes. With none
-(wifi-only, and the contention periods of hap-sa and hap-uca, whose
-LTE-U users never contend) it runs ``_calendar_medium``: each decision
-reads only the calendar head, whose expiry less V is s_min and whose
-bucket holds the winners, so there are no leads, walk or sleepers to
-keep, and a success files its one winner without a sort or a loop. With
-one or more it runs ``_medium``, which walks the nodes as above. The two
-share every rule and seam described here: a counter past zero is an
-error, an exchange consumes s_min + 1 slots, a window that ends idle
-takes at most s_min, the run's last window freezes a decision that
-would outlast it, and winners redraw through ``on_success`` or
-``on_collision`` and are filed in index order. Each keeps its hot state
-in locals: V, the window's anchor and end, the slot and exchange
-lengths, the calendar, and in ``_medium`` the LTE-U walk. Each waits at
-three points, and each wait is resumed by one party:
+The medium is one simulation process, the generator ``_medium``. It
+keeps its hot state in locals: V, the window's anchor and end, the slot
+and exchange lengths, the calendar and the sleepers. It waits at three
+points, and each wait is resumed by one party:
 
 - no window open: ``open_window`` resumes it, and it decides;
 - a queued ``slot-boundary``: the engine resumes it when the decision
@@ -113,7 +102,6 @@ each station counts its own successes and collisions, and
 from __future__ import annotations
 
 from array import array
-from bisect import insort
 from heapq import heapify, heappop, heappush
 
 from .analytics import MetricsAccumulator
@@ -184,7 +172,7 @@ class ContentionDriver:
         self.window_end = 0
         self.busy_until = 0         # the medium is busy before this time
         self._vslot = 0             # V: slots consumed since the run began
-        self._calendar: dict[int, list[int]] = {}  # expiry slot -> stations
+        self._calendar: dict[int, list[int]] = {}  # expiry slot -> entities
         for i, st in enumerate(stations):
             self._calendar.setdefault(st.counter, []).append(i)
         self._expiries = list(self._calendar)  # heap of the calendar's keys
@@ -194,8 +182,7 @@ class ContentionDriver:
         self.tx_intervals = BusyPeriods()
         self.lte_intervals = BusyPeriods()
 
-        self._process = (self._medium() if self.lbt_nodes
-                         else self._calendar_medium())
+        self._process = self._medium()
         next(self._process)         # to its first wait: no window open
 
     # -- window control -------------------------------------------------
@@ -225,121 +212,18 @@ class ContentionDriver:
             raise RuntimeError("run ended inside a transmission")
         self._process.close()
 
-    # -- the medium processes -------------------------------------------
-
-    def _calendar_medium(self):
-        """The medium with no LTE-U node, from window to window and
-        exchange to exchange.
-
-        Each decision reads only the calendar head: s_min is its expiry
-        slot less V, and its bucket holds the winners (nobody contends
-        with no station). A success has one winner, which redraws and is
-        filed again; a collision's winners are filed in index order.
-        """
-        sim = self.sim
-        schedule, fire_inline = sim.schedule, sim.fire_inline
-        resume = self._process.__next__
-        metrics = self.metrics
-        stations = self.stations
-        calendar, expiries = self._calendar, self._expiries
-        slot = self.timing.slot_us
-        t_success = self.durations.t_success_ticks
-        t_collision = self.durations.t_collision_ticks
-        run_end = self.run_end_us
-        wifi_log = self.tx_intervals.flat.append
-        vslot = 0
-
-        while True:
-            yield                   # no window open: open_window resumes
-            anchor, window_end = self.phase_start, self.window_end
-            while True:
-                # -- decide ---------------------------------------------
-                if expiries:
-                    head = expiries[0]
-                    s_min = head - vslot
-                    if s_min < 0:
-                        raise RuntimeError(
-                            f"backoff ran {-s_min} slots past zero")
-                    tx_time = anchor + s_min * slot
-                    winners = calendar[head]
-                    collision = len(winners) > 1
-                    duration = t_collision if collision else t_success
-                    end = tx_time + duration
-                    if window_end == run_end and end > window_end:
-                        tx_time = window_end    # would outlast the run
-                else:               # nobody contends: every idle slot
-                    s_min, tx_time = (window_end - anchor) // slot, window_end
-                if tx_time >= window_end:
-                    # the window closes first: it ends idle now, taking
-                    # its idle slots but never more than s_min, so a
-                    # frozen decision keeps its winners at zero
-                    k = (window_end - anchor) // slot
-                    if s_min < k:
-                        k = s_min
-                    self._vslot = vslot = vslot + k
-                    metrics.idle_us += window_end - anchor
-                    self.phase_start = window_end
-                    break
-
-                # -- the exchange starts at tx_time ---------------------
-                if not fire_inline(tx_time, "slot-boundary", "medium"):
-                    schedule(tx_time, "slot-boundary", "medium", resume)
-                    yield           # a queued decision: the engine resumes
-                metrics.idle_us += tx_time - anchor
-                self.busy_until = end
-                wifi_log(tx_time)
-                wifi_log(end)
-                schedule(end, "tx-end", "medium", resume)
-                yield               # in flight: the engine resumes at end
-
-                # -- it ends: consume s_min + 1 slots, book, redraw -----
-                self._vslot = vslot = vslot + s_min + 1
-                # unfile the winners' bucket, then file each at the slot
-                # where its fresh backoff expires
-                del calendar[heappop(expiries)]
-                if collision:
-                    metrics.collision_us += duration
-                    metrics.collision_events += 1
-                    winners.sort()
-                    for i in winners:
-                        st = stations[i]
-                        st.on_collision()
-                        expiry = vslot + st.counter
-                        bucket = calendar.get(expiry)
-                        if bucket is None:
-                            calendar[expiry] = [i]
-                            heappush(expiries, expiry)
-                        else:
-                            bucket.append(i)
-                else:
-                    metrics.success_us += duration
-                    metrics.success_events += 1
-                    i = winners[0]
-                    st = stations[i]
-                    st.on_success()
-                    expiry = vslot + st.counter
-                    bucket = calendar.get(expiry)
-                    if bucket is None:
-                        calendar[expiry] = [i]
-                        heappush(expiries, expiry)
-                    else:
-                        bucket.append(i)
-                self.phase_start = anchor = end
-                if end >= window_end:
-                    break           # overrun, or ended at the window's end
+    # -- the medium process ---------------------------------------------
 
     def _medium(self):
-        """The medium with at least one LTE-U node, from window to window
-        and exchange to exchange.
+        """The medium, from window to window and exchange to exchange.
 
-        Each decision takes the smallest effective backoff s_min and the
-        stations and nodes that hold it. With nodes on the walk or a
-        sleeper due, it first moves onto the walk every sleeper whose CCA
-        ends by the slot where the calendar head expires (every sleeper,
-        with no Wi-Fi station), and fixes the walked nodes' leads at the
-        anchor for the consume that follows; otherwise it reads only the
-        calendar head. Some node is always on the walk or asleep, so
-        someone always contends.
+        Each decision reads the calendar head: s_min is its expiry slot
+        less V, and its bucket holds the winners; with an empty calendar
+        nobody contends, and the window ends idle. If the first
+        sleeper's CCA ends within min(s_min, idle) slots, the decision
+        files it instead and starts again, so the head it goes on with
+        holds every node the wake rule reaches. A success files its one
+        station again without a sort or a loop.
         """
         sim = self.sim
         schedule, fire_inline = sim.schedule, sim.fire_inline
@@ -348,12 +232,14 @@ class ContentionDriver:
         stations, nodes, channel = self.stations, self.lbt_nodes, self.channel
         n_wifi, m_lte = len(stations), len(nodes)
         calendar, expiries = self._calendar, self._expiries
-        walk: list[int] = []        # LTE-U nodes walked, by index
-        leads: list[int] = []       # their leads at the current anchor
-        # the other nodes, by the time their CCA ends: (wake + CCA, index)
+        # nodes outside the calendar, by the time their CCA ends:
+        # (wake + CCA, index); wake_due is the first key, or never, which
+        # lies past every window
         sleepers = [(n.wake_at_us + n.params.cca_us, j)
                     for j, n in enumerate(nodes)]
         heapify(sleepers)
+        never = self.run_end_us + 1
+        wake_due = sleepers[0][0] if sleepers else never
         slot = self.timing.slot_us
         t_success = self.durations.t_success_ticks
         t_collision = self.durations.t_collision_ticks
@@ -369,54 +255,54 @@ class ContentionDriver:
                 # -- decide ---------------------------------------------
                 if expiries:
                     head = expiries[0]
-                    s_min, wifi_w = head - vslot, calendar[head]
-                    horizon = anchor + s_min * slot
-                else:
-                    s_min = horizon = None
-                    wifi_w = []
-                lte_w = ()
-                if walk or sleepers and (horizon is None
-                                         or sleepers[0][0] <= horizon):
-                    while sleepers and (horizon is None
-                                        or sleepers[0][0] <= horizon):
-                        insort(walk, heappop(sleepers)[1])
-                    leads.clear()
-                    lte_min, lte_w = None, []
-                    for j in walk:
-                        node = nodes[j]
-                        lead = -(-(node.wake_at_us + node.params.cca_us
-                                   - anchor) // slot)
-                        if lead < 0:
-                            lead = 0
-                        leads.append(lead)
-                        eff = node.counter + lead
-                        if lte_min is None or eff < lte_min:
-                            lte_min, lte_w = eff, [j]
-                        elif eff == lte_min:
-                            lte_w.append(j)
-                    if s_min is None or lte_min < s_min:
-                        s_min, wifi_w = lte_min, []
-                    elif lte_min > s_min:
-                        lte_w = ()
-                if s_min < 0:
-                    raise RuntimeError(f"backoff ran {-s_min} slots past zero")
-                tx_time = anchor + s_min * slot
-                collision = len(wifi_w) + len(lte_w) > 1
-                if lte_w:
-                    duration = 0
-                    for j in lte_w:
-                        burst = nodes[j].params.burst_us
-                        if burst > duration:
-                            duration = burst
-                    if collision and t_collision > duration:
-                        duration = t_collision
-                elif collision:
-                    duration = t_collision
-                else:
-                    duration = t_success
-                end = tx_time + duration
-                if window_end == run_end and end > window_end:
-                    tx_time = window_end    # would outlast the run
+                    s_min = head - vslot
+                    tx_time = anchor + s_min * slot
+                else:               # nobody filed: every idle slot
+                    s_min, tx_time = (window_end - anchor) // slot, window_end
+                if wake_due <= tx_time and wake_due <= (
+                        window_end - (window_end - anchor) % slot):
+                    # the first sleeper's CCA ends within min(s_min, idle)
+                    # slots: file it at its lead plus its counter, and
+                    # decide again
+                    key, j = heappop(sleepers)
+                    wake_due = sleepers[0][0] if sleepers else never
+                    lead = -(-(key - anchor) // slot)
+                    if lead < 0:
+                        lead = 0
+                    expiry = vslot + lead + nodes[j].counter
+                    bucket = calendar.get(expiry)
+                    if bucket is None:
+                        calendar[expiry] = [n_wifi + j]
+                        heappush(expiries, expiry)
+                    else:
+                        bucket.append(n_wifi + j)
+                    continue
+                if tx_time < window_end:    # so the calendar holds someone
+                    if s_min < 0:
+                        raise RuntimeError(
+                            f"backoff ran {-s_min} slots past zero")
+                    winners = calendar[head]
+                    e = winners[0]
+                    if len(winners) == 1 and e < n_wifi:
+                        collision = lte = False
+                        duration = t_success
+                    else:
+                        collision = len(winners) > 1
+                        if collision:   # stations first, then nodes
+                            winners.sort()
+                            e = winners[0]
+                        lte = winners[-1] >= n_wifi
+                        duration = t_collision if collision else 0
+                        if lte:     # as long as the longest burst
+                            for j in reversed(winners):
+                                if j < n_wifi:
+                                    break
+                                burst = nodes[j - n_wifi].params.burst_us
+                                if burst > duration:
+                                    duration = burst
+                    end = tx_time + duration
+                    if window_end == run_end and end > window_end:
+                        tx_time = window_end    # would outlast the run
                 if tx_time >= window_end:
                     # the window closes first: it ends idle now, taking
                     # its idle slots but never more than s_min, so a
@@ -425,9 +311,6 @@ class ContentionDriver:
                     if s_min < k:
                         k = s_min
                     self._vslot = vslot = vslot + k
-                    for j, lead in zip(walk, leads):
-                        if k > lead:
-                            nodes[j].counter -= k - lead
                     metrics.idle_us += window_end - anchor
                     self.phase_start = window_end
                     break
@@ -438,58 +321,61 @@ class ContentionDriver:
                     yield           # a queued decision: the engine resumes
                 metrics.idle_us += tx_time - anchor
                 self.busy_until = end
-                if wifi_w:
+                if e < n_wifi:      # the lowest winner is a station
                     wifi_log(tx_time)
                     wifi_log(end)
-                if lte_w:
+                if lte:
                     lte_log(tx_time)
                     lte_log(end)
                 schedule(end, "tx-end", "medium", resume)
                 yield               # in flight: the engine resumes at end
 
                 # -- it ends: consume s_min + 1 slots, book, redraw -----
-                k = s_min + 1
-                self._vslot = vslot = vslot + k
-                for j, lead in zip(walk, leads):
-                    if k > lead:
-                        nodes[j].counter -= k - lead
+                self._vslot = vslot = vslot + s_min + 1
+                # unfile the winners' bucket; a station is filed again at
+                # the slot where its fresh backoff expires, a node sleeps
+                del calendar[heappop(expiries)]
                 if collision:
                     metrics.collision_us += duration
                     metrics.collision_events += 1
                 else:
                     metrics.success_us += duration
                     metrics.success_events += 1
-                if wifi_w:
-                    # unfile the winners' bucket, then file each, in
-                    # index order, at the slot where its fresh backoff
-                    # expires
-                    del calendar[heappop(expiries)]
-                    wifi_w.sort()
-                    for i in wifi_w:
-                        st = stations[i]
-                        if collision:
+                if collision or lte:
+                    for e in winners:
+                        if e < n_wifi:
+                            st = stations[e]
                             st.on_collision()
+                            expiry = vslot + st.counter
+                            bucket = calendar.get(expiry)
+                            if bucket is None:
+                                calendar[expiry] = [e]
+                                heappush(expiries, expiry)
+                            else:
+                                bucket.append(e)
                         else:
-                            st.on_success()
-                        expiry = vslot + st.counter
-                        bucket = calendar.get(expiry)
-                        if bucket is None:
-                            calendar[expiry] = [i]
-                            heappush(expiries, expiry)
-                        else:
-                            bucket.append(i)
-                for j in lte_w:
-                    node = nodes[j]
-                    metrics.add_lte_airtime(node.node_id, node.params.burst_us)
-                    if not collision:
-                        metrics.add_lte_bits(node.node_id,
-                                             burst_transmit(node, channel))
-                    node.start_duty_off(end, m_lte, n_wifi)
-                    node.draw_backoff()
-                    i = walk.index(j)   # off the walk until it wakes
-                    del walk[i], leads[i]
-                    heappush(sleepers,
-                             (node.wake_at_us + node.params.cca_us, j))
+                            j = e - n_wifi
+                            node = nodes[j]
+                            metrics.add_lte_airtime(node.node_id,
+                                                    node.params.burst_us)
+                            if not collision:
+                                metrics.add_lte_bits(
+                                    node.node_id, burst_transmit(node, channel))
+                            node.start_duty_off(end, m_lte, n_wifi)
+                            node.draw_backoff()
+                            heappush(sleepers,
+                                     (node.wake_at_us + node.params.cca_us, j))
+                            wake_due = sleepers[0][0]
+                else:               # e, the one winner, is a station
+                    st = stations[e]
+                    st.on_success()
+                    expiry = vslot + st.counter
+                    bucket = calendar.get(expiry)
+                    if bucket is None:
+                        calendar[expiry] = [e]
+                        heappush(expiries, expiry)
+                    else:
+                        bucket.append(e)
                 self.phase_start = anchor = end
                 if end >= window_end:
                     break           # overrun, or ended at the window's end

@@ -48,7 +48,14 @@ class LbtParams:
 
 
 class LbtNode:
-    """Contention state for one LTE-U node."""
+    """Contention state for one LTE-U node.
+
+    ``counter`` is the backoff in slots as last drawn, like
+    ``WifiStation.counter``. Once the node's CCA is over, the contention
+    driver files it at the slot where that backoff expires and runs it
+    down on its virtual slot clock, so the attribute itself does not
+    count down.
+    """
 
     __slots__ = ("node_id", "params", "link", "rng", "counter", "wake_at_us")
 

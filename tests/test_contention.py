@@ -1,14 +1,15 @@
 """Contention driver: the calendar of Wi-Fi expiries against a full scan,
 and the whole medium against a slot-stepping reference.
 
-The driver files each station once per draw at the absolute slot where
-its backoff expires, and runs the medium as one process that decides and
-consumes in place, and ends each window itself. These tests keep the
-rule the calendar replaces beside a real run: every station's and every
-LTE-U node's counter run down by every consumed slot, with the slots
-worked out by the test itself (an exchange takes the smallest effective
-backoff plus one, a window that ends idle its idle slots, never more
-than that backoff). They watch the driver at the seams it offers: where
+The driver files each station once per draw, and each LTE-U node once a
+decision wakes it, at the absolute slot where its backoff expires, and
+runs the medium as one process that decides and consumes in place, and
+ends each window itself. These tests keep the rule the calendar
+replaces beside a real run: every station's and every LTE-U node's
+counter run down by every consumed slot, with the slots worked out by
+the test itself (an exchange takes the smallest effective backoff plus
+one, a window that ends idle its idle slots, never more than that
+backoff). They watch the driver at the seams it offers: where
 a window opens, where it queues an exchange's ``tx-end`` (the clock is
 then the exchange's start, ``phase_start`` its anchor and ``busy_until``
 its end), where the winners redraw, where a beacon checks that a window
@@ -48,6 +49,23 @@ def _lead(node, anchor_us, slot_us):
     """Whole slots from the anchor until the node's CCA ends."""
     return max(0, -(-(node.wake_at_us + node.params.cca_us - anchor_us)
                     // slot_us))
+
+
+def _left(driver, anchor_us):
+    """Every count the driver leaves at the anchor: (stations, nodes).
+    A filed entity's is its expiry slot less V, a filed node's less its
+    lead at the anchor too; a sleeping node's is its counter, as drawn."""
+    n_wifi, slot_us = len(driver.stations), driver.timing.slot_us
+    filed = [(e, slot - driver._vslot)
+             for slot, bucket in driver._calendar.items() for e in bucket]
+    left = dict(filed)
+    assert len(left) == len(filed)      # no entity is filed twice
+    stations = [left.pop(i) for i in range(n_wifi)]
+    nodes = [left.pop(n_wifi + j) - _lead(node, anchor_us, slot_us)
+             if n_wifi + j in left else node.counter
+             for j, node in enumerate(driver.lbt_nodes)]
+    assert not left
+    return stations, nodes
 
 
 class _Scan:
@@ -154,13 +172,10 @@ class _Scan:
             self.lte_live[j] -= max(0, k - _lead(node, self.anchor, slot_us))
 
     def agree(self) -> None:
-        """The driver's calendar and node counters are the shadow's."""
+        """The counts the driver leaves at the anchor are the shadow's."""
         driver = self.driver
-        filed = [(i, slot - driver._vslot)
-                 for slot, bucket in driver._calendar.items() for i in bucket]
-        assert sorted(filed) == list(enumerate(self.live))
+        assert _left(driver, self.anchor) == (self.live, self.lte_live)
         assert sorted(driver._expiries) == sorted(driver._calendar)
-        assert [n.counter for n in driver.lbt_nodes] == self.lte_live
 
     def decide(self):
         """The scan's decision at its anchor: (s_min, stations, nodes)
@@ -219,9 +234,9 @@ class _Scan:
 
     def settle(self) -> None:
         """The last exchange's winners, and only they, have redrawn; the
-        shadow takes their fresh counters. A node's is the one it drew:
-        the decision after its burst may already have ended a window idle
-        and run the node's own counter down."""
+        shadow takes their fresh counters. A node's is the one it drew,
+        seen at the draw, so the shadow never reads back a counter the
+        driver holds."""
         if self.pending is not None:
             expected, redrawn, _ = self.pending
             assert redrawn == expected
@@ -256,15 +271,16 @@ class _Scan:
         self.agree()
 
 
-def _cut_windows(mp, cfg, cut_us) -> list[int]:
-    """Cut a one-window run into windows of cut_us, as beacons cut a
-    coordinated run: a beacon at each window's end, deferred to the end
-    of an exchange that overruns it, checks the window is over and opens
-    the next. Returns the beacon times, filled in as the run goes."""
-    open_window = ContentionDriver.open_window
+def _cut_windows(mp, cfg, cut_us, cls=ContentionDriver) -> list[int]:
+    """Cut a one-window run of the medium cls into windows of cut_us, as
+    beacons cut a coordinated run: a beacon at each window's end,
+    deferred to the end of an exchange that overruns it, checks the
+    window is over and opens the next. Returns the beacon times, filled
+    in as the run goes."""
+    open_window = cls.open_window
     # a window ends at least one longest exchange before the run's end,
     # so an exchange that overruns it still ends inside the run
-    durations = exchange_durations(cfg.timing)
+    durations = exchange_durations(cfg.timing, cfg.access_mode)
     longest = max(cfg.lbt.burst_us, durations.t_success_ticks,
                   durations.t_collision_ticks)
     cuts: list[int] = []
@@ -288,7 +304,7 @@ def _cut_windows(mp, cfg, cut_us) -> list[int]:
         driver.close_window(now)
         open_next(driver, now, end_us)
 
-    mp.setattr(ContentionDriver, "open_window", open_next)
+    mp.setattr(cls, "open_window", open_next)
     return cuts
 
 
@@ -321,8 +337,8 @@ def test_calendar_decides_as_a_scan_of_every_counter(
         scheme, n, m, slot_us, cw_min, cw_doublings, max_stage,
         duty_off_factor, window_us, seed):
     # With window_us a wifi-only or lbt run is cut into windows as
-    # beacons cut a coordinated run, so the calendar process, too, ends
-    # windows idle and is overrun; hap-sa is cut by its own beacons.
+    # beacons cut a coordinated run, so it, too, ends windows idle and is
+    # overrun; hap-sa is cut by its own beacons.
     timing = MacTiming(slot_us=slot_us, cw_min=cw_min,
                        cw_max=cw_min << cw_doublings,
                        max_backoff_stage=max_stage)
@@ -345,11 +361,12 @@ def test_calendar_decides_as_a_scan_of_every_counter(
 @settings(max_examples=30, deadline=None)
 def test_every_lte_counter_loses_the_slots_after_its_lead(
         n, m, slot_us, lbt_cw, duty_off_factor, window_us, seed):
-    # The driver leaves sleeping nodes off its walk; the scan's shadow of
-    # every node's counter, run down by the rule itself, must still agree
-    # before every exchange and after every window. With window_us the
-    # run is cut into windows that end at their end, or after an exchange
-    # that overruns one, as beacons cut a coordinated run.
+    # The driver leaves sleeping nodes out of its calendar; the scan's
+    # shadow of every node's counter, run down by the rule itself, must
+    # still agree before every exchange and after every window. With
+    # window_us the run is cut into windows that end at their end, or
+    # after an exchange that overruns one, as beacons cut a coordinated
+    # run.
     cfg = ScenarioConfig(
         scheme="lbt", n_wifi=n, m_lte=m, duration_s=0.1,
         timing=MacTiming(slot_us=slot_us), channel=NEAR,
@@ -404,7 +421,7 @@ def _small_configs(draw):
         assume(False)
 
 
-def _run_with(medium, cfg, seed):
+def _run_with(medium, cfg, seed, cut_us=None):
     made = []
 
     def build(*args, **kwargs):
@@ -413,16 +430,24 @@ def _run_with(medium, cfg, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "ContentionDriver", build)
+        if cut_us is not None:
+            _cut_windows(mp, cfg, cut_us, cls=medium)
         res = run_scenario(cfg, seed)
     (driver,) = made
     return driver, res
 
 
-@given(cfg=_small_configs(), seed=st.integers(1, 1000))
+@given(cfg=_small_configs(), seed=st.integers(1, 1000),
+       window_us=st.one_of(st.none(), st.integers(50, 2_000)))
 @settings(max_examples=40, deadline=None)
-def test_the_driver_runs_the_medium_as_a_slot_stepping_reference(cfg, seed):
-    driver, res = _run_with(ContentionDriver, cfg, seed)
-    ref, ref_res = _run_with(ReferenceMedium, cfg, seed)
+def test_the_driver_runs_the_medium_as_a_slot_stepping_reference(
+        cfg, seed, window_us):
+    # With window_us a wifi-only or lbt run is cut into windows on both
+    # media alike, as beacons cut a coordinated run
+    if cfg.scheme in ("hap-sa", "hap-uca"):
+        window_us = None
+    driver, res = _run_with(ContentionDriver, cfg, seed, window_us)
+    ref, ref_res = _run_with(ReferenceMedium, cfg, seed, window_us)
     assert driver.tx_intervals == ref.tx_intervals
     assert driver.lte_intervals == ref.lte_intervals
     buckets = ("idle_us", "success_us", "collision_us", "cfp_us",
@@ -439,14 +464,14 @@ def test_the_driver_runs_the_medium_as_a_slot_stepping_reference(cfg, seed):
         assert getattr(res.metrics, name) == getattr(ref_res.metrics, name)
     assert res.row.csv_values() == ref_res.row.csv_values()
     # the counters left when the run ends, its last idle slots taken
-    left = {i: slot - driver._vslot
-            for slot, bucket in driver._calendar.items() for i in bucket}
-    assert [left[i] for i in range(len(driver.stations))] == ref.wifi_left
-    assert [node.counter for node in driver.lbt_nodes] == ref.lte_left
+    assert _left(driver, driver.phase_start) == (ref.wifi_left, ref.lte_left)
 
 
-def _driver(n_wifi=1, m_lte=0, run_end_us=1_000_000, wakes_us=(), **lbt):
-    """A driver on the default timing; node j wakes at wakes_us[j]."""
+def _driver(n_wifi=1, m_lte=0, run_end_us=1_000_000, wakes_us=(),
+            counters=(), medium=ContentionDriver, **lbt):
+    """A medium on the default timing, the driver unless medium says
+    otherwise; node j wakes at wakes_us[j], and the stations and then
+    the nodes start at counters, where given."""
     timing = MacTiming()
     sim = Simulator(root_seed=1)
     stations = [WifiStation(timing, sim.fork_rng(f"wifi-{i:02d}"))
@@ -456,9 +481,10 @@ def _driver(n_wifi=1, m_lte=0, run_end_us=1_000_000, wakes_us=(), **lbt):
                      sim.fork_rng(f"lte-{j:02d}")) for j in range(m_lte)]
     for node, wake_us in zip(nodes, wakes_us):
         node.wake_at_us = wake_us
-    driver = ContentionDriver(sim, timing, exchange_durations(timing),
-                              stations, MetricsAccumulator(), run_end_us,
-                              nodes, NEAR)
+    for entity, counter in zip(stations + nodes, counters):
+        entity.counter = counter
+    driver = medium(sim, timing, exchange_durations(timing), stations,
+                    MetricsAccumulator(), run_end_us, nodes, NEAR)
     return sim, driver
 
 
@@ -471,9 +497,8 @@ def _file(driver, **slots):
 
 
 def test_a_counter_past_zero_is_an_error():
-    # a station filed below V, without and with an LTE-U node (the
-    # calendar process and the walking one), and a node whose counter
-    # went negative
+    # a station filed below V, alone and beside an LTE-U node, and a node
+    # whose counter went negative
     for m_lte in (0, 1):
         _, driver = _driver(m_lte=m_lte, cca_us=0)
         _file(driver, s0=-1)
@@ -486,11 +511,11 @@ def test_a_counter_past_zero_is_an_error():
 
 
 def test_an_idle_close_takes_from_a_walked_node_only_the_slots_after_its_lead():
-    # Both nodes' CCA ends by the station's expiry at slot 20 (180 us), so
-    # both are on the walk; node 0's CCA ends at 50 us (lead 6 slots),
-    # node 1's at 150 us (lead 17), still pending when the window closes
-    # at 100 us, before node 0's effective backoff of 16 slots. The close
-    # takes 11 slots: 5 from node 0, none from node 1.
+    # The window (0, 100) has 11 idle slots, before the station's expiry
+    # at slot 20. Node 0's CCA ends at 50 us (lead 6 slots), within them,
+    # so it is filed at its effective backoff of 16 slots; node 1's ends
+    # at 150 us (lead 17), past them, so it sleeps. The window closes
+    # idle at 100 us, taking 11 slots: 5 from node 0, none from node 1.
     sim, driver = _driver(m_lte=2, wakes_us=(0, 100))
     early, late = driver.lbt_nodes
     assert driver.timing.slot_us == 9 and early.params.cca_us == 50
@@ -500,26 +525,45 @@ def test_an_idle_close_takes_from_a_walked_node_only_the_slots_after_its_lead():
     assert sim.run_until(100).processed == 0
     driver.close_window(100)
     assert driver._vslot == 11
-    assert (early.counter, late.counter) == (5, 10)
+    assert _left(driver, 100)[1] == [5, 10]
 
 
-# The driver runs the calendar process with no LTE-U node and the walking
-# one with a node; a node asleep past the run changes no expected value,
-# so the window tests run on both processes.
+@pytest.mark.parametrize("medium", [ContentionDriver, ReferenceMedium],
+                         ids=["driver", "reference"])
+@pytest.mark.parametrize("wake_us,reopen_us", [(60, 1_000), (50, 100)],
+                         ids=["past-the-end", "at-the-end"])
+def test_a_node_due_past_the_windows_idle_slots_sleeps_through_its_close(
+        medium, wake_us, reopen_us):
+    # The window (0, 100) has 11 idle slots, the last starting at 99 us,
+    # before the station's expiry at slot 20. The node's CCA ends past
+    # them, at 110 us (a lead of 13 slots) or at the window's end (12),
+    # so the window closes idle with the node asleep, its 3 slots intact.
+    # Filed at its lead plus 3, it would keep 2 slots of lead (or 1) from
+    # the close on; from the next window's anchor it has none.
+    sim, driver = _driver(m_lte=1, wakes_us=(wake_us,), counters=(20, 3),
+                          medium=medium)
+    node = driver.lbt_nodes[0]
+    slot = driver.timing.slot_us
+    assert slot == 9 and node.params.cca_us == 50
+    driver.open_window(0, 100)
+    assert sim.run_until(100).processed == 0
+    driver.close_window(100)
+    left = (_left(driver, 100) if medium is ContentionDriver
+            else (driver.wifi_left, driver.lte_left))
+    assert left == ([9], [3])
+    driver.open_window(reopen_us, reopen_us + 1_000)
+    sim.run_until(reopen_us + 1_000)
+    tx = reopen_us + 3 * slot
+    assert driver.lte_intervals == [(tx, tx + node.params.burst_us)]
+    assert driver.tx_intervals == []
+
+
+# A node asleep past the run keeps the sleeper heap non-empty at every
+# decision and changes no expected value, so the window tests run with
+# no LTE-U node and with one asleep.
 ASLEEP = {"m_lte": 1, "wakes_us": (10**9,)}
-BOTH_PROCESSES = pytest.mark.parametrize("lte", [{}, ASLEEP],
-                                         ids=["calendar", "walk"])
-
-
-def _process_of(driver) -> str:
-    return driver._process.__name__
-
-
-def test_the_driver_walks_only_with_an_lte_u_node():
-    assert _process_of(_driver()[1]) == "_calendar_medium"
-    assert _process_of(_driver(n_wifi=0)[1]) == "_calendar_medium"
-    assert _process_of(_driver(**ASLEEP)[1]) == "_medium"
-    assert _process_of(_driver(n_wifi=0, m_lte=2)[1]) == "_medium"
+NO_NODE_OR_ASLEEP = pytest.mark.parametrize("lte", [{}, ASLEEP],
+                                            ids=["no-node", "node-asleep"])
 
 
 def test_with_nobody_to_contend_a_window_ends_idle_as_it_opens():
@@ -535,7 +579,7 @@ def test_with_nobody_to_contend_a_window_ends_idle_as_it_opens():
 
 
 @pytest.mark.parametrize("lte", [{}, ASLEEP, {"m_lte": 1}],
-                         ids=["calendar", "walk-asleep", "walk-bursting"])
+                         ids=["no-node", "node-asleep", "node-bursting"])
 def test_finalize_ends_the_medium_process_and_frees_the_driver(lte):
     # the process's frame holds the driver; finalize closes it, so a run
     # frees its driver and busy-period lists without waiting for a full
@@ -555,11 +599,10 @@ def test_finalize_ends_the_medium_process_and_frees_the_driver(lte):
 
 def _one_station_driver(lte, run_end_us=1_000_000):
     sim, driver = _driver(run_end_us=run_end_us, **lte)
-    assert _process_of(driver) == ("_medium" if lte else "_calendar_medium")
     return sim, driver.stations[0], driver
 
 
-@BOTH_PROCESSES
+@NO_NODE_OR_ASLEEP
 def test_a_window_closes_only_at_its_end(lte):
     # the first decision falls at the window's end, so the window ends
     # idle as it opens; a beacon's check passes only from its end on
@@ -583,7 +626,7 @@ def test_a_window_closes_only_at_its_end(lte):
     assert driver.tx_intervals == [(end, driver.busy_until)]
 
 
-@BOTH_PROCESSES
+@NO_NODE_OR_ASLEEP
 def test_a_close_before_a_queued_decision_fires_is_an_error(lte):
     # the decision at tx is queued; a beacon's check at the window's end
     # before the engine reaches tx finds the window open and changes
@@ -601,7 +644,7 @@ def test_a_close_before_a_queued_decision_fires_is_an_error(lte):
         driver.close_window(tx + 100)
 
 
-@BOTH_PROCESSES
+@NO_NODE_OR_ASLEEP
 def test_a_window_that_forbids_overrun_ends_with_the_run(lte):
     # the run's last window ends idle at the run's end by itself: a
     # check there passes, and finalize books nothing more
@@ -616,7 +659,7 @@ def test_a_window_that_forbids_overrun_ends_with_the_run(lte):
     driver.metrics.assert_ledger(1_000_000)
 
 
-@BOTH_PROCESSES
+@NO_NODE_OR_ASLEEP
 def test_only_the_runs_last_window_freezes_an_exchange_past_its_end(lte):
     _, station, _ = _one_station_driver(lte)
     slot = MacTiming().slot_us
