@@ -63,11 +63,9 @@ def _emit_table(out: str | None, name: str, header: list[str],
         writer.writerows(body)
 
 
-def _write_meta(path: Path, config: ScenarioConfig | None,
-                extra: dict) -> None:
-    payload = {"version": __version__, **extra}
-    if config is not None:
-        payload["config"] = dataclasses.asdict(config)
+def _write_meta(path: Path, config: ScenarioConfig, extra: dict) -> None:
+    payload = {"version": __version__, **extra,
+               "config": dataclasses.asdict(config)}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

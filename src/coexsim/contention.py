@@ -230,7 +230,7 @@ class ContentionDriver:
         resume = self._process.__next__
         metrics = self.metrics
         stations, nodes, channel = self.stations, self.lbt_nodes, self.channel
-        n_wifi, m_lte = len(stations), len(nodes)
+        n_wifi = len(stations)
         calendar, expiries = self._calendar, self._expiries
         # nodes outside the calendar, by the time their CCA ends:
         # (wake + CCA, index); wake_due is the first key, or never, which
@@ -361,7 +361,7 @@ class ContentionDriver:
                             if not collision:
                                 metrics.add_lte_bits(
                                     node.node_id, burst_transmit(node, channel))
-                            node.start_duty_off(end, m_lte, n_wifi)
+                            node.start_duty_off(end)
                             node.draw_backoff()
                             heappush(sleepers,
                                      (node.wake_at_us + node.params.cca_us, j))

@@ -17,14 +17,14 @@ before its end time, and with the heap head sorting strictly after the
 event's (time, rank). On an equal (time, rank) the queued event goes
 first, since it has the lower sequence number, so ``fire_inline``
 declines and the caller schedules as usual. Either way the clock, the
-counts and the hash are those that queueing would give.
+count and the hash are those that queueing would give.
 
-With ``hash_trace``, each fired event adds the line "time kind target"
-to a sha256 digest. Lines are buffered, at most ``HASH_BATCH`` of them,
-and fed to the digest in one joined update when the buffer fills and
-whenever a summary is taken; sha256 streams, so the digest is that of
-the same lines fed one at a time, and a run never holds more than one
-batch.
+Every fired event is one trace line, "time kind target", and nothing
+else. Lines are buffered, at most ``HASH_BATCH`` of them, and flushed
+when the buffer fills and whenever a summary is taken: a flush counts
+them and, with ``hash_trace``, feeds them to a sha256 digest in one
+joined update. sha256 streams, so the digest is that of the same lines
+fed one at a time, and a run never holds more than one batch.
 
 Every random draw comes from a named per-entity stream seeded from
 (root seed, stream id), so a draw depends only on the stream's own
@@ -51,10 +51,8 @@ KIND_RANK = {
     "beacon": 5,
 }
 
-EVENT_KINDS = tuple(KIND_RANK)
-
-# Most trace-hash lines buffered before they are fed to the digest. A
-# small batch already saves nearly all of the per-line update calls;
+# Most trace lines buffered before they are flushed. A small batch
+# already saves nearly all of the per-line digest update calls;
 # 1024 lines cost coexbench's paper-n30 workload about 1 MB (2%) of
 # peak RSS on a 2-vCPU Xeon with Python 3.11, 64 lines nothing measurable.
 HASH_BATCH = 64
@@ -66,10 +64,9 @@ class SchedulingError(ValueError):
 
 @dataclass
 class TraceSummary:
-    """What run_until saw: counts and an optional hash."""
+    """What run_until saw: the events fired, and their hash if kept."""
 
     processed: int
-    by_kind: dict[str, int]
     trace_hash: Optional[str] = None
 
 
@@ -85,13 +82,9 @@ class Simulator:
                                Optional[Callable[[], None]]]] = []
         self._seq = itertools.count()
         self._streams: dict[str, np.random.Generator] = {}
-        # fired events by kind: a plain dict with every kind at 0, so a
-        # count stays on the interpreter's exact-dict path (a Counter, a
-        # dict subclass, does not); a summary lists the kinds seen
-        self._by_kind: dict[str, int] = dict.fromkeys(EVENT_KINDS, 0)
         self._hasher = hashlib.sha256() if hash_trace else None
-        # hash lines not yet fed to the hasher; None without hash_trace
-        self._lines: Optional[list[str]] = [] if hash_trace else None
+        self._lines: list[str] = []     # trace lines not yet flushed
+        self._flushed = 0               # trace lines flushed so far
         self._t_end: Optional[int] = None   # set while run_until is active
 
     # -- events --------------------------------------------------------
@@ -137,28 +130,24 @@ class Simulator:
                 return False
         # logged in place, as run_until logs: no helper call per event
         self.now = time
-        self._by_kind[kind] += 1
         lines = self._lines
-        if lines is not None:
-            lines.append(f"{time} {kind} {target}\n")
-            if len(lines) >= HASH_BATCH:
-                self._flush_hash()
+        lines.append(f"{time} {kind} {target}\n")
+        if len(lines) >= HASH_BATCH:
+            self._flush_hash()
         return True
 
     def run_until(self, t_end: int) -> TraceSummary:
         """Process every event with time <= t_end, then pin the clock there."""
-        heap, by_kind, lines = self._heap, self._by_kind, self._lines
+        heap, lines = self._heap, self._lines
         self._t_end = t_end
         try:
             while heap and heap[0][0] <= t_end:
                 time, _, _, kind, target, fn = heappop(heap)
-                # log the event: advance the clock, count it, hash it
+                # log the event: advance the clock, buffer its line
                 self.now = time
-                by_kind[kind] += 1
-                if lines is not None:
-                    lines.append(f"{time} {kind} {target}\n")
-                    if len(lines) >= HASH_BATCH:
-                        self._flush_hash()
+                lines.append(f"{time} {kind} {target}\n")
+                if len(lines) >= HASH_BATCH:
+                    self._flush_hash()
                 if fn is not None:
                     fn()
         finally:
@@ -167,20 +156,19 @@ class Simulator:
         return self.trace_summary()
 
     def _flush_hash(self) -> None:
-        """Feed the buffered hash lines to the digest in one update."""
-        self._hasher.update("".join(self._lines).encode())
-        self._lines.clear()
+        """Count the buffered lines, feed them to the digest in one
+        update if there is one, and clear the buffer."""
+        lines = self._lines
+        self._flushed += len(lines)
+        if self._hasher is not None:
+            self._hasher.update("".join(lines).encode())
+        lines.clear()
 
     def trace_summary(self) -> TraceSummary:
-        trace_hash = None
-        if self._hasher is not None:
-            self._flush_hash()
-            trace_hash = self._hasher.hexdigest()
-        return TraceSummary(
-            processed=sum(self._by_kind.values()),
-            by_kind={kind: n for kind, n in self._by_kind.items() if n},
-            trace_hash=trace_hash,
-        )
+        self._flush_hash()
+        hasher = self._hasher
+        return TraceSummary(self._flushed,
+                            None if hasher is None else hasher.hexdigest())
 
     # -- random streams -------------------------------------------------
 

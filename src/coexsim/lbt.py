@@ -54,25 +54,28 @@ class LbtNode:
     ``WifiStation.counter``. Once the node's CCA is over, the contention
     driver files it at the slot where that backoff expires and runs it
     down on its virtual slot clock, so the attribute itself does not
-    count down.
+    count down. ``duty_off_us`` is the node's deferral after each burst,
+    ``params.duty_off_us`` of the run's population.
     """
 
-    __slots__ = ("node_id", "params", "link", "rng", "counter", "wake_at_us")
+    __slots__ = ("node_id", "params", "link", "rng", "duty_off_us",
+                 "counter", "wake_at_us")
 
     def __init__(self, node_id: str, params: LbtParams, link: LinkBudget,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, duty_off_us: int):
         self.node_id = node_id
         self.params = params
         self.link = link
         self.rng = rng
+        self.duty_off_us = duty_off_us
         self.wake_at_us = 0          # eligible to start sensing at this time
         self.draw_backoff()
 
     def draw_backoff(self) -> None:
         self.counter = int(self.rng.integers(0, self.params.contention_window))
 
-    def start_duty_off(self, burst_end_us: int, m_lte: int, n_wifi: int) -> None:
-        self.wake_at_us = burst_end_us + self.params.duty_off_us(m_lte, n_wifi)
+    def start_duty_off(self, burst_end_us: int) -> None:
+        self.wake_at_us = burst_end_us + self.duty_off_us
 
 
 def burst_transmit(node: LbtNode, channel: ChannelParams) -> float:

@@ -208,7 +208,9 @@ def run_scenario(config: ScenarioConfig, seed: int) -> RunResult:
                  for p in positions}
 
     user_rngs = {uid: sim.fork_rng(uid) for uid in user_ids}
-    nodes = ([LbtNode(uid, config.lbt, links[uid], user_rngs[uid])
+    duty_off_us = config.lbt.duty_off_us(config.m_lte, config.n_wifi)
+    nodes = ([LbtNode(uid, config.lbt, links[uid], user_rngs[uid],
+                      duty_off_us)
               for uid in user_ids] if config.scheme == "lbt" else [])
     driver = ContentionDriver(sim, timing, durations, stations, metrics,
                               t_end, nodes, config.channel)

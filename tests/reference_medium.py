@@ -174,7 +174,7 @@ class ReferenceMedium:
             if not collision:
                 metrics.add_lte_bits(node.node_id,
                                      burst_transmit(node, self.channel))
-            node.start_duty_off(end, len(nodes), len(self.stations))
+            node.start_duty_off(end)
             node.draw_backoff()
             self.lte_left[j] = node.counter
         self.phase_start = end

@@ -9,14 +9,15 @@ replaces beside a real run: every station's and every LTE-U node's
 counter run down by every consumed slot, with the slots worked out by
 the test itself (an exchange takes the smallest effective backoff plus
 one, a window that ends idle its idle slots, never more than that
-backoff). They watch the driver at the seams it offers: where
-a window opens, where it queues an exchange's ``tx-end`` (the clock is
-then the exchange's start, ``phase_start`` its anchor and ``busy_until``
-its end), where the winners redraw, where a beacon checks that a window
-is over, and where the run ends. Every exchange the driver starts must
-be the one a scan of all counters makes, every window that ends idle
-must hold no decision before its end, and every counter must agree
-before every exchange and after every window.
+backoff). They watch the driver at the seams it offers: where a window
+opens, where an exchange starts, as its ``slot-boundary`` fires inline
+or from the queue (the clock is then the exchange's start and
+``phase_start`` its anchor), where the winners redraw (the clock and
+``busy_until`` are then the exchange's end), where a beacon checks that
+a window is over, and where the run ends. Every exchange the driver
+starts must be the one a scan of all counters makes, every window that
+ends idle must hold no decision before its end, and every counter must
+agree before every exchange and after every window.
 
 ``reference_medium.ReferenceMedium`` steps the medium slot by slot by the
 rules alone; patched in for the driver, it must give every scheme the
@@ -76,12 +77,13 @@ class _Scan:
     run down by the rule itself, with the slots worked out here: an
     exchange takes the scan's own s_min + 1 (a node only the slots after
     its lead), a window that ends idle its idle slots, never more than
-    s_min. Where the driver queues an exchange's ``tx-end``, the driver's
-    counters must be the shadow's, and the scan of every counter and
-    every node's lead + counter gives the minimum set: the exchange must
-    start s_min slots after the anchor and last as long as that set makes
-    it, and exactly that set must redraw, in index order, through
-    ``on_success``/``on_collision`` and ``start_duty_off``. A window that
+    s_min. Where an exchange's ``slot-boundary`` fires, inline or
+    queued, the driver's counters must be the shadow's, and the scan of
+    every counter and every node's lead + counter gives the minimum set:
+    the exchange must start s_min slots after the anchor and last as long
+    as that set makes it, and exactly that set must redraw, in index
+    order, through ``on_success``/``on_collision`` and
+    ``start_duty_off``, when the exchange ends. A window that
     ends idle, seen where a beacon checks it or the run ends, must hold
     no decision before its end, or (last window only) a frozen one; then
     the counters must agree again.
@@ -104,8 +106,8 @@ class _Scan:
         cls = ContentionDriver
         init, open_window = cls.__init__, cls.open_window
         close, finalize = cls.close_window, cls.finalize
-        schedule, duty_off = Simulator.schedule, LbtNode.start_duty_off
-        draw = LbtNode.draw_backoff
+        schedule, fire_inline = Simulator.schedule, Simulator.fire_inline
+        duty_off, draw = LbtNode.start_duty_off, LbtNode.draw_backoff
         scan = self
 
         def patched_init(driver, *args, **kwargs):
@@ -121,10 +123,20 @@ class _Scan:
             scan.anchor, scan.window_end = start_us, end_us
             open_window(driver, start_us, end_us)
 
+        def exchange_starts(fn):
+            scan.exchange()
+            fn()
+
         def patched_schedule(sim, time_us, kind, target, fn=None):
-            if kind == "tx-end":
-                scan.exchange()
+            if kind == "slot-boundary":
+                fn = partial(exchange_starts, fn)
             schedule(sim, time_us, kind, target, fn)
+
+        def patched_fire_inline(sim, time_us, kind, target):
+            fired = fire_inline(sim, time_us, kind, target)
+            if fired and kind == "slot-boundary":
+                scan.exchange()
+            return fired
 
         def patched_close(driver, t_us):
             close(driver, t_us)
@@ -156,6 +168,7 @@ class _Scan:
         mp.setattr(cls, "close_window", patched_close)
         mp.setattr(cls, "finalize", patched_finalize)
         mp.setattr(Simulator, "schedule", patched_schedule)
+        mp.setattr(Simulator, "fire_inline", patched_fire_inline)
         mp.setattr(WifiStation, "on_success",
                    redraw(WifiStation.on_success, False))
         mp.setattr(WifiStation, "on_collision",
@@ -206,19 +219,18 @@ class _Scan:
         return durations.t_success_ticks
 
     def exchange(self) -> None:
-        """The driver queues the tx-end of an exchange starting now."""
+        """The driver starts an exchange now; the new anchor is its end."""
         driver = self.driver
         s_min, wifi_w, lte_w = self.decide()
         self.agree()
         now = driver.sim.now
         assert driver.phase_start == self.anchor
         assert now == self.anchor + s_min * driver.timing.slot_us
-        assert driver.busy_until == now + self.duration(wifi_w, lte_w)
         collision = len(wifi_w) + len(lte_w) > 1
         self.pending = ({"wifi": wifi_w, "lte": lte_w},
                         {"wifi": [], "lte": []}, collision)
         self.run_down(s_min + 1)
-        self.anchor = driver.busy_until
+        self.anchor = now + self.duration(wifi_w, lte_w)
         self.exchanges += 1
         if collision:
             self.tally["collided"] += len(wifi_w)
@@ -226,7 +238,11 @@ class _Scan:
             self.tally["success"] += 1
 
     def redrew(self, what: str, i: int, collision) -> None:
+        """A winner redraws as the exchange ends: the clock and the
+        driver's busy_until are the end the scan gave it."""
         assert self.pending is not None, f"{what} {i} redrew unbidden"
+        driver = self.driver
+        assert driver.sim.now == driver.busy_until == self.anchor
         _, redrawn, expected_collision = self.pending
         redrawn[what].append(i)
         if collision is not None:
@@ -290,9 +306,10 @@ def _cut_windows(mp, cfg, cut_us, cls=ContentionDriver) -> list[int]:
         if next_end + longest > end_us:
             open_window(driver, start_us, end_us)
             return
-        open_window(driver, start_us, next_end)
+        # the beacon is queued first: the window may run inline past it
         driver.sim.schedule(next_end, "beacon", "cut",
                             partial(cut, driver, end_us))
+        open_window(driver, start_us, next_end)
 
     def cut(driver, end_us):
         now = driver.sim.now
@@ -476,9 +493,12 @@ def _driver(n_wifi=1, m_lte=0, run_end_us=1_000_000, wakes_us=(),
     sim = Simulator(root_seed=1)
     stations = [WifiStation(timing, sim.fork_rng(f"wifi-{i:02d}"))
                 for i in range(n_wifi)]
-    nodes = [LbtNode(f"lte-{j:02d}", LbtParams(**lbt),
+    params = LbtParams(**lbt)
+    nodes = [LbtNode(f"lte-{j:02d}", params,
                      LinkBudget(f"lte-{j:02d}", 10.0, 66.4, 100.0),
-                     sim.fork_rng(f"lte-{j:02d}")) for j in range(m_lte)]
+                     sim.fork_rng(f"lte-{j:02d}"),
+                     params.duty_off_us(m_lte, n_wifi))
+             for j in range(m_lte)]
     for node, wake_us in zip(nodes, wakes_us):
         node.wake_at_us = wake_us
     for entity, counter in zip(stations + nodes, counters):

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from coexsim.engine import (
-    EVENT_KINDS,
     HASH_BATCH,
     KIND_RANK,
     SchedulingError,
@@ -30,17 +29,16 @@ def test_kind_ranks_cover_expected_order():
     assert list(KIND_RANK) == [
         "tx-end", "txop-end", "cfp-end", "slot-boundary", "timer", "beacon"]
     assert sorted(KIND_RANK.values()) == list(range(6))
-    assert EVENT_KINDS == tuple(KIND_RANK)
 
 
 def test_same_timestamp_events_fire_in_rank_order():
     sim = Simulator(root_seed=0)
     fired = []
     # schedule in reverse rank order; execution must ignore insertion order
-    for kind in reversed(EVENT_KINDS):
+    for kind in reversed(KIND_RANK):
         sim.schedule(100, kind, "t", lambda k=kind: fired.append(k))
     sim.run_until(100)
-    assert fired == list(EVENT_KINDS)
+    assert fired == list(KIND_RANK)
 
 
 def test_equal_rank_ties_break_by_schedule_sequence():
@@ -125,13 +123,13 @@ def test_trace_hash_absent_unless_requested():
     assert summary.trace_hash is None
 
 
-def test_by_kind_counts_processed_events():
+def test_processed_counts_fired_events():
     sim = Simulator(root_seed=0)
     for t in range(3):
         sim.schedule(t, "timer", "t")
     sim.schedule(1, "beacon", "b")
+    sim.schedule(11, "timer", "late")
     summary = sim.run_until(10)
-    assert summary.by_kind == {"timer": 3, "beacon": 1}
     assert summary.processed == 4
 
 
@@ -165,7 +163,6 @@ def test_fire_inline_logs_the_event_as_the_queue_would():
                      (7, "slot-boundary", "inline"),
                      (7, "timer", "queued")]
     assert summary.processed == 3
-    assert summary.by_kind == {"timer": 2, "slot-boundary": 1}
 
 
 def test_fire_inline_declines_an_equal_time_and_rank_head():
@@ -201,7 +198,8 @@ def _programs(draw):
     """Events (delta, kind, target, try inline), each a root or the child
     of an earlier one, and the two end times to run to."""
     n = draw(st.integers(1, 30))
-    specs = [draw(st.tuples(st.integers(0, 4), st.sampled_from(EVENT_KINDS),
+    specs = [draw(st.tuples(st.integers(0, 4),
+                            st.sampled_from(tuple(KIND_RANK)),
                             st.sampled_from(["a", "b"]), st.booleans()))
              for _ in range(n)]
     parents = [None] + [draw(st.one_of(st.none(), st.integers(0, j - 1)))
@@ -210,9 +208,9 @@ def _programs(draw):
     return specs, parents, t_end, t_end + draw(st.integers(0, 12))
 
 
-def _run_program(program, inline: bool):
+def _run_program(program, inline: bool, hash_trace: bool):
     specs, parents, t_end, t_later = program
-    sim = Simulator(root_seed=0, hash_trace=True)
+    sim = Simulator(root_seed=0, hash_trace=hash_trace)
     if not inline:
         sim.fire_inline = lambda time, kind, target: False
     children = [[j for j, p in enumerate(parents) if p == i]
@@ -238,15 +236,21 @@ def _run_program(program, inline: bool):
             delta, kind, target, _ = specs[i]
             sim.schedule(delta, kind, target, lambda i=i: body(i))
     first = sim.run_until(t_end)
-    first = (first.trace_hash, first.processed, first.by_kind)
-    return first, sim.run_until(t_later), fired
+    # every event has a callback, so each line fired is one body run
+    assert first.processed == len(fired)
+    first = (first.trace_hash, first.processed)
+    last = sim.run_until(t_later)
+    assert last.processed == len(fired)
+    assert (last.trace_hash is None) is not hash_trace
+    return first, last, fired
 
 
-@given(program=_programs())
+@given(program=_programs(), hash_trace=st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_fire_inline_leaves_the_trace_as_the_queue_makes_it(program):
-    (first_a, last_a, fired_a) = _run_program(program, inline=True)
-    (first_b, last_b, fired_b) = _run_program(program, inline=False)
+def test_fire_inline_leaves_the_trace_as_the_queue_makes_it(program,
+                                                            hash_trace):
+    (first_a, last_a, fired_a) = _run_program(program, True, hash_trace)
+    (first_b, last_b, fired_b) = _run_program(program, False, hash_trace)
     assert first_a == first_b
     assert last_a == last_b
     assert fired_a == fired_b
@@ -256,28 +260,36 @@ def test_fire_inline_leaves_the_trace_as_the_queue_makes_it(program):
        lengths=st.lists(st.integers(0, 3 * HASH_BATCH // 2), min_size=1,
                         max_size=4),
        stops=st.lists(st.integers(0, 12_000), max_size=4),
-       read_every=st.integers(1, 4 * HASH_BATCH))
+       read_every=st.integers(1, 4 * HASH_BATCH),
+       hash_trace=st.booleans())
 @example(seed=1, lengths=[1500, 1500], stops=[3000, 3000, 6000],
-         read_every=97)
-@example(seed=2, lengths=[1536], stops=[], read_every=4 * HASH_BATCH)
+         read_every=97, hash_trace=True)
+@example(seed=1, lengths=[1500, 1500], stops=[3000, 3000, 6000],
+         read_every=97, hash_trace=False)
+@example(seed=2, lengths=[1536], stops=[], read_every=4 * HASH_BATCH,
+         hash_trace=True)
 @settings(max_examples=60, deadline=None)
 def test_batched_hash_is_the_digest_of_every_line_so_far(
-        seed, lengths, stops, read_every):
+        seed, lengths, stops, read_every, hash_trace):
     # Chains of events, each firing the next one inline where the queue
     # allows it and queueing it otherwise; a reference sha256 is fed the
-    # same lines one at a time, and every digest read mid-run must be
-    # that of the lines so far.
+    # same lines one at a time, and every summary read mid-run must
+    # count the lines so far and, with hash_trace, give their digest.
     rnd = random.Random(seed)
-    plans = [[(rnd.choice(EVENT_KINDS), rnd.randrange(10), rnd.random() < 0.7,
+    kinds = tuple(KIND_RANK)
+    plans = [[(rnd.choice(kinds), rnd.randrange(10), rnd.random() < 0.7,
                rnd.randrange(read_every) == 0) for _ in range(n)]
              for n in lengths]
-    sim = Simulator(root_seed=0, hash_trace=True)
+    sim = Simulator(root_seed=0, hash_trace=hash_trace)
     ref = hashlib.sha256()
     lines = 0
 
+    def digest():
+        return ref.hexdigest() if hash_trace else None
+
     def check():
         summary = sim.trace_summary()
-        assert summary.trace_hash == ref.hexdigest()
+        assert summary.trace_hash == digest()
         assert summary.processed == lines
 
     def run_chain(c, i):
@@ -304,7 +316,7 @@ def test_batched_hash_is_the_digest_of_every_line_so_far(
             sim.schedule(delta, kind, f"c{c}", partial(run_chain, c, 0))
     for stop in sorted(stops):
         summary = sim.run_until(stop)
-        assert summary.trace_hash == ref.hexdigest()
+        assert summary.trace_hash == digest()
         check()
     sim.run_until(max(sim.now, 12 * sum(lengths) + 10))
     check()

@@ -43,8 +43,13 @@ def test_params_validation():
     LbtParams(cca_us=0, duty_off_factor=0)
 
 
+def _node(seed=0, duty_off_us=0):
+    return LbtNode("lte-00", LbtParams(), _link(),
+                   np.random.default_rng(seed), duty_off_us)
+
+
 def test_backoff_draw_range_is_fixed_window():
-    node = LbtNode("lte-00", LbtParams(), _link(), np.random.default_rng(0))
+    node = _node()
     draws = set()
     for _ in range(2000):
         node.draw_backoff()
@@ -53,14 +58,16 @@ def test_backoff_draw_range_is_fixed_window():
 
 
 def test_duty_off_updates_wake_time():
-    node = LbtNode("lte-00", LbtParams(), _link(), np.random.default_rng(0))
-    node.start_duty_off(100_000, m_lte=10, n_wifi=30)
+    node = _node(duty_off_us=LbtParams().duty_off_us(10, 30))
+    node.start_duty_off(100_000)
     assert node.wake_at_us == 100_000 + 8064 * 39
+    node.start_duty_off(200_000)
+    assert node.wake_at_us == 200_000 + 8064 * 39
 
 
 def test_burst_transmit_without_fading_at_unit_snr():
     channel = ChannelParams(fading="none")
-    node = LbtNode("lte-00", LbtParams(), _link(snr=1.0), np.random.default_rng(0))
+    node = _node()
     bits = burst_transmit(node, channel)
     # 8 subframes x 1 ms at lte_rate(1) = 17142857.14 bit/s
     assert bits == pytest.approx(8 * 17142857.142857143e-3, rel=1e-12)
@@ -69,7 +76,7 @@ def test_burst_transmit_without_fading_at_unit_snr():
 
 def test_burst_transmit_fading_changes_but_bounds_hold():
     channel = ChannelParams()
-    node = LbtNode("lte-00", LbtParams(), _link(snr=1.0), np.random.default_rng(1))
+    node = _node(seed=1)
     a = burst_transmit(node, channel)
     b = burst_transmit(node, channel)
     assert a != b  # fresh fading per burst
