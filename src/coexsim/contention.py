@@ -64,15 +64,21 @@ medium is idle and its window over.
 
 The medium is one simulation process, the generator ``_medium``. It
 keeps its hot state in locals: V, the window's anchor and end, the slot
-and exchange lengths, the calendar and the sleepers. It waits at three
-points, and each wait is resumed by one party:
+and exchange lengths, the calendar and the sleepers, and the window's
+ledger. A window's idle, success and collision airtime and its success
+and collision counts build up in locals and are added to the
+``MetricsAccumulator`` once, when the window ends, idle or overrun, so
+the ledger is whole at every window's end: at every beacon, and at the
+run's end. An LTE-U node's airtime and bits are booked per burst. It
+waits at three points, and each wait is resumed by one party:
 
 - no window open: ``open_window`` resumes it, and it decides;
 - a queued ``slot-boundary``: the engine resumes it when the decision
   fires, and the exchange starts;
 - an exchange in flight: the engine resumes it at the exchange's
-  ``tx-end``; it consumes the exchange's s + 1 slots, books the
-  exchange, redraws the winners and decides again.
+  ``tx-end``; it consumes the exchange's s + 1 slots, adds the
+  exchange to the window's ledger, redraws the winners and decides
+  again.
 
 The engine resumes it through one prebound ``resume``, the generator's
 ``__next__``. A decision is logged with ``Simulator.fire_inline`` when
@@ -222,8 +228,13 @@ class ContentionDriver:
         nobody contends, and the window ends idle. If the first
         sleeper's CCA ends within min(s_min, idle) slots, the decision
         files it instead and starts again, so the head it goes on with
-        holds every node the wake rule reaches. A success files its one
-        station again without a sort or a loop.
+        holds every node the wake rule reaches. A lone station's
+        success, the common exchange, takes one ``solo`` branch before
+        its exchange and one after, which files the station again
+        without a sort, a loop or a test for a collision or a burst.
+        The window's ledger stays in locals until the window ends; both
+        ways out of its loop, idle and after its last exchange, lead to
+        where it is booked.
         """
         sim = self.sim
         schedule, fire_inline = sim.schedule, sim.fire_inline
@@ -251,6 +262,9 @@ class ContentionDriver:
         while True:
             yield                   # no window open: open_window resumes
             anchor, window_end = self.phase_start, self.window_end
+            # the window's ledger, booked to metrics once it ends
+            idle_us = success_us = collision_us = 0
+            successes = collisions = 0
             while True:
                 # -- decide ---------------------------------------------
                 if expiries:
@@ -283,8 +297,8 @@ class ContentionDriver:
                             f"backoff ran {-s_min} slots past zero")
                     winners = calendar[head]
                     e = winners[0]
-                    if len(winners) == 1 and e < n_wifi:
-                        collision = lte = False
+                    solo = len(winners) == 1 and e < n_wifi
+                    if solo:        # one station: a success
                         duration = t_success
                     else:
                         collision = len(winners) > 1
@@ -301,7 +315,7 @@ class ContentionDriver:
                                 if burst > duration:
                                     duration = burst
                     end = tx_time + duration
-                    if window_end == run_end and end > window_end:
+                    if end > window_end and window_end == run_end:
                         tx_time = window_end    # would outlast the run
                 if tx_time >= window_end:
                     # the window closes first: it ends idle now, taking
@@ -311,7 +325,7 @@ class ContentionDriver:
                     if s_min < k:
                         k = s_min
                     self._vslot = vslot = vslot + k
-                    metrics.idle_us += window_end - anchor
+                    idle_us += window_end - anchor
                     self.phase_start = window_end
                     break
 
@@ -319,14 +333,18 @@ class ContentionDriver:
                 if not fire_inline(tx_time, "slot-boundary", "medium"):
                     schedule(tx_time, "slot-boundary", "medium", resume)
                     yield           # a queued decision: the engine resumes
-                metrics.idle_us += tx_time - anchor
+                idle_us += tx_time - anchor
                 self.busy_until = end
-                if e < n_wifi:      # the lowest winner is a station
+                if solo:
                     wifi_log(tx_time)
                     wifi_log(end)
-                if lte:
-                    lte_log(tx_time)
-                    lte_log(end)
+                else:
+                    if e < n_wifi:  # the lowest winner is a station
+                        wifi_log(tx_time)
+                        wifi_log(end)
+                    if lte:
+                        lte_log(tx_time)
+                        lte_log(end)
                 schedule(end, "tx-end", "medium", resume)
                 yield               # in flight: the engine resumes at end
 
@@ -335,13 +353,25 @@ class ContentionDriver:
                 # unfile the winners' bucket; a station is filed again at
                 # the slot where its fresh backoff expires, a node sleeps
                 del calendar[heappop(expiries)]
-                if collision:
-                    metrics.collision_us += duration
-                    metrics.collision_events += 1
+                if solo:            # e, the one winner, is a station
+                    success_us += t_success
+                    successes += 1
+                    st = stations[e]
+                    st.on_success()
+                    expiry = vslot + st.counter
+                    bucket = calendar.get(expiry)
+                    if bucket is None:
+                        calendar[expiry] = [e]
+                        heappush(expiries, expiry)
+                    else:
+                        bucket.append(e)
                 else:
-                    metrics.success_us += duration
-                    metrics.success_events += 1
-                if collision or lte:
+                    if collision:
+                        collision_us += duration
+                        collisions += 1
+                    else:
+                        success_us += duration
+                        successes += 1
                     for e in winners:
                         if e < n_wifi:
                             st = stations[e]
@@ -366,16 +396,13 @@ class ContentionDriver:
                             heappush(sleepers,
                                      (node.wake_at_us + node.params.cca_us, j))
                             wake_due = sleepers[0][0]
-                else:               # e, the one winner, is a station
-                    st = stations[e]
-                    st.on_success()
-                    expiry = vslot + st.counter
-                    bucket = calendar.get(expiry)
-                    if bucket is None:
-                        calendar[expiry] = [e]
-                        heappush(expiries, expiry)
-                    else:
-                        bucket.append(e)
                 self.phase_start = anchor = end
                 if end >= window_end:
                     break           # overrun, or ended at the window's end
+
+            # -- the window is over: book its ledger --------------------
+            metrics.idle_us += idle_us
+            metrics.success_us += success_us
+            metrics.collision_us += collision_us
+            metrics.success_events += successes
+            metrics.collision_events += collisions

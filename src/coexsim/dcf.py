@@ -156,7 +156,10 @@ class BackoffReplay:
     be drawn from again, since numpy keeps the unused high half of a raw
     word inside the bit generator, where the replay cannot see it. Raw
     words are fetched 16 at a time and held as a stack of 32-bit halves,
-    next half last.
+    next half last. A refill splits the words in numpy: viewed as
+    little-endian 32-bit halves they read low half first, word by word,
+    and reversed they stack with the low half of the first word on top,
+    as a shift and a mask per word would stack them.
     """
 
     __slots__ = ("_raw", "halves")
@@ -166,12 +169,8 @@ class BackoffReplay:
         self.halves: list[int] = []
 
     def _refill(self) -> None:
-        words = self._raw(_REFILL_WORDS).tolist()
-        words.reverse()
-        push = self.halves.append
-        for word in words:   # low half on top
-            push(word >> 32)
-            push(word & _HALF_MASK)
+        self.halves.extend(self._raw(_REFILL_WORDS).astype("<u8", copy=False)
+                           .view("<u4")[::-1].tolist())
 
 
 class WifiStation:
@@ -198,7 +197,7 @@ class WifiStation:
     def on_success(self) -> None:
         self.success_count += 1
         self.stage = 0
-        self.counter = draw_backoff(self.rng, self.stage, self.timing)
+        self.counter = draw_backoff(self.rng, 0, self.timing)
 
     def on_collision(self) -> None:
         self.collision_count += 1

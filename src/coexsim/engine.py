@@ -103,9 +103,10 @@ class Simulator:
             time = int(time)
         if time < self.now:
             raise SchedulingError(f"cannot schedule at {time} us; clock is already at {self.now} us")
-        rank = KIND_RANK.get(kind)
-        if rank is None:
-            raise SchedulingError(f"unknown event kind {kind!r}")
+        try:
+            rank = KIND_RANK[kind]
+        except KeyError:
+            raise SchedulingError(f"unknown event kind {kind!r}") from None
         heappush(self._heap, (time, rank, next(self._seq), kind, target, fn))
 
     def fire_inline(self, time: int, kind: str, target: str) -> bool:
@@ -120,9 +121,10 @@ class Simulator:
             return False
         if time < self.now:
             raise SchedulingError(f"cannot fire at {time} us; clock is already at {self.now} us")
-        rank = KIND_RANK.get(kind)
-        if rank is None:
-            raise SchedulingError(f"unknown event kind {kind!r}")
+        try:
+            rank = KIND_RANK[kind]
+        except KeyError:
+            raise SchedulingError(f"unknown event kind {kind!r}") from None
         heap = self._heap
         if heap:
             head = heap[0]

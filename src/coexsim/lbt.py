@@ -81,6 +81,9 @@ class LbtNode:
 def burst_transmit(node: LbtNode, channel: ChannelParams) -> float:
     """Delivered bits of one clean burst: per-subframe fading, 1 ms each."""
     n_sub = node.params.data_subframes
-    gains = fading_gains(node.rng, n_sub, channel)
-    return sum(lte_rate(node.link.mean_snr * float(g), channel) * (SUBFRAME_US * 1e-6)
-               for g in gains)
+    snr = node.link.mean_snr
+    gains = fading_gains(node.rng, n_sub, channel).tolist()
+    # a list, not a generator expression, which would resume a frame per
+    # subframe; sum() adds the parts in subframe order either way
+    return sum([lte_rate(snr * g, channel) * (SUBFRAME_US * 1e-6)
+                for g in gains])

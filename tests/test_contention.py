@@ -413,6 +413,32 @@ def test_each_count_is_kept_once_and_agrees_with_the_driver(scheme):
     assert res.row.wifi_aggregate_bps == successes * bits / cfg.duration_s
 
 
+@pytest.mark.parametrize("scheme", ["hap-sa", "hap-uca"])
+def test_every_window_is_booked_by_the_beacon_that_closes_it(scheme):
+    # The medium keeps a window's airtime and counts in its own frame and
+    # books them when the window ends, idle or overrun; by each beacon
+    # the ledger must hold every microsecond before it, not only by the
+    # run's end
+    cfg = ScenarioConfig(scheme=scheme, n_wifi=5, m_lte=3, duration_s=0.5,
+                         interval_us=20_000, channel=NEAR)
+    close_window = ContentionDriver.close_window
+    ends = {"idle": 0, "overrun": 0}
+
+    def checked(driver, t_us):
+        assert driver.metrics.accounted_us == t_us
+        if t_us > driver.window_end:
+            ends["overrun"] += 1
+        elif t_us > 0:
+            ends["idle"] += 1
+        close_window(driver, t_us)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ContentionDriver, "close_window", checked)
+        run_scenario(cfg, seed=4)
+    # both ways a window ends were checked
+    assert ends["idle"] > 0 and ends["overrun"] > 0
+
+
 @st.composite
 def _small_configs(draw):
     scheme = draw(st.sampled_from(["wifi-only", "lbt", "hap-sa", "hap-uca"]))

@@ -148,6 +148,24 @@ def test_replay_draws_what_numpy_draws(seed):
         assert len(replay.halves) <= 32
 
 
+def test_a_refill_stacks_each_words_halves_low_first():
+    # The replay splits its words with a numpy view; split the same words
+    # here with a shift and a mask, from a twin of its stream. A window
+    # of 2^32 never rejects and draws each half as it is, so the draws
+    # read the stack back in order.
+    replay = BackoffReplay(np.random.default_rng(9))
+    twin = np.random.default_rng(9).bit_generator
+    whole = MacTiming(cw_min=2**32, cw_max=2**32)
+    for _ in range(3):
+        split = []
+        for word in twin.random_raw(16).tolist():
+            split += [word & 0xFFFFFFFF, word >> 32]
+        assert replay.halves == []
+        replay._refill()
+        assert replay.halves == split[::-1]
+        assert [draw_backoff(replay, 0, whole) for _ in split] == split
+
+
 @pytest.mark.parametrize("timing", [T, MacTiming(cw_min=1, cw_max=4,
                                                  max_backoff_stage=3)])
 def test_station_counters_match_a_numpy_reference(timing):

@@ -1,0 +1,68 @@
+"""Python opcodes per contention exchange: a cost gate that host speed
+cannot move.
+
+``tests/test_call_budget.py`` counts frames, so it cannot see work done
+inside one frame, and the medium does nearly all of an exchange's work in
+its own. These tests count every opcode the run's Python frames execute
+(``opcode_count.count_opcodes``, ``sys.settrace`` with
+``f_trace_opcodes``) over a seeded 0.2 s run, after a warm-up run of the
+same config so first-use work stays out, and divide by the run's
+exchanges, successes plus collisions. Set-up is counted too, spread over
+the run, so at N=120 an exchange carries more of it than at N=30.
+
+History, opcodes per exchange on these 0.2 s runs (CPython 3.11), with
+the same counts on seeded 1 s runs in brackets:
+
+- With the medium as one process over one calendar, each fired event
+  one trace line and an LTE-U node built with its duty-off: wifi-only
+  N=30 503.3 (484.0), N=120 611.4 (537.4), lbt N=30 M=10 525.7 (489.6),
+  N=120 M=10 661.1 (540.3), hap-sa N=30 M=10 552.7 (523.7), hap-uca
+  N=30 M=10 548.1 (516.8).
+- A lone-station success then took one branch before and after its
+  exchange, a window booked its airtime and counts to the ledger once
+  at its end, the engine looked kinds up under ``try``, the backoff
+  replay split its words with a numpy view and an LTE-U burst summed a
+  list: 463.3 (447.7), 554.5 (497.4), 484.6 (453.1), 593.9 (500.0),
+  513.3 (491.0), 508.7 (484.2). The budgets below were set from these,
+  about 1% above each.
+
+Budgets are upper bounds: tighten one only with a count that shows it,
+and add the count here. Opcodes differ between CPython minor versions,
+so the budgets are kept per version; on a version without budgets each
+test is an expected failure that reports its count, never a silent skip.
+"""
+
+import sys
+
+import pytest
+
+from coexsim.radio import ChannelParams
+from coexsim.scenario import ScenarioConfig
+from coexsim.simulate import run_scenario
+from opcode_count import count_opcodes
+
+# (scheme, N, M) -> opcodes per exchange, by CPython (major, minor)
+BUDGET = {
+    (3, 11): {("wifi-only", 30, 0): 468, ("wifi-only", 120, 0): 560,
+              ("lbt", 30, 10): 490, ("lbt", 120, 10): 600,
+              ("hap-sa", 30, 10): 519, ("hap-uca", 30, 10): 514},
+}
+CASES = [("wifi-only", 30, 0), ("wifi-only", 120, 0), ("lbt", 30, 10),
+         ("lbt", 120, 10), ("hap-sa", 30, 10), ("hap-uca", 30, 10)]
+
+
+@pytest.mark.parametrize("scheme,n_wifi,m_lte", CASES,
+                         ids=[f"{s}-n{n}-m{m}" for s, n, m in CASES])
+def test_an_exchange_stays_within_its_opcode_budget(scheme, n_wifi, m_lte):
+    cfg = ScenarioConfig(scheme=scheme, n_wifi=n_wifi, m_lte=m_lte,
+                         duration_s=0.2,
+                         channel=ChannelParams(pathloss_exponent=2.0))
+    run_scenario(cfg, seed=1)   # first-use work stays out of the count
+    opcodes, res = count_opcodes(run_scenario, cfg, 1)
+    per_exchange = opcodes / (res.metrics.success_events
+                              + res.metrics.collision_events)
+    version = sys.version_info[:2]
+    if version not in BUDGET:
+        pytest.xfail(f"no opcode budgets for CPython {version[0]}."
+                     f"{version[1]}: {per_exchange:.1f} opcodes per exchange")
+    assert per_exchange <= BUDGET[version][scheme, n_wifi, m_lte]
