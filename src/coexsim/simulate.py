@@ -9,7 +9,10 @@ trace hash) that the invariant checks inspect.
 The coordinator queues its callbacks (beacons, subframe ticks, CFP and
 TXOP ends) as ``functools.partial`` objects built during the run; a
 subframe tick is ``fsm_step``, the machine's own step, bound to its
-machine and time, so a tick costs the step and its tick handler.
+machine and time, so a tick costs the step and its tick handler. It
+queues only the next beacon, never the run's later ones, so the event
+heap a contention exchange pushes into does not deepen with the run's
+length.
 """
 
 from __future__ import annotations
@@ -75,14 +78,19 @@ class RunResult:
 class _HapRun:
     """Beacon-anchored coordinator for one run of a hap-* scheme.
 
-    Pre-schedules a beacon per nominal interval boundary; a beacon that
-    lands inside a still-running contention exchange is deferred to the
-    busy boundary (the contention period shrinks by the same amount, so
-    the interval grid stays fixed). Each beacon checks that the medium
-    is idle and has ended its contention window, walks every resting
-    machine through its ``BEACON_PATH``, plans the next contention-free
-    period around the machines still inside a duty cycle, and hands the
-    rest of the interval back to the contention driver.
+    Keeps one beacon queued at a time: beacon 0 at the start, and each
+    beacon, once it fires, queues the next at its nominal interval
+    boundary, so the event queue never carries the rest of the run's
+    beacons. A beacon that lands inside a still-running contention
+    exchange is deferred to the busy boundary (the contention period
+    shrinks by the same amount, so the interval grid stays fixed); the
+    config bounds that deferral below one exchange, so a deferred beacon
+    still fires before the next boundary. Each beacon checks that the
+    medium is idle and has ended its contention window, walks every
+    resting machine through its ``BEACON_PATH``, plans the next
+    contention-free period around the machines still inside a duty
+    cycle, and hands the rest of the interval back to the contention
+    driver.
 
     Every callback it queues is a ``functools.partial`` built while the
     run is under way, so it binds the ``fsm_step`` this module holds at
@@ -116,9 +124,7 @@ class _HapRun:
         if cfg.sa_mode == "uca" and user_ids:
             # licensed-band association settles before the first beacon
             sim.schedule(0, "timer", "hap-assoc", self._associate_uca)
-        for k in range(cfg.duration_us // cfg.interval_us):
-            sim.schedule(k * cfg.interval_us, "beacon", "hap",
-                         partial(self._on_beacon, k))
+        sim.schedule(0, "beacon", "hap", partial(self._on_beacon, 0))
 
     def _associate_uca(self) -> None:
         for fsm in self.fsms.values():
@@ -150,6 +156,9 @@ class _HapRun:
         next_tbtt = (k + 1) * self.cfg.interval_us
         if cfp_end > next_tbtt:
             raise RuntimeError("CFP ran into the next beacon")
+        if next_tbtt < self.driver.run_end_us:
+            self.sim.schedule(next_tbtt, "beacon", "hap",
+                              partial(self._on_beacon, k + 1))
         self.metrics.cfp_us += plan.cfp_us
         if plan.grants:
             self.cfp_intervals.append((beacon_end, cfp_end))

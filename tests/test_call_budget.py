@@ -32,6 +32,13 @@ the medium as one process. The step wrapper and its emits lookup are
 gone: a tick is the machine's own step and one tick handler, 86.9 and
 25.7.
 
+The 0.2 s lbt run delivers no LTE-U burst: each node bursts once
+before its duty-off of M+N-1 bursts, and every first burst collides. A
+second lbt case, N=30, M=10 with a duty-off of one burst over 0.5 s,
+delivers bursts, so it holds the burst path (``burst_transmit``,
+fading, rate) too: 18.34 calls per exchange, over fewer exchanges,
+since bursts take most of the airtime.
+
 The tests count Python ``call`` events with ``sys.setprofile`` over
 short seeded runs, so host speed cannot make them flaky, and fail if a
 change brings a frame back onto the per-exchange or per-grant path.
@@ -43,6 +50,7 @@ import sys
 
 import pytest
 
+from coexsim.lbt import LbtParams
 from coexsim.radio import ChannelParams
 from coexsim.scenario import ScenarioConfig
 from coexsim.simulate import RunResult, run_scenario
@@ -52,6 +60,7 @@ from coexsim.simulate import RunResult, run_scenario
 # one more call per grant.
 BUDGET = {("wifi-only", 30): 7, ("lbt", 30): 8, ("wifi-only", 120): 9}
 GRANT_BUDGET = {"hap-sa": 88, "hap-uca": 26}
+BURST_BUDGET = 18.6     # lbt N=30, M=10, duty-off of one burst
 
 
 def _counted_run(cfg: ScenarioConfig) -> tuple[int, RunResult]:
@@ -84,6 +93,16 @@ def test_an_exchange_stays_within_its_python_call_budget(scheme, m_lte,
     calls, res = _counted_run(cfg)
     exchanges = res.metrics.success_events + res.metrics.collision_events
     assert calls / exchanges <= BUDGET[scheme, n_wifi]
+
+
+def test_a_run_with_lte_u_bursts_stays_within_its_python_call_budget():
+    cfg = ScenarioConfig(scheme="lbt", n_wifi=30, m_lte=10, duration_s=0.5,
+                         channel=ChannelParams(pathloss_exponent=2.0),
+                         lbt=LbtParams(duty_off_factor=1))
+    calls, res = _counted_run(cfg)
+    assert res.metrics.lte_bits      # some burst was delivered
+    exchanges = res.metrics.success_events + res.metrics.collision_events
+    assert calls / exchanges <= BURST_BUDGET
 
 
 @pytest.mark.parametrize("scheme", ["hap-sa", "hap-uca"])

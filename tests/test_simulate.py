@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from coexsim.analytics import saturation_throughput
 from coexsim.dcf import MacTiming, exchange_durations
+from coexsim.engine import Simulator
 from coexsim.hap import build_superframe
 from coexsim.radio import ChannelParams
 from coexsim.scenario import ConfigError, ScenarioConfig
@@ -228,6 +229,31 @@ def test_uncoordinated_runs_keep_ledger_and_repeat_exactly(
     assert a.metrics.accounted_us == cfg.duration_us
     b = run_scenario(cfg, seed=seed)
     assert (b.trace_hash, b.row) == (a.trace_hash, a.row)
+
+
+@pytest.mark.parametrize("scheme", ["hap-sa", "hap-uca"])
+def test_a_hap_run_queues_one_beacon_at_a_time(scheme, monkeypatch):
+    # Each exchange pushes its tx-end into the event heap, so every beacon
+    # queued ahead of time deepens that push's sift. Queueing a beacon only
+    # when the one before it fires keeps at most one in the heap, and the
+    # heap about one entry deep at a tx-end push (0.85 for hap-sa and 0.80
+    # for hap-uca here). Queueing every beacon at the start would hold 5
+    # on this run and about 2.0 entries at a push (49.6 on a 10 s run).
+    # These are counts, so host speed cannot move them.
+    schedule = Simulator.schedule
+    heap_at_tx_end, beacons_queued = [], []
+
+    def counted(sim, time, kind, target, fn=None):
+        if kind == "tx-end":
+            heap_at_tx_end.append(len(sim._heap))
+        schedule(sim, time, kind, target, fn)
+        if kind == "beacon":
+            beacons_queued.append(sum(e[3] == "beacon" for e in sim._heap))
+
+    monkeypatch.setattr(Simulator, "schedule", counted)
+    _run(scheme, 30, 10, 0.5)
+    assert max(beacons_queued) == 1
+    assert sum(heap_at_tx_end) / len(heap_at_tx_end) <= 1.0
 
 
 def test_same_seed_same_row_and_trace():
