@@ -25,7 +25,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -80,8 +79,14 @@ def _run_all(points: list[tuple[ScenarioConfig, int]],
         raise ConfigError("parallel", "must be >= 1")
     workers = min(parallel, len(points))
     rows: list[ResultRow] = []
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
+    if workers > 1:
+        # imported only to build a pool: multiprocessing and its imports
+        # would add about 20 ms to every start
+        from concurrent.futures import ProcessPoolExecutor
+        pool_context = ProcessPoolExecutor(max_workers=workers)
+    else:
+        pool_context = contextlib.nullcontext()
+    with pool_context as pool:
         results = (pool.map if pool else map)(_run_point, points)
         for i, row in enumerate(results, 1):
             print(f"[{i}/{len(points)}] {row.scheme} N={row.n_wifi} "

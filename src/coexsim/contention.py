@@ -65,12 +65,15 @@ medium is idle and its window over.
 The medium is one simulation process, the generator ``_medium``. It
 keeps its hot state in locals: V, the window's anchor and end, the slot
 and exchange lengths, the calendar and the sleepers, and the window's
-ledger. A window's idle, success and collision airtime and its success
-and collision counts build up in locals and are added to the
-``MetricsAccumulator`` once, when the window ends, idle or overrun, so
-the ledger is whole at every window's end: at every beacon, and at the
-run's end. An LTE-U node's airtime and bits are booked per burst. It
-waits at three points, and each wait is resumed by one party:
+ledger. A window's success and collision airtime and counts build up
+in locals, a lone station's success only as a count, and are added to
+the ``MetricsAccumulator`` once, when the window ends, idle or overrun,
+with its idle time: the span from its start to its last anchor less
+that airtime, since each exchange starts where the idle time before it
+ends and the next anchor is that exchange's end. So the ledger is whole
+at every window's end: at every beacon, and at the run's end. An LTE-U
+node's airtime and bits are booked per burst. It waits at three
+points, and each wait is resumed by one party:
 
 - no window open: ``open_window`` resumes it, and it decides;
 - a queued ``slot-boundary``: the engine resumes it when the decision
@@ -81,8 +84,9 @@ waits at three points, and each wait is resumed by one party:
   again.
 
 The engine resumes it through one prebound ``resume``, the generator's
-``__next__``. A decision is logged with ``Simulator.fire_inline`` when
-the queue would fire it next anyway, and the exchange then starts on the
+``__next__``. A decision is logged with ``fire_start``, the engine's
+firer for ``("slot-boundary", "medium")``, bound once per run, when the
+queue would fire it next anyway, and the exchange then starts on the
 spot; otherwise it is queued. Either way it is the last thing the
 callback that made it does. The ``tx-end`` that ends each exchange is
 always queued, through ``Simulator.schedule``, even where the queue
@@ -237,7 +241,8 @@ class ContentionDriver:
         where it is booked.
         """
         sim = self.sim
-        schedule, fire_inline = sim.schedule, sim.fire_inline
+        schedule = sim.schedule
+        fire_start = sim.inline_firer("slot-boundary", "medium")
         resume = self._process.__next__
         metrics = self.metrics
         stations, nodes, channel = self.stations, self.lbt_nodes, self.channel
@@ -261,9 +266,12 @@ class ContentionDriver:
 
         while True:
             yield                   # no window open: open_window resumes
-            anchor, window_end = self.phase_start, self.window_end
-            # the window's ledger, booked to metrics once it ends
-            idle_us = success_us = collision_us = 0
+            start = anchor = self.phase_start
+            window_end = self.window_end
+            # the window's ledger, booked to metrics once it ends: its
+            # lone-station successes, and the other exchanges' airtime
+            # and counts; its idle time is the rest of its span
+            solos = success_us = collision_us = 0
             successes = collisions = 0
             while True:
                 # -- decide ---------------------------------------------
@@ -325,15 +333,13 @@ class ContentionDriver:
                     if s_min < k:
                         k = s_min
                     self._vslot = vslot = vslot + k
-                    idle_us += window_end - anchor
-                    self.phase_start = window_end
+                    self.phase_start = anchor = window_end
                     break
 
                 # -- the exchange starts at tx_time ---------------------
-                if not fire_inline(tx_time, "slot-boundary", "medium"):
+                if not fire_start(tx_time):
                     schedule(tx_time, "slot-boundary", "medium", resume)
                     yield           # a queued decision: the engine resumes
-                idle_us += tx_time - anchor
                 self.busy_until = end
                 if solo:
                     wifi_log(tx_time)
@@ -349,13 +355,12 @@ class ContentionDriver:
                 yield               # in flight: the engine resumes at end
 
                 # -- it ends: consume s_min + 1 slots, book, redraw -----
-                self._vslot = vslot = vslot + s_min + 1
+                self._vslot = vslot = head + 1     # V + s_min + 1
                 # unfile the winners' bucket; a station is filed again at
                 # the slot where its fresh backoff expires, a node sleeps
                 del calendar[heappop(expiries)]
                 if solo:            # e, the one winner, is a station
-                    success_us += t_success
-                    successes += 1
+                    solos += 1
                     st = stations[e]
                     st.on_success()
                     expiry = vslot + st.counter
@@ -401,8 +406,12 @@ class ContentionDriver:
                     break           # overrun, or ended at the window's end
 
             # -- the window is over: book its ledger --------------------
-            metrics.idle_us += idle_us
+            # exchanges run back to back from anchor to anchor, so what
+            # their airtime leaves of the window's span, start to the
+            # last anchor, is its idle time
+            success_us += solos * t_success
+            metrics.idle_us += anchor - start - success_us - collision_us
             metrics.success_us += success_us
             metrics.collision_us += collision_us
-            metrics.success_events += successes
+            metrics.success_events += successes + solos
             metrics.collision_events += collisions

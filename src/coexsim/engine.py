@@ -9,15 +9,19 @@ fires: nothing is ever withdrawn, so a caller schedules only what it
 knows will happen (the contention driver, for one, schedules a decision
 only if it falls before its window's end).
 
-A callback may also log a follow-up event as fired on the spot with
-``fire_inline`` instead of queueing it, and then run the follow-up's
-work itself as its own last statement. That is only allowed where the
+A callback may also log a follow-up event as fired on the spot instead
+of queueing it, and then run the follow-up's work itself as its own
+last statement. It does so through a firer, ``inline_firer(kind,
+target)``, bound once for one (kind, target): the kind is checked and
+its rank and line suffix worked out when the firer is made, so each call
+``fire(time)`` only checks the time. That is only allowed where the
 queue would fire the event next anyway: inside ``run_until``, at or
 before its end time, and with the heap head sorting strictly after the
 event's (time, rank). On an equal (time, rank) the queued event goes
-first, since it has the lower sequence number, so ``fire_inline``
-declines and the caller schedules as usual. Either way the clock, the
-count and the hash are those that queueing would give.
+first, since it has the lower sequence number, so ``fire`` declines and
+the caller schedules as usual. Either way the clock, the count and the
+hash are those that queueing would give. A firer holds the heap and the
+line buffer themselves, so neither list is ever rebound.
 
 Every fired event is one trace line, "time kind target", and nothing
 else. Lines are buffered, at most ``HASH_BATCH`` of them, and flushed
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Optional
@@ -56,6 +61,10 @@ KIND_RANK = {
 # 1024 lines cost coexbench's paper-n30 workload about 1 MB (2%) of
 # peak RSS on a 2-vCPU Xeon with Python 3.11, 64 lines nothing measurable.
 HASH_BATCH = 64
+
+# run_until's end time outside run_until: every event time lies after it,
+# so one comparison tells a firer both that it runs and that it is in time
+_NOT_RUNNING = -math.inf
 
 
 class SchedulingError(ValueError):
@@ -85,7 +94,7 @@ class Simulator:
         self._hasher = hashlib.sha256() if hash_trace else None
         self._lines: list[str] = []     # trace lines not yet flushed
         self._flushed = 0               # trace lines flushed so far
-        self._t_end: Optional[int] = None   # set while run_until is active
+        self._t_end: float = _NOT_RUNNING    # run_until's end while it runs
 
     # -- events --------------------------------------------------------
 
@@ -109,34 +118,42 @@ class Simulator:
             raise SchedulingError(f"unknown event kind {kind!r}") from None
         heappush(self._heap, (time, rank, next(self._seq), kind, target, fn))
 
-    def fire_inline(self, time: int, kind: str, target: str) -> bool:
-        """Log an event as fired now, if the queue would fire it next.
+    def inline_firer(self, kind: str, target: str) -> Callable[[int], bool]:
+        """Bind a firer for (kind, target); an unknown kind is rejected now.
 
-        True only inside ``run_until``, with ``time`` at or before its end
-        and the heap head strictly after (time, rank); the caller then
-        runs the event's work itself, as the last thing its callback does.
-        On False nothing is logged and the caller schedules the event.
+        ``fire(time)`` logs the event as fired now if the queue would fire
+        it next, and returns True: only inside ``run_until``, with
+        ``time`` at or before its end and the heap head strictly after
+        (time, rank). The caller then runs the event's work itself, as
+        the last thing its callback does. On False nothing is logged and
+        the caller schedules the event. A past time is rejected.
         """
-        if self._t_end is None or time > self._t_end:
-            return False
-        if time < self.now:
-            raise SchedulingError(f"cannot fire at {time} us; clock is already at {self.now} us")
         try:
             rank = KIND_RANK[kind]
         except KeyError:
             raise SchedulingError(f"unknown event kind {kind!r}") from None
-        heap = self._heap
-        if heap:
-            head = heap[0]
-            if head[0] < time or (head[0] == time and head[1] <= rank):
+        # a heap entry sorts before (time, rank + 1) iff its (time, rank)
+        # is at or before the event's: then the queue fires it first
+        after = rank + 1
+        suffix = f" {kind} {target}\n"
+        heap, lines, flush = self._heap, self._lines, self._flush_hash
+
+        def fire(time: int) -> bool:
+            if time > self._t_end:  # past run_until's end, or outside it
                 return False
-        # logged in place, as run_until logs: no helper call per event
-        self.now = time
-        lines = self._lines
-        lines.append(f"{time} {kind} {target}\n")
-        if len(lines) >= HASH_BATCH:
-            self._flush_hash()
-        return True
+            if time < self.now:
+                raise SchedulingError(f"cannot fire at {time} us; clock is "
+                                      f"already at {self.now} us")
+            if heap and heap[0] < (time, after):
+                return False
+            # logged in place, as run_until logs: no helper call per event
+            self.now = time
+            lines.append(f"{time}{suffix}")
+            if len(lines) >= HASH_BATCH:
+                flush()
+            return True
+
+        return fire
 
     def run_until(self, t_end: int) -> TraceSummary:
         """Process every event with time <= t_end, then pin the clock there."""
@@ -153,7 +170,7 @@ class Simulator:
                 if fn is not None:
                     fn()
         finally:
-            self._t_end = None
+            self._t_end = _NOT_RUNNING
         self.now = t_end
         return self.trace_summary()
 

@@ -1,7 +1,12 @@
 """Command line behaviour: files written, determinism, and exit codes."""
 
+import concurrent.futures
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -318,7 +323,7 @@ def test_pool_is_no_larger_than_the_points_it_runs(tmp_path, small_config,
         def map(self, fn, points):
             return map(fn, points)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     out = tmp_path / "o"
     common = ["--config", str(small_config), "--out", str(out)]
     # two seeds: two workers, not 64
@@ -329,6 +334,17 @@ def test_pool_is_no_larger_than_the_points_it_runs(tmp_path, small_config,
     assert main(["sweep", *common, "--parallel", "2", "--seeds", "1",
                  "--axis", "n_wifi", "--values", "2,3,4"]) == 0
     assert sizes == [2, 2]
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # only a sweep or run with --parallel > 1 builds a process pool; every
+    # other start must not pay for importing one
+    probe = "import sys, coexsim.cli; print('multiprocessing' in sys.modules)"
+    src = str(Path(cli.__file__).parents[1])    # the coexsim under test
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

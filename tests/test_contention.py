@@ -106,7 +106,7 @@ class _Scan:
         cls = ContentionDriver
         init, open_window = cls.__init__, cls.open_window
         close, finalize = cls.close_window, cls.finalize
-        schedule, fire_inline = Simulator.schedule, Simulator.fire_inline
+        schedule, inline_firer = Simulator.schedule, Simulator.inline_firer
         duty_off, draw = LbtNode.start_duty_off, LbtNode.draw_backoff
         scan = self
 
@@ -132,11 +132,17 @@ class _Scan:
                 fn = partial(exchange_starts, fn)
             schedule(sim, time_us, kind, target, fn)
 
-        def patched_fire_inline(sim, time_us, kind, target):
-            fired = fire_inline(sim, time_us, kind, target)
-            if fired and kind == "slot-boundary":
-                scan.exchange()
-            return fired
+        def patched_inline_firer(sim, kind, target):
+            fire = inline_firer(sim, kind, target)
+            if kind != "slot-boundary":
+                return fire
+
+            def fire_start(time_us):
+                fired = fire(time_us)
+                if fired:
+                    scan.exchange()
+                return fired
+            return fire_start
 
         def patched_close(driver, t_us):
             close(driver, t_us)
@@ -168,7 +174,7 @@ class _Scan:
         mp.setattr(cls, "close_window", patched_close)
         mp.setattr(cls, "finalize", patched_finalize)
         mp.setattr(Simulator, "schedule", patched_schedule)
-        mp.setattr(Simulator, "fire_inline", patched_fire_inline)
+        mp.setattr(Simulator, "inline_firer", patched_inline_firer)
         mp.setattr(WifiStation, "on_success",
                    redraw(WifiStation.on_success, False))
         mp.setattr(WifiStation, "on_collision",

@@ -134,9 +134,11 @@ def test_processed_counts_fired_events():
 
 
 def _inline_probe(time, kind, *queued):
-    """Ask fire_inline about (time, kind) from a callback at t=5; every
-    callback, and the inline event's work, logs (now, kind, target)."""
+    """Ask a firer for (kind, "inline"), bound before the run, about
+    ``time`` from a callback at t=5; every callback, and the inline
+    event's work, logs (now, kind, target)."""
     sim = Simulator(root_seed=0, hash_trace=True)
+    fire = sim.inline_firer(kind, "inline")
     got, fired = [], []
 
     def log(kind, target):
@@ -144,7 +146,7 @@ def _inline_probe(time, kind, *queued):
 
     def probe():
         log("timer", "probe")
-        got.append(sim.fire_inline(time, kind, "inline"))
+        got.append(fire(time))
         if got[0]:
             log(kind, "inline")
 
@@ -156,7 +158,7 @@ def _inline_probe(time, kind, *queued):
     return got[0], summary, fired
 
 
-def test_fire_inline_logs_the_event_as_the_queue_would():
+def test_a_firer_logs_the_event_as_the_queue_would():
     got, summary, fired = _inline_probe(7, "slot-boundary", (7, "timer"))
     assert got is True
     assert fired == [(5, "timer", "probe"),
@@ -165,7 +167,7 @@ def test_fire_inline_logs_the_event_as_the_queue_would():
     assert summary.processed == 3
 
 
-def test_fire_inline_declines_an_equal_time_and_rank_head():
+def test_a_firer_declines_an_equal_time_and_rank_head():
     # the queued event has the lower sequence number, so it goes first
     assert _inline_probe(7, "timer", (7, "timer"))[0] is False
     assert _inline_probe(7, "timer", (7, "tx-end"))[0] is False
@@ -176,21 +178,70 @@ def test_fire_inline_declines_an_equal_time_and_rank_head():
     assert summary.trace_hash == _digest(*fired)
 
 
-def test_fire_inline_declines_past_t_end_and_outside_run_until():
+def test_a_firer_declines_past_t_end_and_outside_run_until():
     assert _inline_probe(10, "timer")[0] is True
     assert _inline_probe(11, "timer")[0] is False
     sim = Simulator(root_seed=0)
-    assert sim.fire_inline(0, "timer", "x") is False
+    fire = sim.inline_firer("timer", "x")
+    assert fire(0) is False
     sim.run_until(10)
-    assert sim.fire_inline(10, "timer", "x") is False
+    assert fire(10) is False
     assert sim.trace_summary().processed == 0
 
 
-def test_fire_inline_rejects_past_times_and_unknown_kinds():
+def test_a_firer_rejects_past_times():
     with pytest.raises(SchedulingError, match="clock is already"):
         _inline_probe(4, "timer")
+
+
+def test_a_firer_for_an_unknown_kind_is_rejected_when_bound():
+    sim = Simulator(root_seed=0)
     with pytest.raises(SchedulingError, match="unknown event kind"):
-        _inline_probe(6, "tx-start")
+        sim.inline_firer("tx-start", "x")
+
+
+def test_a_firer_bound_before_batch_flushes_logs_into_the_live_buffer():
+    # A chain of slot-boundary events, each firing the next inline where
+    # the queue allows it; a tx-end every 7 us sorts first at its time,
+    # so those links are queued. The firer is bound once, before a run
+    # that flushes many batches and is read mid-way, and every line it
+    # logs must reach the digest of a run that queues every link.
+    n = 5 * HASH_BATCH + 3
+    stops = (HASH_BATCH // 2, 2 * HASH_BATCH, 3 * HASH_BATCH + 5, 2 * n)
+
+    def run(inline):
+        sim = Simulator(root_seed=0, hash_trace=True)
+        fire = sim.inline_firer("slot-boundary", "chain")
+        links = inlined = 0
+
+        def link():
+            nonlocal links, inlined
+            while True:
+                links += 1
+                if links == n:
+                    return
+                t = sim.now + 1
+                if not (inline and fire(t)):
+                    sim.schedule(t, "slot-boundary", "chain", link)
+                    return
+                inlined += 1
+
+        for t in range(0, n, 7):
+            sim.schedule(t, "tx-end", "tick")
+        sim.schedule(0, "slot-boundary", "chain", link)
+        summaries = []
+        for stop in stops:
+            summaries.append(sim.run_until(stop))
+            summaries.append(sim.trace_summary())
+        assert links == n
+        return summaries, inlined
+
+    inline, inlined = run(True)
+    queued, none_inlined = run(False)
+    assert none_inlined == 0
+    assert inlined > 2 * HASH_BATCH
+    assert inline == queued
+    assert inline[-1].processed == n + len(range(0, n, 7))
 
 
 @st.composite
@@ -211,8 +262,10 @@ def _programs(draw):
 def _run_program(program, inline: bool, hash_trace: bool):
     specs, parents, t_end, t_later = program
     sim = Simulator(root_seed=0, hash_trace=hash_trace)
-    if not inline:
-        sim.fire_inline = lambda time, kind, target: False
+    # one firer per (kind, target), bound before the run
+    firers = {(kind, target): (sim.inline_firer(kind, target) if inline
+                               else lambda time: False)
+              for kind in KIND_RANK for target in ("a", "b")}
     children = [[j for j, p in enumerate(parents) if p == i]
                 for i in range(len(specs))]
     fired = []
@@ -226,7 +279,7 @@ def _run_program(program, inline: bool, hash_trace: bool):
             delta, kind, target, try_inline = specs[j]
             t = sim.now + delta
             if (try_inline and pos == len(kids) - 1
-                    and sim.fire_inline(t, kind, target)):
+                    and firers[kind, target](t)):
                 body(j)
             else:
                 sim.schedule(t, kind, target, lambda j=j: body(j))
@@ -247,8 +300,7 @@ def _run_program(program, inline: bool, hash_trace: bool):
 
 @given(program=_programs(), hash_trace=st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_fire_inline_leaves_the_trace_as_the_queue_makes_it(program,
-                                                            hash_trace):
+def test_firers_leave_the_trace_as_the_queue_makes_it(program, hash_trace):
     (first_a, last_a, fired_a) = _run_program(program, True, hash_trace)
     (first_b, last_b, fired_b) = _run_program(program, False, hash_trace)
     assert first_a == first_b
@@ -281,6 +333,8 @@ def test_batched_hash_is_the_digest_of_every_line_so_far(
                rnd.randrange(read_every) == 0) for _ in range(n)]
              for n in lengths]
     sim = Simulator(root_seed=0, hash_trace=hash_trace)
+    firers = {(kind, c): sim.inline_firer(kind, f"c{c}")
+              for kind in kinds for c in range(len(plans))}
     ref = hashlib.sha256()
     lines = 0
 
@@ -306,7 +360,7 @@ def test_batched_hash_is_the_digest_of_every_line_so_far(
                 return
             kind, delta, inline, _ = plans[c][i]
             t = sim.now + delta
-            if not (inline and sim.fire_inline(t, kind, f"c{c}")):
+            if not (inline and firers[kind, c](t)):
                 sim.schedule(t, kind, f"c{c}", partial(run_chain, c, i))
                 return
 
