@@ -1,9 +1,9 @@
 """Saturation fixed point, run metrics, and cross-seed aggregation.
 
 The oracle solves the classic two-equation saturation model for n
-stations with binary exponential backoff (stage i draws from a window
-W_i = ``dcf.contention_window(i)``, so W doubles from cw_min and clamps
-at cw_max; the stage stops rising at m; retries are unlimited):
+stations with binary exponential backoff (stage i draws from the
+simulator's own window W_i = ``MacTiming.windows[i]``, doubled from cw_min
+and clamped at cw_max; the stage stops rising at m; retries unlimited):
 
     tau = 2 / ((1-p) sum_{i<m} p^i (W_i+1) + p^m (W_m+1))
     p   = 1 - (1 - tau)^(n-1)
@@ -20,7 +20,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .dcf import MacTiming, contention_window, exchange_durations
+from .dcf import MacTiming, exchange_durations
 
 
 class FixedPointError(RuntimeError):
@@ -48,8 +48,7 @@ def solve_fixed_point(n_stations: int,
     if n_stations < 1:
         raise ValueError("n_stations must be >= 1")
     timing = timing or MacTiming()
-    windows = tuple(contention_window(i, timing)
-                    for i in range(timing.max_backoff_stage + 1))
+    windows = timing.windows
 
     def residual(tau: float) -> float:
         p = 1.0 - (1.0 - tau) ** (n_stations - 1)

@@ -7,8 +7,10 @@ unrounded figures.  Each exchange duration carries its leading DIFS, so
 on the timeline idle time is purely backoff slots: busy-end -> slots ->
 exchange(DIFS + frames).
 
-Wi-Fi stations draw their backoffs with ``draw_backoff``, which replays
-``Generator.integers(0, W)`` from the stream's raw 64-bit words in plain
+A station draws its backoff from the window of its stage in
+``MacTiming.windows``, the one backoff ladder (the oracle reads it too),
+with ``draw_backoff(replay, W)``, which replays ``integers(0, W)`` of
+numpy's ``Generator`` from the stream's raw 64-bit words in plain
 Python; a ``BackoffReplay`` holds those words as 32-bit halves. For
 1 <= W <= 2^32 numpy's draw is a buffered 32-bit Lemire rejection over
 the halves of each raw word, low half first: W=1 consumes nothing, and a
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +70,13 @@ class MacTiming:
             raise ValueError("cw_max must be <= 2**32")
         if self.max_backoff_stage < 0:
             raise ValueError("max_backoff_stage must be non-negative")
+
+    @cached_property
+    def windows(self) -> tuple[int, ...]:
+        """Window of each stage 0..max_backoff_stage: doubled from cw_min,
+        clamped at cw_max. Cached, not a field, so asdict leaves it out."""
+        return tuple(min(self.cw_min << s, self.cw_max)
+                     for s in range(self.max_backoff_stage + 1))
 
     @property
     def payload_bits(self) -> int:
@@ -118,22 +128,10 @@ def exchange_durations(timing: MacTiming, access_mode: str = "basic") -> Exchang
     return ExchangeDurations(t_s, t_c, math.ceil(t_s), math.ceil(t_c))
 
 
-def contention_window(stage: int, timing: MacTiming) -> int:
-    """CW doubles per stage from cw_min and clamps at cw_max."""
-    if stage < 0:
-        raise ValueError("stage must be non-negative")
-    return min(timing.cw_min << stage, timing.cw_max)
-
-
-def draw_backoff(replay: BackoffReplay, stage: int, timing: MacTiming) -> int:
-    """Uniform draw over [0, CW(stage) - 1] slots, as numpy draws it.
-
-    Computes ``contention_window`` itself and runs the replay's Lemire
-    step on its halves in place, so a draw costs one Python frame.
-    """
-    w = timing.cw_min << stage
-    if w > timing.cw_max:
-        w = timing.cw_max
+def draw_backoff(replay: BackoffReplay, w: int) -> int:
+    """Uniform draw over [0, w - 1] slots, as ``integers(0, w)`` draws it
+    for 1 <= w <= 2^32: the replay's Lemire step, run on its halves in
+    place, so a draw costs one Python frame."""
     if w == 1:
         return 0
     halves = replay.halves
@@ -180,30 +178,31 @@ class WifiStation:
     driver files the station at the slot where that backoff expires and
     runs it down on its virtual slot clock, so the attribute itself does
     not count down. Every draw, the first included, goes through a
-    ``BackoffReplay`` of the fresh stream ``rng``.
+    ``BackoffReplay`` of the fresh stream ``rng``, from the window of
+    ``stage`` in its timing's ``windows``; the stage stops at the last.
     """
 
-    __slots__ = ("timing", "rng", "stage", "counter", "success_count",
+    __slots__ = ("windows", "rng", "stage", "counter", "success_count",
                  "collision_count")
 
     def __init__(self, timing: MacTiming, rng: np.random.Generator):
-        self.timing = timing
+        self.windows = timing.windows
         self.rng = BackoffReplay(rng)
         self.stage = 0
-        self.counter = draw_backoff(self.rng, 0, timing)
+        self.counter = draw_backoff(self.rng, self.windows[0])
         self.success_count = 0
         self.collision_count = 0
 
     def on_success(self) -> None:
         self.success_count += 1
         self.stage = 0
-        self.counter = draw_backoff(self.rng, 0, self.timing)
+        self.counter = draw_backoff(self.rng, self.windows[0])
 
     def on_collision(self) -> None:
         self.collision_count += 1
-        timing = self.timing
+        windows = self.windows
         stage = self.stage + 1
-        if stage > timing.max_backoff_stage:
-            stage = timing.max_backoff_stage
+        if stage == len(windows):
+            stage -= 1
         self.stage = stage
-        self.counter = draw_backoff(self.rng, stage, timing)
+        self.counter = draw_backoff(self.rng, windows[stage])

@@ -103,11 +103,11 @@ class Simulator:
         """Queue an event that will fire at ``time``; it cannot be withdrawn.
 
         ``target`` names the entity the event belongs to; it is what shows
-        up in the trace next to the timestamp and kind.  Past timestamps
-        and unknown kinds are rejected.
+        up in the trace next to the timestamp and kind.  Past timestamps,
+        non-integer times (a ``bool`` too) and unknown kinds are rejected.
         """
         if type(time) is not int:
-            if not isinstance(time, (int, np.integer)):
+            if type(time) is bool or not isinstance(time, (int, np.integer)):
                 raise SchedulingError(f"event time must be an integer microsecond count, got {time!r}")
             time = int(time)
         if time < self.now:

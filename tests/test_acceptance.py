@@ -19,7 +19,7 @@ import pytest
 from scipy import stats
 
 from coexsim.analytics import saturation_throughput
-from coexsim.dcf import MacTiming, WifiStation, contention_window
+from coexsim.dcf import MacTiming, WifiStation
 from coexsim.hap import TxopGrant, sa_txop_duration
 from coexsim.radio import ChannelParams
 from coexsim.scenario import ScenarioConfig
@@ -279,8 +279,7 @@ def test_criterion_8_structural_suite(criterion_log):
 
     # backoff law: doubling, clamp, reset
     t = MacTiming()
-    if [contention_window(s, t) for s in range(8)] != [
-            16, 32, 64, 128, 256, 512, 1024, 1024]:
+    if t.windows != (16, 32, 64, 128, 256, 512, 1024):
         failures.append("contention window ladder")
     station = WifiStation(t, np.random.default_rng(0))
     for _ in range(9):

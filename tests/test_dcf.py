@@ -1,17 +1,17 @@
 """MAC timing constants, exchange durations, and the backoff ladder."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from coexsim.dcf import (
     ACCESS_MODES,
     BackoffReplay,
     MacTiming,
     WifiStation,
-    contention_window,
     draw_backoff,
     exchange_durations,
 )
@@ -54,11 +54,31 @@ def test_payload_bits_and_airtime():
     assert T.airtime_us(12000) == Fraction(12000, 130)
 
 
-def test_contention_window_ladder():
-    assert [contention_window(s, T) for s in range(8)] == [
-        16, 32, 64, 128, 256, 512, 1024, 1024]
-    with pytest.raises(ValueError):
-        contention_window(-1, T)
+def test_the_default_ladder_doubles_to_cw_max_at_the_last_stage():
+    assert T.windows == (16, 32, 64, 128, 256, 512, 1024)
+
+
+@given(cw_min=st.integers(1, 2**12), doublings=st.integers(0, 20),
+       extra=st.integers(0, 100), max_stage=st.integers(0, 12))
+@example(cw_min=16, doublings=2, extra=0, max_stage=6)    # clamps at 2
+@example(cw_min=16, doublings=2, extra=5, max_stage=6)    # clamps at 3
+@example(cw_min=16, doublings=6, extra=0, max_stage=0)    # one stage
+def test_windows_double_from_cw_min_and_clamp_at_cw_max(cw_min, doublings,
+                                                         extra, max_stage):
+    # the clamp bites before the last stage when cw_max is reached early
+    cw_max = min((cw_min << doublings) + extra, 2**32)
+    timing = MacTiming(cw_min=cw_min, cw_max=cw_max,
+                       max_backoff_stage=max_stage)
+    assert timing.windows == tuple(min(cw_min * 2**s, cw_max)
+                                   for s in range(max_stage + 1))
+
+
+def test_windows_is_no_field_of_the_timing():
+    timing = MacTiming(cw_max=64)
+    assert timing.windows[-1] == 64
+    assert "windows" not in dataclasses.asdict(timing)
+    assert "windows" not in dataclasses.asdict(MacTiming())
+    assert dataclasses.replace(timing, cw_max=32).windows[-1] == 32
 
 
 def test_mac_timing_validation():
@@ -89,16 +109,15 @@ def test_mac_timing_validation():
             MacTiming(**{name: 0})
 
 
-@given(stage=st.integers(min_value=0, max_value=10), seed=st.integers(0, 2**16))
-def test_draw_backoff_stays_inside_the_window(stage, seed):
+@given(w=st.integers(1, 2**32), seed=st.integers(0, 2**16))
+def test_draw_backoff_stays_inside_the_window(w, seed):
     replay = BackoffReplay(np.random.default_rng(seed))
-    v = draw_backoff(replay, stage, T)
-    assert 0 <= v < contention_window(stage, T)
+    assert 0 <= draw_backoff(replay, w) < w
 
 
 def test_draw_backoff_stage0_mean():
     replay = BackoffReplay(np.random.default_rng(5))
-    draws = [draw_backoff(replay, 0, T) for _ in range(100_000)]
+    draws = [draw_backoff(replay, 16) for _ in range(100_000)]
     assert np.mean(draws) == pytest.approx(7.5, rel=0.01)
     assert set(draws) == set(range(16))
 
@@ -119,7 +138,7 @@ def test_station_stage_clamps_at_max():
     for _ in range(20):
         st_.on_collision()
     assert st_.stage == T.max_backoff_stage == 6
-    assert st_.counter < contention_window(6, T) == 1024
+    assert st_.counter < T.windows[6] == 1024
 
 
 # Every window the MAC ladder can produce: cw_min << stage, clamped.
@@ -138,13 +157,10 @@ def test_replay_draws_what_numpy_draws(seed):
                                            size=20_000)]
     windows += LADDER_WINDOWS + WIDE_WINDOWS
     assert 1 in windows
-    # a window of exactly w at stage 0, one timing per distinct window
-    timings = {w: MacTiming(cw_min=w, cw_max=w) for w in set(windows)}
     numpy_rng = np.random.default_rng(seed)
     replay = BackoffReplay(np.random.default_rng(seed))
     for w in windows:
-        assert draw_backoff(replay, 0, timings[w]) \
-            == int(numpy_rng.integers(0, w)), w
+        assert draw_backoff(replay, w) == int(numpy_rng.integers(0, w)), w
         assert len(replay.halves) <= 32
 
 
@@ -155,7 +171,6 @@ def test_a_refill_stacks_each_words_halves_low_first():
     # read the stack back in order.
     replay = BackoffReplay(np.random.default_rng(9))
     twin = np.random.default_rng(9).bit_generator
-    whole = MacTiming(cw_min=2**32, cw_max=2**32)
     for _ in range(3):
         split = []
         for word in twin.random_raw(16).tolist():
@@ -163,15 +178,18 @@ def test_a_refill_stacks_each_words_halves_low_first():
         assert replay.halves == []
         replay._refill()
         assert replay.halves == split[::-1]
-        assert [draw_backoff(replay, 0, whole) for _ in split] == split
+        assert [draw_backoff(replay, 2**32) for _ in split] == split
 
 
 @pytest.mark.parametrize("timing", [T, MacTiming(cw_min=1, cw_max=4,
                                                  max_backoff_stage=3)])
 def test_station_counters_match_a_numpy_reference(timing):
+    def window(stage):      # the ladder's rule, written out here
+        return min(timing.cw_min << stage, timing.cw_max)
+
     station = WifiStation(timing, np.random.default_rng(21))
     ref_rng, ref_stage = np.random.default_rng(21), 0
-    ref = [int(ref_rng.integers(0, contention_window(0, timing)))]
+    ref = [int(ref_rng.integers(0, window(0)))]
     got = [station.counter]
     outcomes = np.random.default_rng(22).random(3_000) < 0.4
     for collided in outcomes:
@@ -182,6 +200,5 @@ def test_station_counters_match_a_numpy_reference(timing):
             station.on_success()
             ref_stage = 0
         got.append(station.counter)
-        ref.append(int(ref_rng.integers(0, contention_window(ref_stage,
-                                                               timing))))
+        ref.append(int(ref_rng.integers(0, window(ref_stage))))
     assert got == ref

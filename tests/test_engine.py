@@ -65,6 +65,15 @@ def test_schedule_rejects_non_integer_time():
         sim.schedule(1.5, "timer", "x")
 
 
+def test_schedule_rejects_boolean_times():
+    # bool is an int subclass: True must not queue at 1 us
+    sim = Simulator(root_seed=0)
+    for flag in (True, False, np.bool_(True), np.bool_(False)):
+        with pytest.raises(SchedulingError, match="integer microsecond"):
+            sim.schedule(flag, "timer", "x")
+    assert sim.run_until(5).processed == 0
+
+
 def test_schedule_accepts_numpy_integer_times():
     sim = Simulator(root_seed=0, hash_trace=True)
     seen = []
