@@ -27,8 +27,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest contention window draw_backoff replays exactly (see module doc).
 MAX_WINDOW = 1 << 32
@@ -74,9 +76,16 @@ class MacTiming:
     @cached_property
     def windows(self) -> tuple[int, ...]:
         """Window of each stage 0..max_backoff_stage: doubled from cw_min,
-        clamped at cw_max. Cached, not a field, so asdict leaves it out."""
-        return tuple(min(self.cw_min << s, self.cw_max)
-                     for s in range(self.max_backoff_stage + 1))
+        clamped at cw_max. Cached, not a field, so asdict leaves it out.
+        Doubling stops at the clamp, which it reaches within 32 stages;
+        every later stage repeats cw_max."""
+        stages, cw_max = self.max_backoff_stage + 1, self.cw_max
+        doubled = []
+        w = self.cw_min
+        while w < cw_max and len(doubled) < stages:
+            doubled.append(w)
+            w <<= 1
+        return tuple(doubled) + (cw_max,) * (stages - len(doubled))
 
     @property
     def payload_bits(self) -> int:

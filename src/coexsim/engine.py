@@ -33,6 +33,9 @@ fed one at a time, and a run never holds more than one batch.
 Every random draw comes from a named per-entity stream seeded from
 (root seed, stream id), so a draw depends only on the stream's own
 history, never on how events from different entities interleave.
+The streams are numpy generators, and numpy is imported by
+``make_stream`` when a run makes its first one: importing coexsim and
+building its configs load no numpy.
 """
 
 from __future__ import annotations
@@ -40,11 +43,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Rank of each event kind for same-timestamp ordering.
 KIND_RANK = {
@@ -107,7 +112,8 @@ class Simulator:
         non-integer times (a ``bool`` too) and unknown kinds are rejected.
         """
         if type(time) is not int:
-            if type(time) is bool or not isinstance(time, (int, np.integer)):
+            # numpy registers its integer types as Integral, not np.bool_
+            if type(time) is bool or not isinstance(time, numbers.Integral):
                 raise SchedulingError(f"event time must be an integer microsecond count, got {time!r}")
             time = int(time)
         if time < self.now:
@@ -206,6 +212,10 @@ def make_stream(root_seed: int, stream_id: str) -> np.random.Generator:
     The id string is hashed so stream identity does not depend on fork
     order, and PCG64 gives independent sequences for distinct keys.
     """
+    # a plain import: once numpy is loaded it makes no Python-level call,
+    # where ``from numpy.random import ...`` would call importlib's
+    # fromlist helper for every stream
+    import numpy.random as npr
     key = int.from_bytes(hashlib.sha256(stream_id.encode()).digest()[:8], "big")
-    seed_seq = np.random.SeedSequence(entropy=(int(root_seed), key))
-    return np.random.Generator(np.random.PCG64(seed_seq))
+    seed_seq = npr.SeedSequence(entropy=(int(root_seed), key))
+    return npr.Generator(npr.PCG64(seed_seq))

@@ -25,11 +25,13 @@ from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .radio import (FRAME_ACK_US, FRAME_HEADER_US, SUBFRAME_US, ChannelParams,
                     LinkBudget, fading_gains, lte_rate)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TXOP_QUANTUM_US = 32
 TXOP_MAX_US = 8160

@@ -10,12 +10,14 @@ sized so its long-run airtime share approaches 1/(M+N).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dcf import MacTiming
 from .radio import (FRAME_ACK_US, FRAME_HEADER_US, SUBFRAME_US,
                     ChannelParams, LinkBudget, fading_gains, lte_rate)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)

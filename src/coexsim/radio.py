@@ -5,14 +5,20 @@ path loss and block Rayleigh fading (one gain per subframe).  The rate is
 Shannon capacity clamped at a spectral-efficiency cap, minus the fixed
 control-symbol overhead.  Wi-Fi carries no such model: its stations send
 at a fixed MAC rate regardless of position.
+
+The draws come from the run's numpy generators; the two functions that
+call numpy themselves, ``place_users`` and ``fading_gains`` without
+fading, import it when called, so importing this module loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # LTE frame layout shared by LBT bursts and coordinated grants: 1 ms
 # subframes, 10 to a frame, and a standalone burst wraps its data
@@ -91,6 +97,7 @@ def place_users(m: int, radius_m: float, rng: np.random.Generator) -> list[NodeP
         raise ValueError("m must be non-negative")
     if radius_m <= 0:
         raise ValueError("radius_m must be positive")
+    import numpy as np
     r = radius_m * np.sqrt(rng.random(m))
     theta = 2.0 * math.pi * rng.random(m)
     return [
@@ -119,6 +126,7 @@ def link_budget(pos: NodePosition, params: ChannelParams) -> LinkBudget:
 def fading_gains(rng: np.random.Generator, count: int, params: ChannelParams) -> np.ndarray:
     """One block-fading power gain per subframe: Exp(1) (Rayleigh envelope)."""
     if params.fading == "none":
+        import numpy as np
         return np.ones(count)
     return rng.standard_exponential(count)
 

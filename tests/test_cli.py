@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from coexsim.analytics import saturation_throughput, solve_fixed_point
 from coexsim.cli import main
 from coexsim.scenario import config_from_dict
 from coexsim.simulate import CSV_COLUMNS
+from test_golden_digests import GOLDEN, _cases
 
 
 @pytest.fixture
@@ -336,15 +338,79 @@ def test_pool_is_no_larger_than_the_points_it_runs(tmp_path, small_config,
     assert sizes == [2, 2]
 
 
-def test_importing_the_cli_loads_no_multiprocessing():
+# One fresh interpreter serves the tests below: each in-process test runs
+# with numpy and multiprocessing already imported by the suite. The probe
+# records what each step of set-up loaded, then runs one golden case,
+# whose first stream is the one that imports numpy.
+PROBE = """\
+import contextlib, io, json, sys
+def loaded():
+    return [m for m in ("numpy", "multiprocessing") if m in sys.modules]
+seen = {}
+import coexsim
+seen["import coexsim"] = loaded()
+from coexsim import cli
+seen["import coexsim.cli"] = loaded()
+from coexsim.scenario import config_from_dict
+for scheme in ("wifi-only", "lbt", "hap-sa", "hap-uca"):
+    config_from_dict({"scheme": scheme, "n_wifi": 5,
+                      "m_lte": 0 if scheme == "wifi-only" else 3})
+seen["config_from_dict"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["oracle exit"] = cli.main(["oracle", "--n", "5,10"])
+seen["oracle"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["report exit"] = cli.main(["report", "--runs", sys.argv[1]])
+seen["report"] = loaded()
+from coexsim.simulate import run_scenario
+res = run_scenario(config_from_dict(json.loads(sys.argv[2])), int(sys.argv[3]))
+seen["run"] = {"trace_hash": res.trace_hash, "csv": res.row.csv_values()}
+seen["after the run"] = loaded()
+print(json.dumps(seen))
+"""
+GOLDEN_CASE = "hap-sa-n1-m3-20ms"
+
+
+@pytest.fixture(scope="module")
+def fresh_interpreter(tmp_path_factory):
+    """What the probe saw, run once per module in a fresh interpreter."""
+    golden = json.loads(GOLDEN.read_text())[GOLDEN_CASE]
+    runs = tmp_path_factory.mktemp("probe") / "runs.csv"
+    runs.write_text(",".join(CSV_COLUMNS) + "\n"
+                    + ",".join(golden["csv"]) + "\n")
+    config, seed = _cases()[GOLDEN_CASE]
+    src = str(Path(cli.__file__).parents[1])    # the coexsim under test
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE, str(runs),
+         json.dumps(dataclasses.asdict(config)), str(seed)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    return json.loads(out.stdout)
+
+
+def test_importing_the_cli_loads_no_multiprocessing(fresh_interpreter):
     # only a sweep or run with --parallel > 1 builds a process pool; every
     # other start must not pay for importing one
-    probe = "import sys, coexsim.cli; print('multiprocessing' in sys.modules)"
-    src = str(Path(cli.__file__).parents[1])    # the coexsim under test
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert "multiprocessing" not in fresh_interpreter["import coexsim.cli"]
+
+
+def test_set_up_oracle_and_report_load_no_numpy(fresh_interpreter):
+    # numpy is first imported by a run's first stream
+    steps = ("import coexsim", "import coexsim.cli", "config_from_dict",
+             "oracle", "report")
+    assert {step: "numpy" in fresh_interpreter[step] for step in steps} == (
+        dict.fromkeys(steps, False))
+    assert fresh_interpreter["oracle exit"] == 0
+    assert fresh_interpreter["report exit"] == 0
+
+
+def test_a_run_that_imports_numpy_itself_matches_its_golden_digest(
+        fresh_interpreter):
+    # every in-process run finds numpy already loaded by the suite; here
+    # the run's first stream imports it
+    assert fresh_interpreter["run"] == json.loads(
+        GOLDEN.read_text())[GOLDEN_CASE]
+    assert "numpy" in fresh_interpreter["after the run"]
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

@@ -73,6 +73,16 @@ def test_windows_double_from_cw_min_and_clamp_at_cw_max(cw_min, doublings,
                                    for s in range(max_stage + 1))
 
 
+def test_a_long_ladder_repeats_cw_max_after_the_clamp():
+    # 10**5 stages from cw_min 1: the window reaches 2**32 at stage 32 and
+    # stays there, one entry per stage
+    windows = MacTiming(cw_min=1, cw_max=2**32,
+                        max_backoff_stage=10**5).windows
+    assert len(windows) == 10**5 + 1
+    assert windows[:33] == tuple(1 << s for s in range(33))
+    assert windows[32:] == (2**32,) * (10**5 - 31)
+
+
 def test_windows_is_no_field_of_the_timing():
     timing = MacTiming(cw_max=64)
     assert timing.windows[-1] == 64

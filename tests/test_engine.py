@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -60,9 +61,12 @@ def test_schedule_rejects_past_times_but_allows_now():
 
 
 def test_schedule_rejects_non_integer_time():
+    # each but 1.5 equals an integer, yet none is a numbers.Integral
     sim = Simulator(root_seed=0)
-    with pytest.raises(SchedulingError):
-        sim.schedule(1.5, "timer", "x")
+    for time in (1.5, 1.0, np.float64(1), Fraction(3)):
+        with pytest.raises(SchedulingError, match="integer microsecond"):
+            sim.schedule(time, "timer", "x")
+    assert sim.run_until(5).processed == 0
 
 
 def test_schedule_rejects_boolean_times():
@@ -75,12 +79,16 @@ def test_schedule_rejects_boolean_times():
 
 
 def test_schedule_accepts_numpy_integer_times():
-    sim = Simulator(root_seed=0, hash_trace=True)
-    seen = []
-    sim.schedule(np.int64(12), "timer", "x", lambda: seen.append(sim.now))
-    summary = sim.run_until(20)
-    assert seen == [12] and type(seen[0]) is int
-    assert summary.trace_hash == _digest((12, "timer", "x"))
+    # numpy registers its integer types as numbers.Integral; each time is
+    # queued as a Python int
+    for kind in (np.int32, np.uint64, np.int64):
+        sim = Simulator(root_seed=0, hash_trace=True)
+        seen = []
+        sim.schedule(kind(12), "timer", "x", lambda: seen.append(sim.now))
+        assert type(sim._heap[0][0]) is int
+        summary = sim.run_until(20)
+        assert seen == [12] and type(seen[0]) is int
+        assert summary.trace_hash == _digest((12, "timer", "x"))
 
 
 def test_schedule_rejects_unknown_kind():
