@@ -81,10 +81,8 @@ def _run_all(points: list[tuple[ScenarioConfig, int]],
     rows: list[ResultRow] = []
     if workers > 1:
         # imported only to build a pool: multiprocessing and its imports
-        # would add about 20 ms to every start. numpy, which a run loads
-        # with its first stream, is imported first, so fork-started
-        # workers inherit it rather than each importing it again
-        import numpy
+        # would add about 20 ms to every start. Each worker imports numpy
+        # itself, with the first stream of its first run
         from concurrent.futures import ProcessPoolExecutor
         pool_context = ProcessPoolExecutor(max_workers=workers)
     else:

@@ -77,15 +77,10 @@ class MacTiming:
     def windows(self) -> tuple[int, ...]:
         """Window of each stage 0..max_backoff_stage: doubled from cw_min,
         clamped at cw_max. Cached, not a field, so asdict leaves it out.
-        Doubling stops at the clamp, which it reaches within 32 stages;
-        every later stage repeats cw_max."""
-        stages, cw_max = self.max_backoff_stage + 1, self.cw_max
-        doubled = []
-        w = self.cw_min
-        while w < cw_max and len(doubled) < stages:
-            doubled.append(w)
-            w <<= 1
-        return tuple(doubled) + (cw_max,) * (stages - len(doubled))
+        The shift stops at 32: cw_min >= 1 and cw_max <= 2**32, so 32
+        doublings always reach the clamp and no stage builds a big int."""
+        return tuple(min(self.cw_min << min(s, 32), self.cw_max)
+                     for s in range(self.max_backoff_stage + 1))
 
     @property
     def payload_bits(self) -> int:

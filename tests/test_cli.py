@@ -2,7 +2,6 @@
 
 import concurrent.futures
 import csv
-import dataclasses
 import json
 import os
 import subprocess
@@ -16,7 +15,6 @@ from coexsim.analytics import saturation_throughput, solve_fixed_point
 from coexsim.cli import main
 from coexsim.scenario import config_from_dict
 from coexsim.simulate import CSV_COLUMNS
-from test_golden_digests import GOLDEN, _cases
 
 
 @pytest.fixture
@@ -341,34 +339,47 @@ def test_pool_is_no_larger_than_the_points_it_runs(tmp_path, small_config,
 # One fresh interpreter serves the tests below: each in-process test runs
 # with numpy and multiprocessing already imported by the suite. The probe
 # records what each step of set-up loaded, then runs one golden case,
-# whose first stream is the one that imports numpy.
+# whose first stream is the one that imports numpy. A step that raises is
+# recorded with its traceback, so it fails only the test that reads it.
 PROBE = """\
-import contextlib, io, json, sys
-def loaded():
-    return [m for m in ("numpy", "multiprocessing") if m in sys.modules]
+import contextlib, importlib, io, json, sys, traceback
 seen = {}
-import coexsim
-seen["import coexsim"] = loaded()
-from coexsim import cli
-seen["import coexsim.cli"] = loaded()
-from coexsim.scenario import config_from_dict
-for scheme in ("wifi-only", "lbt", "hap-sa", "hap-uca"):
-    config_from_dict({"scheme": scheme, "n_wifi": 5,
-                      "m_lte": 0 if scheme == "wifi-only" else 3})
-seen["config_from_dict"] = loaded()
-with contextlib.redirect_stdout(io.StringIO()):
-    seen["oracle exit"] = cli.main(["oracle", "--n", "5,10"])
-seen["oracle"] = loaded()
-with contextlib.redirect_stdout(io.StringIO()):
-    seen["report exit"] = cli.main(["report", "--runs", sys.argv[1]])
-seen["report"] = loaded()
-from coexsim.simulate import run_scenario
-res = run_scenario(config_from_dict(json.loads(sys.argv[2])), int(sys.argv[3]))
-seen["run"] = {"trace_hash": res.trace_hash, "csv": res.row.csv_values()}
-seen["after the run"] = loaded()
+def step(name, fn):
+    try:
+        result = fn()
+    except Exception:
+        seen[name] = {"error": traceback.format_exc()}
+    else:
+        seen[name] = {"result": result, "loaded": [
+            m for m in ("numpy", "multiprocessing") if m in sys.modules]}
+def quiet_main(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return importlib.import_module("coexsim.cli").main(list(argv))
+def build_configs():
+    from coexsim.scenario import config_from_dict
+    for scheme in ("wifi-only", "lbt", "hap-sa", "hap-uca"):
+        config_from_dict({"scheme": scheme, "n_wifi": 5,
+                          "m_lte": 0 if scheme == "wifi-only" else 3})
+def golden_run():
+    from coexsim.scenario import config_from_dict
+    from coexsim.simulate import run_scenario
+    res = run_scenario(config_from_dict(json.loads(sys.argv[2])), 1)
+    return {"trace_hash": res.trace_hash, "csv": res.row.csv_values()}
+step("import coexsim", lambda: importlib.import_module("coexsim").__name__)
+step("import coexsim.cli",
+     lambda: importlib.import_module("coexsim.cli").__name__)
+step("config_from_dict", build_configs)
+step("oracle", lambda: quiet_main("oracle", "--n", "5,10"))
+step("report", lambda: quiet_main("report", "--runs", sys.argv[1]))
+step("run", golden_run)
 print(json.dumps(seen))
 """
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+# the golden case hap-sa-n1-m3-20ms, run with seed 1
 GOLDEN_CASE = "hap-sa-n1-m3-20ms"
+GOLDEN_CONFIG = {"scheme": "hap-sa", "n_wifi": 1, "m_lte": 3,
+                 "duration_s": 1.0, "interval_us": 20_000,
+                 "channel": {"pathloss_exponent": 2.0}}
 
 
 @pytest.fixture(scope="module")
@@ -378,39 +389,46 @@ def fresh_interpreter(tmp_path_factory):
     runs = tmp_path_factory.mktemp("probe") / "runs.csv"
     runs.write_text(",".join(CSV_COLUMNS) + "\n"
                     + ",".join(golden["csv"]) + "\n")
-    config, seed = _cases()[GOLDEN_CASE]
     src = str(Path(cli.__file__).parents[1])    # the coexsim under test
     out = subprocess.run(
-        [sys.executable, "-c", PROBE, str(runs),
-         json.dumps(dataclasses.asdict(config)), str(seed)],
+        [sys.executable, "-c", PROBE, str(runs), json.dumps(GOLDEN_CONFIG)],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
     return json.loads(out.stdout)
 
 
+def _step(probe: dict, name: str) -> dict:
+    """One probe step's record; a step that raised fails with its traceback."""
+    record = probe[name]
+    assert "error" not in record, record.get("error")
+    return record
+
+
 def test_importing_the_cli_loads_no_multiprocessing(fresh_interpreter):
     # only a sweep or run with --parallel > 1 builds a process pool; every
     # other start must not pay for importing one
-    assert "multiprocessing" not in fresh_interpreter["import coexsim.cli"]
+    assert "multiprocessing" not in _step(fresh_interpreter,
+                                          "import coexsim.cli")["loaded"]
 
 
 def test_set_up_oracle_and_report_load_no_numpy(fresh_interpreter):
     # numpy is first imported by a run's first stream
     steps = ("import coexsim", "import coexsim.cli", "config_from_dict",
              "oracle", "report")
-    assert {step: "numpy" in fresh_interpreter[step] for step in steps} == (
+    records = {step: _step(fresh_interpreter, step) for step in steps}
+    assert {step: "numpy" in records[step]["loaded"] for step in steps} == (
         dict.fromkeys(steps, False))
-    assert fresh_interpreter["oracle exit"] == 0
-    assert fresh_interpreter["report exit"] == 0
+    assert records["oracle"]["result"] == 0
+    assert records["report"]["result"] == 0
 
 
 def test_a_run_that_imports_numpy_itself_matches_its_golden_digest(
         fresh_interpreter):
     # every in-process run finds numpy already loaded by the suite; here
     # the run's first stream imports it
-    assert fresh_interpreter["run"] == json.loads(
-        GOLDEN.read_text())[GOLDEN_CASE]
-    assert "numpy" in fresh_interpreter["after the run"]
+    run = _step(fresh_interpreter, "run")
+    assert run["result"] == json.loads(GOLDEN.read_text())[GOLDEN_CASE]
+    assert "numpy" in run["loaded"]
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
