@@ -23,12 +23,22 @@ the caller schedules as usual. Either way the clock, the count and the
 hash are those that queueing would give. A firer holds the heap and the
 line buffer themselves, so neither list is ever rebound.
 
+A callback that knows a run of follow-up events at once can fire them
+all by the same rule, with no call per event: ``lookahead()`` gives the
+queue's horizon, the heap head's (time, rank) capped at ``run_until``'s
+end, and a logger bound to the clock, the line buffer and the flush.
+The callback does the work of every event that sorts before the
+horizon, in (time, rank) order, queues the rest, and logs the fired
+events' lines with one call, which moves the clock to the last of them.
+Nothing it queues meanwhile may sort before what it fires.
+
 Every fired event is one trace line, "time kind target", and nothing
-else. Lines are buffered, at most ``HASH_BATCH`` of them, and flushed
-when the buffer fills and whenever a summary is taken: a flush counts
-them and, with ``hash_trace``, feeds them to a sha256 digest in one
-joined update. sha256 streams, so the digest is that of the same lines
-fed one at a time, and a run never holds more than one batch.
+else. Lines are buffered, at most ``HASH_BATCH`` of them beyond the
+lines of one logged run of events, and flushed when the buffer fills and
+whenever a summary is taken: a flush counts them and, with
+``hash_trace``, feeds them to a sha256 digest in one joined update.
+sha256 streams, so the digest is that of the same lines fed one at a
+time.
 
 Every random draw comes from a named per-entity stream seeded from
 (root seed, stream id), so a draw depends only on the stream's own
@@ -160,6 +170,38 @@ class Simulator:
             return True
 
         return fire
+
+    def lookahead(self) -> tuple[tuple[float, int],
+                                 Callable[[list[str], int], None]]:
+        """The queue's horizon, and a logger for events fired before it.
+
+        The horizon is the heap head's (time, rank), capped at
+        ``run_until``'s end: an event whose (time, rank) sorts strictly
+        before it is one the queue would fire before anything queued now,
+        within this ``run_until``. Outside ``run_until`` no event sorts
+        before it. A callback may fire such events itself, in queue
+        order, as its last work, if it queues nothing that sorts before
+        them while it does. ``log(lines, time)`` then logs their lines,
+        already formatted and in order, and moves the clock to ``time``,
+        the last one's: one call for the lot, so an event fired this way
+        costs no frame beyond its own work, which must not read the
+        clock. A time past the end, or before the clock, is rejected.
+        """
+        heap = self._heap
+        cap = (self._t_end + 1, 0)
+        horizon = heap[0][:2] if heap and heap[0] < cap else cap
+        return horizon, self._log_fired
+
+    def _log_fired(self, lines: list[str], time: int) -> None:
+        if time > self._t_end or time < self.now:
+            raise SchedulingError(f"cannot log events to {time} us: the "
+                                  f"clock is at {self.now} us and the run "
+                                  f"ends at {self._t_end} us")
+        self.now = time
+        buffered = self._lines
+        buffered += lines
+        if len(buffered) >= HASH_BATCH:
+            self._flush_hash()
 
     def run_until(self, t_end: int) -> TraceSummary:
         """Process every event with time <= t_end, then pin the clock there."""

@@ -14,8 +14,10 @@ Two user classes:
 * uca (carrier aggregation): control stays licensed, so the CFP budget
   is split evenly across all users with no header, ack, or sync cost.
 
-``TxopGrant`` is the one home of this layout: it checks n when built
-and reports the data window (``data_us``) that delivery reads.
+``TxopGrant`` is the one home of this layout: a named tuple that checks
+n when built and reports the data window (``data_us``) that delivery
+reads. Delivery draws one fading gain per subframe segment and sums the
+bits with ``radio.delivered_bits``.
 
 This module is pure planning and payload arithmetic; event wiring lives
 in the run loop.
@@ -25,10 +27,15 @@ from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
+# fading_gains and lte_rate are bound here because coexbench's tracer
+# patches them in this module (Tracer.installed reads vars(module)[name]);
+# delivery calls fading_gains from here, and lte_rate's expression runs
+# inside delivered_bits
 from .radio import (FRAME_ACK_US, FRAME_HEADER_US, SUBFRAME_US, ChannelParams,
-                    LinkBudget, fading_gains, lte_rate)
+                    LinkBudget, delivered_bits, fading_gains,
+                    lte_rate)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,8 +68,14 @@ def sa_txop_duration(n_subframes: int) -> int:
 SA_TXOP_US = {n: sa_txop_duration(n) for n in SA_N_CHOICES}
 
 
-@dataclass(frozen=True)
-class TxopGrant:
+class _GrantFields(NamedTuple):
+    user_id: str
+    start_us: int
+    duration_us: int
+    n_subframes: int | None = None   # set for standalone grants
+
+
+class TxopGrant(_GrantFields):
     """One scheduled window of the contention-free period.
 
     A standalone grant (``n_subframes`` set) carries one shortened LTE
@@ -70,27 +83,35 @@ class TxopGrant:
     n must be one of ``SA_N_CHOICES``, so the sync subframes 0 and 5 stay
     active. An aggregation grant (``n_subframes`` None) carries data
     over its whole duration.
+
+    A named tuple, checked in ``__new__``: a run builds thousands, and a
+    tuple is built without a field-by-field ``__setattr__`` or a
+    ``__post_init__`` frame.
     """
 
-    user_id: str
-    start_us: int
-    duration_us: int
-    n_subframes: int | None = None   # set for standalone grants
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.duration_us % TXOP_QUANTUM_US:
+    def __new__(cls, user_id: str, start_us: int, duration_us: int,
+                n_subframes: int | None = None):
+        if duration_us % TXOP_QUANTUM_US:
             raise ValueError("grant duration off the 32 µs grid")
-        if not TXOP_QUANTUM_US <= self.duration_us <= TXOP_MAX_US:
+        if not TXOP_QUANTUM_US <= duration_us <= TXOP_MAX_US:
             raise ValueError("grant duration outside [32, 8160] µs")
-        n = self.n_subframes
-        if n is not None:
-            if n not in SA_N_CHOICES:
+        if n_subframes is not None:
+            if n_subframes not in SA_N_CHOICES:
                 raise ValueError(
-                    f"standalone grant needs 6 <= n <= 8, got {n}")
-            if self.duration_us != SA_TXOP_US[n]:
+                    f"standalone grant needs 6 <= n <= 8, got {n_subframes}")
+            if duration_us != SA_TXOP_US[n_subframes]:
                 raise ValueError(
-                    f"standalone grant of {n} subframes must last "
-                    f"{SA_TXOP_US[n]} µs, got {self.duration_us}")
+                    f"standalone grant of {n_subframes} subframes must last "
+                    f"{SA_TXOP_US[n_subframes]} µs, got {duration_us}")
+        return tuple.__new__(cls, (user_id, start_us, duration_us,
+                                   n_subframes))
+
+    @classmethod
+    def _make(cls, iterable) -> TxopGrant:
+        # the named tuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def end_us(self) -> int:
@@ -221,13 +242,6 @@ def cfp_transmit(grant: TxopGrant, link: LinkBudget, channel: ChannelParams,
     An aggregation grant may end mid subframe, in which case the tail
     segment delivers pro rata.
     """
-    full, tail = divmod(grant.data_us, SUBFRAME_US)
-    segments = [SUBFRAME_US] * full + ([tail] if tail else [])
-    gains = fading_gains(rng, len(segments), channel).tolist()
-    snr = link.mean_snr
-    # a list, not a generator expression, which would resume a frame
-    # per segment; sum() adds the parts in segment order either way
-    parts = []
-    for seg, g in zip(segments, gains):
-        parts.append(lte_rate(snr * g, channel) * (seg * 1e-6))
-    return sum(parts)
+    data_us = grant.data_us
+    gains = fading_gains(rng, -(-data_us // SUBFRAME_US), channel).tolist()
+    return delivered_bits(link.mean_snr, gains, data_us, channel)

@@ -13,8 +13,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .dcf import MacTiming
+# fading_gains and lte_rate are bound here because coexbench's tracer
+# patches them in this module (Tracer.installed reads vars(module)[name]);
+# a burst calls fading_gains from here, and lte_rate's expression runs
+# inside delivered_bits
 from .radio import (FRAME_ACK_US, FRAME_HEADER_US, SUBFRAME_US,
-                    ChannelParams, LinkBudget, fading_gains, lte_rate)
+                    ChannelParams, LinkBudget, delivered_bits, fading_gains,
+                    lte_rate)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -83,9 +88,6 @@ class LbtNode:
 def burst_transmit(node: LbtNode, channel: ChannelParams) -> float:
     """Delivered bits of one clean burst: per-subframe fading, 1 ms each."""
     n_sub = node.params.data_subframes
-    snr = node.link.mean_snr
     gains = fading_gains(node.rng, n_sub, channel).tolist()
-    # a list, not a generator expression, which would resume a frame per
-    # subframe; sum() adds the parts in subframe order either way
-    return sum([lte_rate(snr * g, channel) * (SUBFRAME_US * 1e-6)
-                for g in gains])
+    return delivered_bits(node.link.mean_snr, gains, n_sub * SUBFRAME_US,
+                          channel)

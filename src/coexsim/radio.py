@@ -137,3 +137,32 @@ def lte_rate(snr: float, params: ChannelParams) -> float:
         raise ValueError("snr must be non-negative")
     eff = min(math.log2(1.0 + snr), params.spectral_efficiency_cap)
     return params.bandwidth_hz * eff * (1.0 - params.control_overhead)
+
+
+def delivered_bits(snr: float, gains: list[float], data_us: int,
+                   params: ChannelParams) -> float:
+    """Bits delivered over ``data_us`` µs of data at mean SNR ``snr``.
+
+    The data runs in 1 ms subframe segments, the last one shorter if
+    ``data_us`` ends mid subframe, and ``gains`` holds one block-fading
+    gain per segment, in order. Each segment delivers the rate of
+    ``lte_rate`` at its faded SNR for its length; the parts are summed in
+    segment order. This is ``lte_rate`` written out once for a whole
+    burst or grant, with the same float operations in the same order, so
+    a delivery costs one frame, not one per subframe.
+    """
+    if snr < 0:
+        raise ValueError("snr must be non-negative")
+    full, tail = divmod(data_us, SUBFRAME_US)
+    seconds = [SUBFRAME_US * 1e-6] * full
+    if tail:
+        seconds.append(tail * 1e-6)
+    if len(gains) != len(seconds):
+        raise ValueError(f"{len(gains)} fading gains for "
+                         f"{len(seconds)} segments")
+    cap = params.spectral_efficiency_cap
+    bandwidth = params.bandwidth_hz
+    kept = 1.0 - params.control_overhead
+    log2 = math.log2
+    return sum([bandwidth * min(log2(1.0 + snr * g), cap) * kept * s
+                for g, s in zip(gains, seconds)])

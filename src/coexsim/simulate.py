@@ -6,24 +6,29 @@ and grant machinery. It returns both the flat result row used for CSV
 emission and the raw artifacts (busy intervals, signalling trace, event
 trace hash) that the invariant checks inspect.
 
-The coordinator queues its callbacks (beacons, subframe ticks, CFP and
-TXOP ends) as ``functools.partial`` objects built during the run; a
-subframe tick is ``fsm_step``, the machine's own step, bound to its
-machine and time, so a tick costs the step and its tick handler. It
-queues only the next beacon, never the run's later ones, so the event
-heap a contention exchange pushes into does not deepen with the run's
-length.
+The coordinator queues only the next beacon, never the run's later
+ones. A beacon plans its contention-free period (CFP) and, since Wi-Fi
+is silent until the CFP ends, fires the period's subframe ticks, TXOP
+ends and CFP end itself, in one pass in queue order, up to the engine's
+horizon (``Simulator.lookahead``): a tick costs the machine's step and
+its tick handler, and no queue entry. It queues, as
+``functools.partial`` callbacks, only the sleep ticks that outlast the
+period and whatever an earlier queued event or the end of
+``run_until`` cuts off. So the event heap a contention exchange pushes
+into holds about one entry, whatever the run's length or the CFP's.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import partial
+from operator import itemgetter
 
 from .analytics import MetricsAccumulator
 from .contention import BusyPeriods, ContentionDriver
 from .dcf import WifiStation, exchange_durations
-from .engine import Simulator
+from .engine import KIND_RANK, Simulator
 from .hap import build_superframe, cfp_transmit
 from .lbt import LbtNode
 from .radio import (FRAME_HEADER_US, FRAME_SUBFRAMES, SUBFRAME_US,
@@ -31,6 +36,11 @@ from .radio import (FRAME_HEADER_US, FRAME_SUBFRAMES, SUBFRAME_US,
 from .scenario import ScenarioConfig
 from .signalling import (SaDrxFsm, SaDtxFsm, SignallingTrace, UcaFsm,
                          fsm_step)
+
+
+_TXOP_END = KIND_RANK["txop-end"]
+_CFP_END = KIND_RANK["cfp-end"]
+_TIMER = KIND_RANK["timer"]
 
 
 @dataclass(frozen=True)
@@ -92,10 +102,21 @@ class _HapRun:
     cycle, and hands the rest of the interval back to the contention
     driver.
 
-    Every callback it queues is a ``functools.partial`` built while the
-    run is under way, so it binds the ``fsm_step`` this module holds at
-    that moment. A subframe tick is ``fsm_step`` itself, bound to its
-    machine, event and time; the time equals the clock when it fires.
+    The plan fixes every event of the period at the beacon: each
+    standalone grant's ``data-request`` and its ten subframe ticks, each
+    grant's ``txop-end`` and the period's ``cfp-end``. Wi-Fi is silent
+    until ``cfp-end``, so the beacon fires them itself, in one pass in
+    queue order, up to the engine's horizon (``Simulator.lookahead``):
+    every tick steps its machine, every ``txop-end`` delivers, and
+    ``cfp-end`` opens the contention period last. It queues, as
+    ``functools.partial`` callbacks, only what the queue must order: an
+    event at or past the horizon, which an event queued earlier (a tick
+    of an earlier period) or the end of ``run_until`` cuts off, with
+    everything after it, and the sleep ticks that outlast the period,
+    queued before ``cfp-end`` opens the medium. ``fsm_step``,
+    ``cfp_transmit`` and ``build_superframe`` are looked up in this
+    module as the run goes, so a name patched here (coexbench's tracer
+    patches all three) takes effect from the next beacon on.
     """
 
     def __init__(self, sim: Simulator, cfg: ScenarioConfig,
@@ -162,27 +183,73 @@ class _HapRun:
         self.metrics.cfp_us += plan.cfp_us
         if plan.grants:
             self.cfp_intervals.append((beacon_end, cfp_end))
-        for grant in plan.grants:
-            self._issue_grant(grant)
-        self.sim.schedule(cfp_end, "cfp-end", "hap",
-                          partial(self._open_cp, next_tbtt))
+        self._fire_cfp(plan.grants, cfp_end, next_tbtt)
 
-    def _issue_grant(self, grant) -> None:
-        uid = grant.user_id
-        n = grant.n_subframes
-        if n is not None:       # a standalone grant starts a duty cycle
-            fsm = self.fsms[uid]
-            fsm_step(fsm, "data-request", grant.start_us, n=n)
-            schedule = self.sim.schedule
-            tick_us = grant.start_us + FRAME_HEADER_US
-            for _ in range(FRAME_SUBFRAMES):
-                # n active ticks inside the grant, 10-n sleep ticks after
-                tick_us += SUBFRAME_US
-                schedule(tick_us, "timer", uid,
-                         partial(fsm_step, fsm, "subframe-tick", tick_us))
-        self.trace.grants.append(grant)
-        self.sim.schedule(grant.end_us, "txop-end", uid,
-                          partial(self._deliver, grant))
+    def _fire_cfp(self, grants, cfp_end: int, next_tbtt: int) -> None:
+        """Fire the period's events in queue order, queueing the rest.
+
+        Each event is (time, rank, seq, line suffix, machine or grant),
+        numbered in the order the queue would have been handed them, so
+        sorting the tuples sorts them as the queue would: by (time,
+        rank), then seq. The pass fires a prefix of that order, the
+        events before the horizon up to ``cfp-end``; the rest is queued
+        in seq order, so the queue orders it as before.
+        """
+        step = fsm_step
+        fsms, trace = self.fsms, self.trace
+        events = []
+        for grant in grants:
+            uid = grant.user_id
+            n = grant.n_subframes
+            if n is not None:       # a standalone grant starts a duty cycle
+                fsm = fsms[uid]
+                step(fsm, "data-request", grant.start_us, n=n)
+                tick = f" timer {uid}\n"
+                tick_us = grant.start_us + FRAME_HEADER_US
+                for _ in range(FRAME_SUBFRAMES):
+                    # n active ticks inside the grant, 10-n sleep ticks after
+                    tick_us += SUBFRAME_US
+                    events.append((tick_us, _TIMER, len(events), tick, fsm))
+            trace.grants.append(grant)
+            events.append((grant.start_us + grant.duration_us, _TXOP_END,
+                           len(events), f" txop-end {uid}\n", grant))
+        events.append((cfp_end, _CFP_END, len(events), " cfp-end hap\n",
+                       None))
+        events.sort()
+
+        horizon, log = self.sim.lookahead()
+        # the pass stops at the horizon, and after cfp-end in any case
+        fired = bisect_left(events, min(horizon, (cfp_end, _CFP_END + 1)))
+        if fired < len(events):
+            self._queue(sorted(events[fired:], key=itemgetter(2)), step,
+                        next_tbtt)
+        if not fired:
+            return
+        deliver = self._deliver
+        lines = []
+        for time, rank, _, suffix, item in events[:fired]:
+            lines.append(f"{time}{suffix}")
+            if rank == _TIMER:
+                step(item, "subframe-tick", time)
+            elif rank == _TXOP_END:
+                deliver(item)
+        # ticks and deliveries read no clock; cfp-end reads the logged one
+        log(lines, events[fired - 1][0])
+        if events[fired - 1][1] == _CFP_END:
+            self._open_cp(next_tbtt)
+
+    def _queue(self, events, step, next_tbtt: int) -> None:
+        schedule = self.sim.schedule
+        for time, rank, _, _, item in events:
+            if rank == _TIMER:
+                schedule(time, "timer", item.ue_id,
+                         partial(step, item, "subframe-tick", time))
+            elif rank == _TXOP_END:
+                schedule(time, "txop-end", item.user_id,
+                         partial(self._deliver, item))
+            else:
+                schedule(time, "cfp-end", "hap",
+                         partial(self._open_cp, next_tbtt))
 
     def _deliver(self, grant) -> None:
         bits = cfp_transmit(grant, self.links[grant.user_id],

@@ -30,14 +30,19 @@ overlap in one plain loop, and the contention period's draws and
 exchanges cost less as above: about 105 and 28, then 101 and 27.1 with
 the medium as one process. The step wrapper and its emits lookup are
 gone: a tick is the machine's own step and one tick handler, 86.9 and
-25.7.
+25.7. The beacon then fired each contention-free period's ticks, grant
+ends and ``cfp-end`` itself in one pass, with no ``schedule`` call or
+partial per event, a grant became a named tuple built in one
+``__new__`` frame, and a delivery summed its subframes in one helper
+frame, not an ``lte_rate`` frame per subframe: 67.2 and 19.7.
 
 The 0.2 s lbt run delivers no LTE-U burst: each node bursts once
 before its duty-off of M+N-1 bursts, and every first burst collides. A
 second lbt case, N=30, M=10 with a duty-off of one burst over 0.5 s,
 delivers bursts, so it holds the burst path (``burst_transmit``,
 fading, rate) too: 18.34 calls per exchange, over fewer exchanges,
-since bursts take most of the airtime.
+since bursts take most of the airtime; 17.25 once a burst summed its
+subframes in one helper frame.
 
 The tests count Python ``call`` events with ``sys.setprofile`` over
 short seeded runs, so host speed cannot make them flaky, and fail if a
@@ -55,11 +60,11 @@ from coexsim.radio import ChannelParams
 from coexsim.scenario import ScenarioConfig
 from coexsim.simulate import RunResult, run_scenario
 
-# The figures these runs make, rounded up. hap-sa makes 86.87 alone and
+# The figures these runs make, rounded up. hap-sa makes 67.24 alone and
 # a few calls more after other tests have run in the process, so it gets
 # one more call per grant.
 BUDGET = {("wifi-only", 30): 7, ("lbt", 30): 8, ("wifi-only", 120): 9}
-GRANT_BUDGET = {"hap-sa": 88, "hap-uca": 26}
+GRANT_BUDGET = {"hap-sa": 69, "hap-uca": 20}
 BURST_BUDGET = 18.6     # lbt N=30, M=10, duty-off of one burst
 
 

@@ -261,6 +261,101 @@ def test_a_firer_bound_before_batch_flushes_logs_into_the_live_buffer():
     assert inline[-1].processed == n + len(range(0, n, 7))
 
 
+def test_lookahead_gives_the_heap_head_capped_at_the_run_end():
+    sim = Simulator(root_seed=0)
+    horizons = []
+    sim.schedule(5, "beacon", "probe",
+                 lambda: horizons.append(sim.lookahead()[0]))
+    sim.schedule(7, "txop-end", "head")
+    sim.schedule(9, "timer", "later")
+    sim.run_until(8)
+    for t, kind in ((9, "cfp-end"), (15, "beacon")):
+        sim.schedule(t, kind, "probe",
+                     lambda: horizons.append(sim.lookahead()[0]))
+    sim.schedule(30, "tx-end", "past the end")
+    sim.run_until(20)
+    # the txop-end at 7, the timer that sorts after the cfp-end at 9, then
+    # nothing before the end: every time up to 20 sorts before (21, 0)
+    assert horizons == [(7, KIND_RANK["txop-end"]), (9, KIND_RANK["timer"]),
+                        (21, 0)]
+    # outside run_until no event sorts before the horizon
+    assert not (0, 0) < sim.lookahead()[0]
+
+
+def test_lookahead_logger_logs_lines_in_order_and_moves_the_clock():
+    sim = Simulator(root_seed=0, hash_trace=True)
+    seen = []
+
+    def batch():
+        horizon, log = sim.lookahead()
+        assert horizon == (8, KIND_RANK["timer"])
+        log(["6 timer a\n", "7 txop-end b\n"], 7)
+        seen.append(sim.now)
+        with pytest.raises(SchedulingError, match="clock is at 7"):
+            log(["6 timer a\n"], 6)
+        with pytest.raises(SchedulingError, match="run ends at 10"):
+            log(["11 timer a\n"], 11)
+
+    sim.schedule(5, "beacon", "probe", batch)
+    sim.schedule(8, "timer", "queued")
+    summary = sim.run_until(10)
+    assert seen == [7]
+    assert summary.processed == 4
+    assert summary.trace_hash == _digest((5, "beacon", "probe"),
+                                         (6, "timer", "a"),
+                                         (7, "txop-end", "b"),
+                                         (8, "timer", "queued"))
+    with pytest.raises(SchedulingError):
+        sim.lookahead()[1](["10 timer a\n"], 10)
+
+
+@given(queued=st.lists(st.tuples(st.integers(5, 12),
+                                 st.sampled_from(tuple(KIND_RANK))),
+                       max_size=6),
+       batch=st.lists(st.tuples(st.integers(5, 12),
+                                st.sampled_from(tuple(KIND_RANK))),
+                      min_size=1, max_size=12),
+       t_end=st.integers(5, 12))
+@settings(max_examples=200, deadline=None)
+def test_a_batch_fired_before_the_horizon_leaves_the_trace_as_queued(
+        queued, batch, t_end):
+    # At t=5 a beacon knows a batch of follow-ups. Fired in one pass up to
+    # the horizon, the rest queued in the order they were made, they must
+    # leave the trace, count and firing order that queueing all of them
+    # leaves, across two run_until calls.
+    def run(in_one_pass):
+        sim = Simulator(root_seed=0, hash_trace=True)
+        fired = []
+
+        def follow_up(i):
+            fired.append((sim.now, i))
+
+        def beacon():
+            if not in_one_pass:
+                for i, (t, kind) in enumerate(batch):
+                    sim.schedule(t, kind, f"f{i}", partial(follow_up, i))
+                return
+            events = sorted((t, KIND_RANK[kind], i, kind)
+                            for i, (t, kind) in enumerate(batch))
+            horizon, log = sim.lookahead()
+            cut = sum(1 for e in events if e[:2] < horizon)
+            for t, _, i, kind in sorted(events[cut:], key=lambda e: e[2]):
+                sim.schedule(t, kind, f"f{i}", partial(follow_up, i))
+            if cut:
+                for t, _, i, _ in events[:cut]:
+                    fired.append((t, i))
+                log([f"{t} {kind} f{i}\n" for t, _, i, kind in events[:cut]],
+                    events[cut - 1][0])
+
+        for t, kind in queued:
+            sim.schedule(t, kind, "queued")
+        sim.schedule(5, "beacon", "probe", beacon)
+        first = sim.run_until(t_end)
+        return first, sim.run_until(12), fired
+
+    assert run(True) == run(False)
+
+
 @st.composite
 def _programs(draw):
     """Events (delta, kind, target, try inline), each a root or the child

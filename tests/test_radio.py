@@ -8,6 +8,7 @@ import pytest
 from coexsim.radio import (
     ChannelParams,
     NodePosition,
+    delivered_bits,
     fading_gains,
     link_budget,
     lte_rate,
@@ -97,6 +98,28 @@ def test_place_users_rejects_bad_arguments():
 
 def test_place_users_empty_is_fine():
     assert place_users(0, 100.0, np.random.default_rng(0)) == []
+
+
+@pytest.mark.parametrize("data_us", [8000, 6000, 1504, 32, 2464])
+@pytest.mark.parametrize("snr", [0.0, 1.0, 37.5, 1e9])
+def test_delivered_bits_is_the_sum_of_lte_rate_per_segment(data_us, snr):
+    # bit for bit: the rate of each 1 ms segment (the last one pro rata)
+    # at its faded SNR, summed in segment order
+    channel = ChannelParams(pathloss_exponent=2.0, control_overhead=0.1)
+    full, tail = divmod(data_us, 1000)
+    segments = [1000] * full + ([tail] if tail else [])
+    gains = fading_gains(np.random.default_rng(data_us), len(segments),
+                         channel).tolist()
+    expected = sum([lte_rate(snr * g, channel) * (seg * 1e-6)
+                    for seg, g in zip(segments, gains)])
+    assert delivered_bits(snr, gains, data_us, channel) == expected
+
+
+def test_delivered_bits_rejects_a_gain_count_off_its_segments():
+    with pytest.raises(ValueError, match="2 fading gains for 3 segments"):
+        delivered_bits(1.0, [1.0, 1.0], 2500, DEFAULT)
+    with pytest.raises(ValueError, match="non-negative"):
+        delivered_bits(-1.0, [1.0], 1000, DEFAULT)
 
 
 def test_fading_gains_none_mode_is_all_ones():

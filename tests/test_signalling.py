@@ -1,5 +1,7 @@
 """State machine transition tables and the trace conformance auditor."""
 
+import pickle
+
 import pytest
 
 from coexsim.hap import TxopGrant
@@ -283,3 +285,15 @@ def test_conformance_rejects_illegal_replayed_event():
         TransitionRecord(500, "lte-01", "idle", "rrc", "associated"))
     report = conformance_check(trace)
     assert not report.passed
+
+
+def test_a_grant_rebuilt_by_replace_or_pickle_is_checked_again():
+    # a trace's grants are named tuples: the named tuple's own _make and
+    # _replace, and unpickling, must not skip the grant's checks
+    grant = TxopGrant("lte-01", 1000, 6080, n_subframes=6)
+    assert grant._replace(start_us=2000).end_us == 8080
+    assert pickle.loads(pickle.dumps(grant)) == grant
+    with pytest.raises(ValueError, match="must last 6080"):
+        grant._replace(duration_us=8064)
+    with pytest.raises(ValueError, match="off the 32"):
+        TxopGrant._make(("lte-01", 0, 33, None))

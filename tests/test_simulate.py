@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coexsim.analytics import saturation_throughput
 from coexsim.dcf import MacTiming, exchange_durations
@@ -19,7 +19,9 @@ from coexsim.hap import build_superframe
 from coexsim.radio import ChannelParams
 from coexsim.scenario import ConfigError, ScenarioConfig
 from coexsim.signalling import conformance_check
+from coexsim import simulate
 from coexsim.simulate import CSV_COLUMNS, run_scenario
+from reference_hap import ReferenceHapRun
 
 # short-range channel so LTE links run far from the noise floor
 NEAR = ChannelParams(pathloss_exponent=2.0)
@@ -158,22 +160,27 @@ def test_the_benchmark_audit_flags_a_wifi_period_inside_a_cfp():
     assert audit(cfg, res) == ["isolation: 1 Wi-Fi tx in CFP, 0 LTE tx in CP"]
 
 
-@given(scheme=st.sampled_from(["hap-sa", "hap-uca"]),
-       n=st.integers(0, 4), m=st.integers(1, 8),
-       interval_us=st.sampled_from([10_000, 20_000, 50_000, 100_000]),
-       beacon_us=st.sampled_from([100, 500, 2000, None]),
-       intervals=st.integers(2, 5),
-       slot_us=st.sampled_from([9, 20]), cw_min=st.integers(1, 32),
-       cw_doublings=st.integers(0, 6), max_stage=st.integers(0, 7),
-       access_mode=st.sampled_from(["basic", "rts-cts"]),
-       bit_rate_mbps=st.one_of(st.floats(0.05, 1.0), st.floats(1.0, 130.0)),
-       payload_bytes=st.integers(1, 2304),
-       seed=st.integers(1, 1000))
-@settings(max_examples=40, deadline=None)
-def test_coordinated_runs_keep_ledger_isolation_and_conformance(
-        scheme, n, m, interval_us, beacon_us, intervals, slot_us, cw_min,
-        cw_doublings, max_stage, access_mode, bit_rate_mbps, payload_bytes,
-        seed):
+# Random small coordinated configs: any interval and beacon, the planner's
+# whole range of M and N, and any MAC timing whose exchange fits.
+COORDINATED = dict(
+    scheme=st.sampled_from(["hap-sa", "hap-uca"]),
+    n=st.integers(0, 4), m=st.integers(1, 8),
+    interval_us=st.sampled_from([10_000, 20_000, 50_000, 100_000]),
+    beacon_us=st.sampled_from([100, 500, 2000, None]),
+    intervals=st.integers(2, 5),
+    slot_us=st.sampled_from([9, 20]), cw_min=st.integers(1, 32),
+    cw_doublings=st.integers(0, 6), max_stage=st.integers(0, 7),
+    access_mode=st.sampled_from(["basic", "rts-cts"]),
+    bit_rate_mbps=st.one_of(st.floats(0.05, 1.0), st.floats(1.0, 130.0)),
+    payload_bytes=st.integers(1, 2304),
+    seed=st.integers(1, 1000))
+
+
+def _coordinated_fields(scheme, n, m, interval_us, beacon_us, intervals,
+                        slot_us, cw_min, cw_doublings, max_stage,
+                        access_mode, bit_rate_mbps, payload_bytes):
+    """ScenarioConfig fields for one draw of COORDINATED, and whether a
+    Wi-Fi exchange fits the contention period of a full CFP."""
     timing = MacTiming(slot_us=slot_us, cw_min=cw_min,
                        cw_max=cw_min << cw_doublings,
                        max_backoff_stage=max_stage,
@@ -184,12 +191,18 @@ def test_coordinated_runs_keep_ledger_isolation_and_conformance(
                   duration_s=intervals * interval_us / 1e6,
                   interval_us=interval_us, beacon_us=beacon_us,
                   access_mode=access_mode, timing=timing, channel=NEAR)
-    # a Wi-Fi exchange must fit the contention period of a full CFP
     exchange = exchange_durations(timing, access_mode).t_success_ticks
     cp_us = interval_us - beacon_us - build_superframe(
         m, n, interval_us, "uca" if scheme == "hap-uca" else "standalone",
         beacon_us=beacon_us).cfp_us
-    if n and exchange > cp_us:
+    return fields, not (n and exchange > cp_us)
+
+
+@given(**COORDINATED)
+@settings(max_examples=40, deadline=None)
+def test_coordinated_runs_keep_ledger_isolation_and_conformance(seed, **draw):
+    fields, fits = _coordinated_fields(**draw)
+    if not fits:
         with pytest.raises(ConfigError, match="does not fit"):
             ScenarioConfig(**fields)
         return
@@ -204,6 +217,95 @@ def test_coordinated_runs_keep_ledger_isolation_and_conformance(
         assert any(a <= s and e <= b for a, b in cfp), (s, e)
     for s, e in res.wifi_tx_intervals:
         assert not any(s < b and a < e for a, b in reserved), (s, e)
+
+
+def _recorded_run(cfg, seed, cut_us, coordinator):
+    """Run cfg with ``coordinator`` as the hap coordinator, advancing the
+    engine to cut_us first if it is set. Returns the result, the last
+    trace summary, and the fallbacks the one-pass coordinator took: a
+    period cut short by an event queued earlier ("horizon") or by the end
+    of ``run_until`` ("run end")."""
+    run_until, lookahead = Simulator.run_until, Simulator.lookahead
+    schedule = Simulator.schedule
+    ends, summaries, passes = [], [], []     # passes: [horizon, cut]
+
+    def in_pieces(sim, t_end):
+        if cut_us is not None and cut_us < t_end:
+            ends.append(cut_us)
+            run_until(sim, cut_us)
+        ends.append(t_end)
+        summaries.append(run_until(sim, t_end))
+        return summaries[-1]
+
+    def recorded_lookahead(sim):
+        horizon, log = lookahead(sim)
+        passes.append([horizon, None])
+        return horizon, log
+
+    def recorded_schedule(sim, time, kind, target, fn=None):
+        if kind == "cfp-end" and passes and passes[-1][1] is None:
+            # a queued cfp-end: the pass stopped at its horizon
+            cut_by_end = passes[-1][0][0] > ends[-1]
+            passes[-1][1] = "run end" if cut_by_end else "horizon"
+        schedule(sim, time, kind, target, fn)
+
+    patches = [(simulate, "_HapRun", coordinator),
+               (Simulator, "run_until", in_pieces),
+               (Simulator, "lookahead", recorded_lookahead),
+               (Simulator, "schedule", recorded_schedule)]
+    saved = [(owner, name, vars(owner)[name]) for owner, name, _ in patches]
+    try:
+        for owner, name, value in patches:
+            setattr(owner, name, value)
+        res = simulate.run_scenario(cfg, seed)
+    finally:
+        for owner, name, value in saved:
+            setattr(owner, name, value)
+    return res, summaries[-1], {cut for _, cut in passes if cut}
+
+
+def test_the_one_pass_coordinator_fires_as_the_queue_would():
+    # The reference queues every event of a period and the engine fires
+    # them in (time, rank, seq) order; firing them in one pass from the
+    # beacon must change nothing a run reports. A run advanced in two
+    # run_until calls cuts a period at the first call's end.
+    reached = set()
+
+    @given(cut=st.one_of(st.none(), st.floats(0.0, 1.0)), **COORDINATED)
+    # a tick of the last period overhangs the next one's first events
+    @example(cut=None, scheme="hap-sa", n=0, m=3, interval_us=10_000,
+             beacon_us=100, intervals=3, slot_us=9, cw_min=16,
+             cw_doublings=6, max_stage=6, access_mode="basic",
+             bit_rate_mbps=54.0, payload_bytes=1500, seed=1)
+    # the first run_until ends inside a period
+    @example(cut=0.3, scheme="hap-uca", n=1, m=2, interval_us=20_000,
+             beacon_us=500, intervals=2, slot_us=9, cw_min=16,
+             cw_doublings=6, max_stage=6, access_mode="rts-cts",
+             bit_rate_mbps=54.0, payload_bytes=1500, seed=1)
+    @settings(max_examples=100, deadline=None)
+    def check(cut, seed, **draw):
+        fields, fits = _coordinated_fields(**draw)
+        assume(fits)
+        cfg = ScenarioConfig(**fields)
+        cut_us = None if cut is None else round(cut * cfg.duration_us)
+        ref, ref_summary, _ = _recorded_run(cfg, seed, cut_us,
+                                            ReferenceHapRun)
+        res, summary, fallbacks = _recorded_run(cfg, seed, cut_us,
+                                                simulate._HapRun)
+        reached.update(fallbacks)
+        assert res.trace_hash == ref.trace_hash
+        assert summary.processed == ref_summary.processed
+        assert res.signalling == ref.signalling
+        assert res.cfp_intervals == ref.cfp_intervals
+        assert res.beacon_intervals == ref.beacon_intervals
+        assert res.wifi_tx_intervals == ref.wifi_tx_intervals
+        assert res.lte_tx_intervals == ref.lte_tx_intervals
+        assert res.metrics == ref.metrics
+        assert list(res.metrics.lte_bits) == list(ref.metrics.lte_bits)
+        assert res.row.csv_values() == ref.row.csv_values()
+
+    check()
+    assert reached == {"horizon", "run end"}
 
 
 @given(scheme=st.sampled_from(["wifi-only", "lbt"]),
