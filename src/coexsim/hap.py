@@ -16,8 +16,11 @@ Two user classes:
 
 ``TxopGrant`` is the one home of this layout: a named tuple that checks
 n when built and reports the data window (``data_us``) that delivery
-reads. Delivery draws one fading gain per subframe segment and sums the
-bits with ``radio.delivered_bits``.
+reads. Delivery gives each user a ``DeliveryBlock``, which draws that
+user's fading gains 64 at a time; a grant turns the next gains of its
+block into its subframes' bits (``radio.segment_bits``) and sums them,
+with a pro-rata tail segment when an aggregation grant ends mid
+subframe.
 
 This module is pure planning and payload arithmetic; event wiring lives
 in the run loop.
@@ -31,11 +34,10 @@ from typing import TYPE_CHECKING, NamedTuple
 
 # fading_gains and lte_rate are bound here because coexbench's tracer
 # patches them in this module (Tracer.installed reads vars(module)[name]);
-# delivery calls fading_gains from here, and lte_rate's expression runs
-# inside delivered_bits
+# cfp_transmit calls both from here: fading_gains for a delivery block's
+# draw of 64 gains, lte_rate for an aggregation grant's tail segment
 from .radio import (FRAME_ACK_US, FRAME_HEADER_US, SUBFRAME_US, ChannelParams,
-                    LinkBudget, delivered_bits, fading_gains,
-                    lte_rate)
+                    LinkBudget, fading_gains, lte_rate, segment_bits)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,6 +50,8 @@ DEFAULT_INTERVAL_US = 100_000
 DEFAULT_BEACON_US = 500
 
 MODES = ("standalone", "uca")
+
+FADING_BLOCK = 64   # gains a delivery block draws at a time
 
 
 def round_txop(requested_us: int) -> int:
@@ -233,15 +237,52 @@ def build_superframe(m_lte: int, n_wifi: int,
                           next_rotation)
 
 
-def cfp_transmit(grant: TxopGrant, link: LinkBudget, channel: ChannelParams,
-                 rng: np.random.Generator) -> float:
+class DeliveryBlock:
+    """One LTE user's fading gains, drawn ahead of its grants.
+
+    A hap user's stream feeds nothing but delivery, so its gains are
+    drawn ``FADING_BLOCK`` at a time, one numpy call for several grants.
+    numpy's ``standard_exponential`` gives the same values in one call as
+    in several, so each grant reads the gains its own draw would have
+    given; the draws after the run's last grant are never read.
+    ``gains[at:]`` are the drawn gains no grant has read yet.
+    """
+
+    __slots__ = ("rng", "snr", "channel", "gains", "at")
+
+    def __init__(self, link: LinkBudget, channel: ChannelParams,
+                 rng: np.random.Generator):
+        self.rng = rng
+        self.snr = link.mean_snr
+        self.channel = channel
+        self.gains: list[float] = []
+        self.at = 0
+
+
+def cfp_transmit(grant: TxopGrant, block: DeliveryBlock) -> float:
     """Delivered bits for one grant: fresh fading per subframe segment.
 
     The data window is ``grant.data_us``. A standalone grant delivers
     exactly its n subframes; header, ack and grid padding carry no bits.
     An aggregation grant may end mid subframe, in which case the tail
-    segment delivers pro rata.
+    segment delivers pro rata. The grant reads the next gains of its
+    user's block, drawing ``FADING_BLOCK`` more when too few are left,
+    turns each into its segment's bits once and sums them in order.
     """
-    data_us = grant.data_us
-    gains = fading_gains(rng, -(-data_us // SUBFRAME_US), channel).tolist()
-    return delivered_bits(link.mean_snr, gains, data_us, channel)
+    full, tail = divmod(grant.data_us, SUBFRAME_US)
+    at = block.at
+    end = at + full
+    gains = block.gains
+    if end + (tail > 0) > len(gains):
+        gains = block.gains = gains[at:] + fading_gains(
+            block.rng, FADING_BLOCK, block.channel).tolist()
+        at, end = 0, full
+    bits = segment_bits(block.snr, gains[at:end], SUBFRAME_US * 1e-6,
+                        block.channel)
+    if tail:
+        # one segment: lte_rate takes one frame, segment_bits two
+        bits.append(lte_rate(block.snr * gains[end], block.channel)
+                    * (tail * 1e-6))
+        end += 1
+    block.at = end
+    return sum(bits)

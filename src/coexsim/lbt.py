@@ -15,8 +15,9 @@ from typing import TYPE_CHECKING
 from .dcf import MacTiming
 # fading_gains and lte_rate are bound here because coexbench's tracer
 # patches them in this module (Tracer.installed reads vars(module)[name]);
-# a burst calls fading_gains from here, and lte_rate's expression runs
-# inside delivered_bits
+# a burst calls fading_gains from here. lte_rate is imported only to be
+# patched: a burst's rate runs inside radio.segment_bits, through
+# delivered_bits
 from .radio import (FRAME_ACK_US, FRAME_HEADER_US, SUBFRAME_US,
                     ChannelParams, LinkBudget, delivered_bits, fading_gains,
                     lte_rate)

@@ -6,7 +6,10 @@ Shannon capacity clamped at a spectral-efficiency cap, minus the fixed
 control-symbol overhead.  Wi-Fi carries no such model: its stations send
 at a fixed MAC rate regardless of position.
 
-The draws come from the run's numpy generators; the two functions that
+``segment_bits`` is the one home of a segment's bits, ``lte_rate`` at
+the faded SNR times the segment's length, written out for a list of
+gains; hap grants and LBT bursts (through ``delivered_bits``) both sum
+it. The draws come from the run's numpy generators; the two functions that
 call numpy themselves, ``place_users`` and ``fading_gains`` without
 fading, import it when called, so importing this module loads no numpy.
 """
@@ -139,30 +142,42 @@ def lte_rate(snr: float, params: ChannelParams) -> float:
     return params.bandwidth_hz * eff * (1.0 - params.control_overhead)
 
 
+def segment_bits(snr: float, gains: list[float], seconds: float,
+                 params: ChannelParams) -> list[float]:
+    """Bits of one data segment of ``seconds`` at each faded SNR ``snr * g``.
+
+    Each is ``lte_rate(snr * g, params) * seconds`` bit for bit: this is
+    the one home of that expression for a list of gains. The capped bits
+    are worked out once, and ``capped if cap < x else ...`` gives what
+    ``min(x, cap)`` gives, so a capped segment takes no ``min`` call and
+    no three multiplies.
+    """
+    cap = params.spectral_efficiency_cap
+    bandwidth = params.bandwidth_hz
+    kept = 1.0 - params.control_overhead
+    capped = bandwidth * cap * kept * seconds
+    log2 = math.log2
+    return [capped if cap < (x := log2(1.0 + snr * g))
+            else bandwidth * x * kept * seconds
+            for g in gains]
+
+
 def delivered_bits(snr: float, gains: list[float], data_us: int,
                    params: ChannelParams) -> float:
     """Bits delivered over ``data_us`` µs of data at mean SNR ``snr``.
 
     The data runs in 1 ms subframe segments, the last one shorter if
     ``data_us`` ends mid subframe, and ``gains`` holds one block-fading
-    gain per segment, in order. Each segment delivers the rate of
-    ``lte_rate`` at its faded SNR for its length; the parts are summed in
-    segment order. This is ``lte_rate`` written out once for a whole
-    burst or grant, with the same float operations in the same order, so
-    a delivery costs one frame, not one per subframe.
+    gain per segment, in order. Each segment delivers ``segment_bits``
+    for its length, and the parts are summed in segment order.
     """
     if snr < 0:
         raise ValueError("snr must be non-negative")
     full, tail = divmod(data_us, SUBFRAME_US)
-    seconds = [SUBFRAME_US * 1e-6] * full
-    if tail:
-        seconds.append(tail * 1e-6)
-    if len(gains) != len(seconds):
+    if len(gains) != full + (tail > 0):
         raise ValueError(f"{len(gains)} fading gains for "
-                         f"{len(seconds)} segments")
-    cap = params.spectral_efficiency_cap
-    bandwidth = params.bandwidth_hz
-    kept = 1.0 - params.control_overhead
-    log2 = math.log2
-    return sum([bandwidth * min(log2(1.0 + snr * g), cap) * kept * s
-                for g, s in zip(gains, seconds)])
+                         f"{full + (tail > 0)} segments")
+    bits = segment_bits(snr, gains[:full], SUBFRAME_US * 1e-6, params)
+    if tail:
+        bits += segment_bits(snr, gains[full:], tail * 1e-6, params)
+    return sum(bits)

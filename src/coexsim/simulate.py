@@ -16,6 +16,9 @@ its tick handler, and no queue entry. It queues, as
 period and whatever an earlier queued event or the end of
 ``run_until`` cuts off. So the event heap a contention exchange pushes
 into holds about one entry, whatever the run's length or the CFP's.
+A grant reads its fading gains from its user's ``hap.DeliveryBlock``,
+which draws them 64 at a time, so a delivery makes no numpy call of its
+own.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .analytics import MetricsAccumulator
 from .contention import BusyPeriods, ContentionDriver
 from .dcf import WifiStation, exchange_durations
 from .engine import KIND_RANK, Simulator
-from .hap import build_superframe, cfp_transmit
+from .hap import DeliveryBlock, build_superframe, cfp_transmit
 from .lbt import LbtNode
 from .radio import (FRAME_HEADER_US, FRAME_SUBFRAMES, SUBFRAME_US,
                     link_budget, place_users)
@@ -113,7 +116,9 @@ class _HapRun:
     event at or past the horizon, which an event queued earlier (a tick
     of an earlier period) or the end of ``run_until`` cuts off, with
     everything after it, and the sleep ticks that outlast the period,
-    queued before ``cfp-end`` opens the medium. ``fsm_step``,
+    queued before ``cfp-end`` opens the medium. Each user's grants
+    deliver from its ``DeliveryBlock``, built by ``run_scenario`` on the
+    user's own stream, which nothing else draws from. ``fsm_step``,
     ``cfp_transmit`` and ``build_superframe`` are looked up in this
     module as the run goes, so a name patched here (coexbench's tracer
     patches all three) takes effect from the next beacon on.
@@ -121,14 +126,13 @@ class _HapRun:
 
     def __init__(self, sim: Simulator, cfg: ScenarioConfig,
                  driver: ContentionDriver, metrics: MetricsAccumulator,
-                 user_ids: list[str], links: dict, user_rngs: dict,
+                 user_ids: list[str], blocks: dict[str, DeliveryBlock],
                  trace: SignallingTrace):
         self.sim = sim
         self.cfg = cfg
         self.driver = driver
         self.metrics = metrics
-        self.links = links
-        self.user_rngs = user_rngs
+        self.blocks = blocks
         self.trace = trace
         self.rotation = 0
         self.cfp_intervals: list[tuple[int, int]] = []
@@ -252,8 +256,7 @@ class _HapRun:
                          partial(self._open_cp, next_tbtt))
 
     def _deliver(self, grant) -> None:
-        bits = cfp_transmit(grant, self.links[grant.user_id],
-                            self.cfg.channel, self.user_rngs[grant.user_id])
+        bits = cfp_transmit(grant, self.blocks[grant.user_id])
         self.metrics.add_lte_bits(grant.user_id, bits)
         self.metrics.add_lte_airtime(grant.user_id, grant.duration_us)
 
@@ -294,8 +297,10 @@ def run_scenario(config: ScenarioConfig, seed: int) -> RunResult:
     trace: SignallingTrace | None = None
     if config.scheme in ("hap-sa", "hap-uca"):
         trace = SignallingTrace()
-        hap = _HapRun(sim, config, driver, metrics, user_ids, links,
-                      user_rngs, trace)
+        blocks = {uid: DeliveryBlock(links[uid], config.channel,
+                                     user_rngs[uid])
+                  for uid in user_ids}
+        hap = _HapRun(sim, config, driver, metrics, user_ids, blocks, trace)
     else:
         driver.open_window(0, t_end)
 

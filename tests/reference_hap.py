@@ -10,6 +10,13 @@ coordinator's interface (the constructor, ``cfp_intervals`` and
 the queue's (time, rank, seq) order by construction, so the
 coordinator that fires a period in one pass must give the same trace,
 transitions, grants, busy periods, ledger and row.
+
+It also delivers each grant as the coordinator did before delivery
+blocks: it draws the grant's gains, one per subframe segment, from the
+user's stream with ``fading_gains(rng, k).tolist()`` and sums them with
+``radio.delivered_bits``. It reads only the stream and the mean SNR of
+the ``DeliveryBlock`` it is handed, never its drawn gains, so the
+block's bits must equal these.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ from functools import partial
 from coexsim.analytics import MetricsAccumulator
 from coexsim.contention import ContentionDriver
 from coexsim.engine import Simulator
-from coexsim.hap import build_superframe, cfp_transmit
-from coexsim.radio import FRAME_HEADER_US, FRAME_SUBFRAMES, SUBFRAME_US
+from coexsim.hap import DeliveryBlock, build_superframe
+from coexsim.radio import (FRAME_HEADER_US, FRAME_SUBFRAMES, SUBFRAME_US,
+                           delivered_bits, fading_gains)
 from coexsim.scenario import ScenarioConfig
 from coexsim.signalling import (SaDrxFsm, SaDtxFsm, SignallingTrace, UcaFsm,
                                 fsm_step)
@@ -51,14 +59,13 @@ class ReferenceHapRun:
 
     def __init__(self, sim: Simulator, cfg: ScenarioConfig,
                  driver: ContentionDriver, metrics: MetricsAccumulator,
-                 user_ids: list[str], links: dict, user_rngs: dict,
+                 user_ids: list[str], blocks: dict[str, DeliveryBlock],
                  trace: SignallingTrace):
         self.sim = sim
         self.cfg = cfg
         self.driver = driver
         self.metrics = metrics
-        self.links = links
-        self.user_rngs = user_rngs
+        self.blocks = blocks
         self.trace = trace
         self.rotation = 0
         self.cfp_intervals: list[tuple[int, int]] = []
@@ -136,8 +143,11 @@ class ReferenceHapRun:
                           partial(self._deliver, grant))
 
     def _deliver(self, grant) -> None:
-        bits = cfp_transmit(grant, self.links[grant.user_id],
-                            self.cfg.channel, self.user_rngs[grant.user_id])
+        block = self.blocks[grant.user_id]
+        data_us = grant.data_us
+        gains = fading_gains(block.rng, -(-data_us // SUBFRAME_US),
+                             self.cfg.channel).tolist()
+        bits = delivered_bits(block.snr, gains, data_us, self.cfg.channel)
         self.metrics.add_lte_bits(grant.user_id, bits)
         self.metrics.add_lte_airtime(grant.user_id, grant.duration_us)
 

@@ -13,6 +13,7 @@ throughput levels the comparisons are about.
 """
 
 import dataclasses
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -67,9 +68,18 @@ def _complement(zones, t_end):
     return out
 
 
+def _in_order(intervals):
+    """The intervals ordered by start: as given when they already are, as
+    the driver's busy periods are, which it appends as they end; sorted
+    only when the order is broken (a concatenation of two lists)."""
+    if all(a <= b for a, b in pairwise(intervals)):
+        return intervals
+    return sorted(intervals)
+
+
 def _merge(intervals):
     out = []
-    for s, e in sorted(intervals):
+    for s, e in _in_order(intervals):
         if out and s <= out[-1][1]:
             out[-1] = (out[-1][0], max(out[-1][1], e))
         else:
@@ -81,7 +91,7 @@ def _overlap_count(intervals, zones):
     """How many of `intervals` intersect any zone (strict overlap)."""
     count = 0
     zi = 0
-    for s, e in sorted(intervals):
+    for s, e in _in_order(intervals):
         while zi < len(zones) and zones[zi][1] <= s:
             zi += 1
         j = zi

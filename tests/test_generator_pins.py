@@ -44,3 +44,14 @@ def test_standard_exponential_draws_the_recorded_values():
     assert [float(x).hex() for x in draws] == [
         "0x1.7987e7a247b23p+1", "0x1.29613aac61be7p-2",
         "0x1.73014df84fde4p+0"]
+
+
+def test_split_standard_exponential_draws_are_one_draw():
+    # A hap delivery block draws a user's gains 64 at a time where each
+    # grant once drew its own; that changes no gain because split draws
+    # from a stream give the values of one draw of their total length.
+    split = make_stream(1, "lte-07")
+    parts = [split.standard_exponential(k).tolist() for k in (8, 7, 64, 3)]
+    whole = make_stream(1, "lte-07").standard_exponential(82).tolist()
+    assert [x.hex() for part in parts for x in part] == [
+        x.hex() for x in whole]

@@ -1,11 +1,18 @@
 """Superframe planning: TXOP grid, grant layout, packing, delivery."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import coexsim.hap as hap
+from coexsim.engine import make_stream
 from coexsim.hap import (
+    FADING_BLOCK,
+    SA_N_CHOICES,
+    SA_TXOP_US,
+    DeliveryBlock,
     TxopGrant,
     build_superframe,
     cfp_budget_us,
@@ -13,7 +20,8 @@ from coexsim.hap import (
     round_txop,
     sa_txop_duration,
 )
-from coexsim.radio import ChannelParams, LinkBudget
+from coexsim.radio import (SUBFRAME_US, ChannelParams, LinkBudget,
+                           delivered_bits, fading_gains)
 
 
 # -- TXOP grid -------------------------------------------------------------
@@ -211,22 +219,25 @@ def test_overlapping_grants_raise(monkeypatch):
 RATE_AT_SNR_1 = 17142857.142857143   # bit/s at SNR 1 (0 dB), no fading
 
 
+def _block(link, channel):
+    return DeliveryBlock(link, channel, np.random.default_rng(0))
+
+
 def test_cfp_transmit_standalone_without_fading():
     link = LinkBudget("lte-00", 10.0, 66.4, 1.0)
     channel = ChannelParams(fading="none")
     grant = TxopGrant("lte-00", 500, 8064, n_subframes=8)
-    bits = cfp_transmit(grant, link, channel, np.random.default_rng(0))
+    bits = cfp_transmit(grant, _block(link, channel))
     assert bits == pytest.approx(8 * RATE_AT_SNR_1 * 1e-3, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_standalone_grant_delivers_exactly_n_subframes(n, monkeypatch):
     # n=6 and n=7 grants are padded to 6080 and 7072 us on the 32 us grid;
-    # the padding carries no bits and draws no fading gain
+    # the padding carries no bits and reads no fading gain
     link = LinkBudget("lte-00", 10.0, 66.4, 1.0)
     grant = TxopGrant("lte-00", 500, sa_txop_duration(n), n_subframes=n)
-    bits = cfp_transmit(grant, link, ChannelParams(fading="none"),
-                        np.random.default_rng(0))
+    bits = cfp_transmit(grant, _block(link, ChannelParams(fading="none")))
     assert bits == pytest.approx(n * RATE_AT_SNR_1 * 1e-3, rel=1e-12)
 
     drawn = []
@@ -237,20 +248,77 @@ def test_standalone_grant_delivers_exactly_n_subframes(n, monkeypatch):
         return real_gains(rng, count, channel)
 
     monkeypatch.setattr(hap, "fading_gains", counting_gains)
-    cfp_transmit(grant, link, ChannelParams(), np.random.default_rng(0))
-    assert drawn == [n]
+    block = _block(link, ChannelParams())
+    cfp_transmit(grant, block)
+    # one draw of the block, of which the grant reads n gains
+    assert drawn == [FADING_BLOCK]
+    assert block.at == n
 
 
 def test_cfp_transmit_partial_tail_subframe():
     link = LinkBudget("lte-00", 10.0, 66.4, 1.0)
     channel = ChannelParams(fading="none")
     grant = TxopGrant("lte-00", 0, 1504)   # uca style: 1.504 ms, no header
-    bits = cfp_transmit(grant, link, channel, np.random.default_rng(0))
+    bits = cfp_transmit(grant, _block(link, channel))
     assert bits == pytest.approx(RATE_AT_SNR_1 * 1504e-6, rel=1e-12)
 
 
 def test_cfp_transmit_zero_snr_delivers_nothing():
     link = LinkBudget("lte-00", 10.0, 66.4, 0.0)
     grant = TxopGrant("lte-00", 500, 8064, n_subframes=8)
-    bits = cfp_transmit(grant, link, ChannelParams(), np.random.default_rng(0))
+    bits = cfp_transmit(grant, _block(link, ChannelParams()))
     assert bits == 0.0
+
+
+@st.composite
+def _channel_and_snr(draw):
+    cap = draw(st.one_of(st.just(6.0), st.floats(0.5, 12.0)))
+    channel = ChannelParams(spectral_efficiency_cap=cap,
+                            fading=draw(st.sampled_from(["rayleigh",
+                                                         "none"])))
+    # 1 + snr reaches 2**cap at snr = 2**cap - 1: a few ulps either side
+    edge = 2.0 ** cap - 1.0
+    for _ in range(draw(st.integers(0, 3))):
+        edge = math.nextafter(edge, draw(st.sampled_from([0.0, math.inf])))
+    snr = draw(st.one_of(st.just(0.0), st.just(edge),
+                         st.floats(0.0, 1e6, allow_subnormal=False)))
+    return channel, snr
+
+
+_GRANT = st.one_of(
+    # standalone: 6-8 whole subframes
+    st.sampled_from(SA_N_CHOICES).map(
+        lambda n: TxopGrant("lte-00", 0, SA_TXOP_US[n], n_subframes=n)),
+    # aggregation without a tail: the 32 us multiples of 1 ms
+    st.sampled_from([4000, 8000]).map(lambda d: TxopGrant("lte-00", 0, d)),
+    # aggregation, nearly always ending mid subframe
+    st.integers(1, 255).map(lambda q: TxopGrant("lte-00", 0, 32 * q)))
+
+
+@given(draw=_channel_and_snr(), grants=st.lists(_GRANT, min_size=1,
+                                                max_size=40),
+       seed=st.integers(0, 2**32 - 1))
+@example(draw=(ChannelParams(), 37.5), seed=1,
+         grants=[TxopGrant("lte-00", 0, SA_TXOP_US[8], n_subframes=8)] * 20)
+@example(draw=(ChannelParams(fading="none"), 63.0), seed=2,
+         grants=[TxopGrant("lte-00", 0, 8160), TxopGrant("lte-00", 0, 8000),
+                 TxopGrant("lte-00", 0, 3104)] * 10)
+@settings(max_examples=200, deadline=None)
+def test_a_block_delivers_each_grant_as_its_own_draw_did(draw, grants, seed):
+    # Before delivery blocks, each grant drew its own gains, one per
+    # subframe segment, and summed them with delivered_bits. A block
+    # draws FADING_BLOCK at a time from the same stream, and a grant
+    # reads its slice; a grant list this long crosses refills.
+    channel, snr = draw
+    link = LinkBudget("lte-00", 1.0, 0.0, snr)
+    old_rng = make_stream(seed, "lte-00")
+    expected = []
+    for grant in grants:
+        data_us = grant.data_us
+        gains = fading_gains(old_rng, -(-data_us // SUBFRAME_US),
+                             channel).tolist()
+        expected.append(delivered_bits(snr, gains, data_us, channel).hex())
+    block = DeliveryBlock(link, channel, make_stream(seed, "lte-00"))
+    assert [cfp_transmit(g, block).hex() for g in grants] == expected
+    # a block holds one draw and what a grant left unread before it
+    assert len(block.gains) < FADING_BLOCK + 9

@@ -62,6 +62,17 @@ the same counts on seeded 1 s runs in brackets:
   one frame: 3932.5 and 985.6. Their budgets were set about 1% above
   these; the per-exchange hap cases read 458.9 and 457.4 with it, and
   lbt with bursts 897.1.
+- Each hap user then drew its fading gains 64 at a time into a delivery
+  block, and a grant turned its slice into bits in ``segment_bits``:
+  3932.5 and 993.5 per grant, 459.2 and 458.1 for the per-exchange hap
+  cases, and lbt with bursts 893.7. Over many grants a delivery costs
+  less (one user's 160 grants in a row: 270.6 opcodes per standalone
+  ``cfp_transmit`` call, was 314.0; 217.3 per aggregation one, was
+  220.0), but on these 1 s runs each of the 30 users gets three to ten grants,
+  over which its block's set-up and first draw are spread. Converting
+  all 64 gains at a draw instead made 4133.0 and 1067.0: up to 63
+  conversions a user that no grant reads. The grant budgets stay: hap-sa
+  is about 1% above its count, and hap-uca's is under 1% above.
 
 Budgets are upper bounds: tighten one only with a count that shows it,
 and add the count here. Opcodes differ between CPython minor versions,

@@ -15,6 +15,7 @@ from coexsim.radio import (
     mean_snr,
     path_loss_db,
     place_users,
+    segment_bits,
 )
 
 DEFAULT = ChannelParams()
@@ -113,6 +114,31 @@ def test_delivered_bits_is_the_sum_of_lte_rate_per_segment(data_us, snr):
     expected = sum([lte_rate(snr * g, channel) * (seg * 1e-6)
                     for seg, g in zip(segments, gains)])
     assert delivered_bits(snr, gains, data_us, channel) == expected
+
+
+# with 4.7/0.3 and 7.1/2/14 a capped segment's bits change if the four
+# factors are multiplied in another order
+@pytest.mark.parametrize("cap,overhead", [(6.0, 0.1), (4.7, 0.3),
+                                          (7.1, 2.0 / 14.0)])
+@pytest.mark.parametrize("step", [-1, 0, 1], ids=["below", "at", "above"])
+@pytest.mark.parametrize("gain", [1.0, 0.25])
+def test_segment_bits_is_lte_rate_at_the_cap_edge(cap, overhead, step,
+                                                  gain):
+    # 1 + snr * g one ulp below 2**cap, at it and one ulp above it: the
+    # capped branch must give what min(log2(...), cap) gives, bit for bit
+    channel = ChannelParams(spectral_efficiency_cap=cap,
+                            control_overhead=overhead)
+    edge = 2.0 ** cap
+    if step:
+        edge = math.nextafter(edge, math.inf * step)
+    snr = (edge - 1.0) / gain
+    assert 1.0 + snr * gain == edge
+    # and far above it, where the capped branch is taken
+    for mean in (snr, 1e9):
+        for seconds in (1e-3, 104e-6):
+            got = segment_bits(mean, [gain], seconds, channel)
+            assert [x.hex() for x in got] == [
+                (lte_rate(mean * gain, channel) * seconds).hex()]
 
 
 def test_delivered_bits_rejects_a_gain_count_off_its_segments():
