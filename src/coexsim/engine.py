@@ -86,6 +86,15 @@ class SchedulingError(ValueError):
     """Event rejected: non-integer time, time in the past, or unknown kind."""
 
 
+def _integral_us(time, what: str) -> int:
+    """``time`` as an int; a non-integral value, ``bool`` too, is rejected."""
+    # numpy registers its integer types as Integral, not np.bool_
+    if type(time) is bool or not isinstance(time, numbers.Integral):
+        raise SchedulingError(
+            f"{what} must be an integer microsecond count, got {time!r}")
+    return int(time)
+
+
 @dataclass
 class TraceSummary:
     """What run_until saw: the events fired, and their hash if kept."""
@@ -122,10 +131,7 @@ class Simulator:
         non-integer times (a ``bool`` too) and unknown kinds are rejected.
         """
         if type(time) is not int:
-            # numpy registers its integer types as Integral, not np.bool_
-            if type(time) is bool or not isinstance(time, numbers.Integral):
-                raise SchedulingError(f"event time must be an integer microsecond count, got {time!r}")
-            time = int(time)
+            time = _integral_us(time, "event time")
         if time < self.now:
             raise SchedulingError(f"cannot schedule at {time} us; clock is already at {self.now} us")
         try:
@@ -204,7 +210,13 @@ class Simulator:
             self._flush_hash()
 
     def run_until(self, t_end: int) -> TraceSummary:
-        """Process every event with time <= t_end, then pin the clock there."""
+        """Process every event with time <= t_end, then pin the clock there.
+        An end before the clock, or not an integer, is rejected."""
+        if type(t_end) is not int:
+            t_end = _integral_us(t_end, "run end")
+        if t_end < self.now:
+            raise SchedulingError(f"cannot run until {t_end} us; clock is "
+                                  f"already at {self.now} us")
         heap, lines = self._heap, self._lines
         self._t_end = t_end
         try:

@@ -16,11 +16,11 @@ Two user classes:
 
 ``TxopGrant`` is the one home of this layout: a named tuple that checks
 n when built and reports the data window (``data_us``) that delivery
-reads. Delivery gives each user a ``DeliveryBlock``, which draws that
-user's fading gains 64 at a time; a grant turns the next gains of its
-block into its subframes' bits (``radio.segment_bits``) and sums them,
-with a pro-rata tail segment when an aggregation grant ends mid
-subframe.
+reads. Delivery takes one user's grants of a whole run at once: it draws
+the user's fading gains, one per subframe segment, in one call, turns
+them into their subframes' bits (``radio.segment_bits``), with a
+pro-rata tail segment when an aggregation grant ends mid subframe, and
+sums them grant by grant.
 
 This module is pure planning and payload arithmetic; event wiring lives
 in the run loop.
@@ -34,10 +34,10 @@ from typing import TYPE_CHECKING, NamedTuple
 
 # fading_gains and lte_rate are bound here because coexbench's tracer
 # patches them in this module (Tracer.installed reads vars(module)[name]);
-# cfp_transmit calls both from here: fading_gains for a delivery block's
-# draw of 64 gains, lte_rate for an aggregation grant's tail segment
+# cfp_transmit calls both from here: fading_gains for a user's draw of
+# gains, lte_rate for an aggregation grant's tail segment
 from .radio import (FRAME_ACK_US, FRAME_HEADER_US, SUBFRAME_US, ChannelParams,
-                    LinkBudget, fading_gains, lte_rate, segment_bits)
+                    fading_gains, lte_rate, segment_bits)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,8 +50,6 @@ DEFAULT_INTERVAL_US = 100_000
 DEFAULT_BEACON_US = 500
 
 MODES = ("standalone", "uca")
-
-FADING_BLOCK = 64   # gains a delivery block draws at a time
 
 
 def round_txop(requested_us: int) -> int:
@@ -237,52 +235,29 @@ def build_superframe(m_lte: int, n_wifi: int,
                           next_rotation)
 
 
-class DeliveryBlock:
-    """One LTE user's fading gains, drawn ahead of its grants.
+def cfp_transmit(grants: list[TxopGrant], snr: float,
+                 rng: np.random.Generator, channel: ChannelParams) -> float:
+    """Delivered bits of one user's grants, in order, at mean SNR ``snr``.
 
-    A hap user's stream feeds nothing but delivery, so its gains are
-    drawn ``FADING_BLOCK`` at a time, one numpy call for several grants.
-    numpy's ``standard_exponential`` gives the same values in one call as
-    in several, so each grant reads the gains its own draw would have
-    given; the draws after the run's last grant are never read.
-    ``gains[at:]`` are the drawn gains no grant has read yet.
+    Each grant's data window is ``grant.data_us``. A standalone grant
+    delivers exactly its n subframes; header, ack and grid padding carry
+    no bits. An aggregation grant may end mid subframe, in which case the
+    tail segment delivers pro rata. Every segment gets a fresh fading
+    gain, drawn for all the grants in one call, in segment order. A
+    grant's bits are summed in segment order, and the grants' sums are
+    added up in grant order.
     """
-
-    __slots__ = ("rng", "snr", "channel", "gains", "at")
-
-    def __init__(self, link: LinkBudget, channel: ChannelParams,
-                 rng: np.random.Generator):
-        self.rng = rng
-        self.snr = link.mean_snr
-        self.channel = channel
-        self.gains: list[float] = []
-        self.at = 0
-
-
-def cfp_transmit(grant: TxopGrant, block: DeliveryBlock) -> float:
-    """Delivered bits for one grant: fresh fading per subframe segment.
-
-    The data window is ``grant.data_us``. A standalone grant delivers
-    exactly its n subframes; header, ack and grid padding carry no bits.
-    An aggregation grant may end mid subframe, in which case the tail
-    segment delivers pro rata. The grant reads the next gains of its
-    user's block, drawing ``FADING_BLOCK`` more when too few are left,
-    turns each into its segment's bits once and sums them in order.
-    """
-    full, tail = divmod(grant.data_us, SUBFRAME_US)
-    at = block.at
-    end = at + full
-    gains = block.gains
-    if end + (tail > 0) > len(gains):
-        gains = block.gains = gains[at:] + fading_gains(
-            block.rng, FADING_BLOCK, block.channel).tolist()
-        at, end = 0, full
-    bits = segment_bits(block.snr, gains[at:end], SUBFRAME_US * 1e-6,
-                        block.channel)
-    if tail:
-        # one segment: lte_rate takes one frame, segment_bits two
-        bits.append(lte_rate(block.snr * gains[end], block.channel)
-                    * (tail * 1e-6))
-        end += 1
-    block.at = end
-    return sum(bits)
+    spans = [divmod(grant.data_us, SUBFRAME_US) for grant in grants]
+    gains = fading_gains(rng, sum([full + (tail > 0) for full, tail in spans]),
+                         channel).tolist()
+    bits = segment_bits(snr, gains, SUBFRAME_US * 1e-6, channel)
+    total, at = 0.0, 0
+    for full, tail in spans:
+        end = at + full
+        if tail:
+            # one segment: lte_rate takes one frame, segment_bits two
+            bits[end] = lte_rate(snr * gains[end], channel) * (tail * 1e-6)
+            end += 1
+        total += sum(bits[at:end])
+        at = end
+    return total

@@ -16,11 +16,10 @@ from .dcf import MacTiming
 # fading_gains and lte_rate are bound here because coexbench's tracer
 # patches them in this module (Tracer.installed reads vars(module)[name]);
 # a burst calls fading_gains from here. lte_rate is imported only to be
-# patched: a burst's rate runs inside radio.segment_bits, through
-# delivered_bits
+# patched: a burst's rate runs inside radio.segment_bits
 from .radio import (FRAME_ACK_US, FRAME_HEADER_US, SUBFRAME_US,
-                    ChannelParams, LinkBudget, delivered_bits, fading_gains,
-                    lte_rate)
+                    ChannelParams, LinkBudget, fading_gains, lte_rate,
+                    segment_bits)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,8 +86,9 @@ class LbtNode:
 
 
 def burst_transmit(node: LbtNode, channel: ChannelParams) -> float:
-    """Delivered bits of one clean burst: per-subframe fading, 1 ms each."""
-    n_sub = node.params.data_subframes
-    gains = fading_gains(node.rng, n_sub, channel).tolist()
-    return delivered_bits(node.link.mean_snr, gains, n_sub * SUBFRAME_US,
-                          channel)
+    """Delivered bits of one clean burst: whole 1 ms subframes, each
+    with its own fading gain, summed in order."""
+    gains = fading_gains(node.rng, node.params.data_subframes,
+                         channel).tolist()
+    return sum(segment_bits(node.link.mean_snr, gains, SUBFRAME_US * 1e-6,
+                            channel))

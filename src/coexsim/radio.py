@@ -8,8 +8,7 @@ at a fixed MAC rate regardless of position.
 
 ``segment_bits`` is the one home of a segment's bits, ``lte_rate`` at
 the faded SNR times the segment's length, written out for a list of
-gains; hap grants and LBT bursts (through ``delivered_bits``) both sum
-it. The draws come from the run's numpy generators; the two functions that
+gains; hap grants and LBT bursts both sum it. The draws come from the run's numpy generators; the two functions that
 call numpy themselves, ``place_users`` and ``fading_gains`` without
 fading, import it when called, so importing this module loads no numpy.
 """
@@ -161,23 +160,3 @@ def segment_bits(snr: float, gains: list[float], seconds: float,
             else bandwidth * x * kept * seconds
             for g in gains]
 
-
-def delivered_bits(snr: float, gains: list[float], data_us: int,
-                   params: ChannelParams) -> float:
-    """Bits delivered over ``data_us`` µs of data at mean SNR ``snr``.
-
-    The data runs in 1 ms subframe segments, the last one shorter if
-    ``data_us`` ends mid subframe, and ``gains`` holds one block-fading
-    gain per segment, in order. Each segment delivers ``segment_bits``
-    for its length, and the parts are summed in segment order.
-    """
-    if snr < 0:
-        raise ValueError("snr must be non-negative")
-    full, tail = divmod(data_us, SUBFRAME_US)
-    if len(gains) != full + (tail > 0):
-        raise ValueError(f"{len(gains)} fading gains for "
-                         f"{full + (tail > 0)} segments")
-    bits = segment_bits(snr, gains[:full], SUBFRAME_US * 1e-6, params)
-    if tail:
-        bits += segment_bits(snr, gains[full:], tail * 1e-6, params)
-    return sum(bits)

@@ -16,9 +16,11 @@ its tick handler, and no queue entry. It queues, as
 period and whatever an earlier queued event or the end of
 ``run_until`` cuts off. So the event heap a contention exchange pushes
 into holds about one entry, whatever the run's length or the CFP's.
-A grant reads its fading gains from its user's ``hap.DeliveryBlock``,
-which draws them 64 at a time, so a delivery makes no numpy call of its
-own.
+
+A coordinated user's LTE data depends only on its grants and its own
+fading stream, and nothing in the run reads it, so ``run_scenario``
+delivers it after the run: one ``hap.cfp_transmit`` call per user over
+that user's grants, which draws all of its gains at once.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import partial
-from operator import itemgetter
 
 from .analytics import MetricsAccumulator
 from .contention import BusyPeriods, ContentionDriver
 from .dcf import WifiStation, exchange_durations
 from .engine import KIND_RANK, Simulator
-from .hap import DeliveryBlock, build_superframe, cfp_transmit
+from .hap import build_superframe, cfp_transmit
 from .lbt import LbtNode
 from .radio import (FRAME_HEADER_US, FRAME_SUBFRAMES, SUBFRAME_US,
                     link_budget, place_users)
@@ -110,29 +111,27 @@ class _HapRun:
     grant's ``txop-end`` and the period's ``cfp-end``. Wi-Fi is silent
     until ``cfp-end``, so the beacon fires them itself, in one pass in
     queue order, up to the engine's horizon (``Simulator.lookahead``):
-    every tick steps its machine, every ``txop-end`` delivers, and
-    ``cfp-end`` opens the contention period last. It queues, as
-    ``functools.partial`` callbacks, only what the queue must order: an
-    event at or past the horizon, which an event queued earlier (a tick
-    of an earlier period) or the end of ``run_until`` cuts off, with
-    everything after it, and the sleep ticks that outlast the period,
-    queued before ``cfp-end`` opens the medium. Each user's grants
-    deliver from its ``DeliveryBlock``, built by ``run_scenario`` on the
-    user's own stream, which nothing else draws from. ``fsm_step``,
-    ``cfp_transmit`` and ``build_superframe`` are looked up in this
-    module as the run goes, so a name patched here (coexbench's tracer
-    patches all three) takes effect from the next beacon on.
+    every tick steps its machine, and ``cfp-end`` opens the contention
+    period last. It queues, as ``functools.partial`` callbacks, only
+    what the queue must order: an event at or past the horizon, which an
+    event queued earlier (a tick of an earlier period) or the end of
+    ``run_until`` cuts off, with everything after it, and the sleep
+    ticks that outlast the period, queued before ``cfp-end`` opens the
+    medium. It records each grant in
+    the signalling trace, from which ``run_scenario`` delivers the
+    grants' data after the run. ``fsm_step`` and ``build_superframe``
+    are looked up in this module as the run goes, so a name patched here
+    (coexbench's tracer patches both) takes effect from the next beacon
+    on.
     """
 
     def __init__(self, sim: Simulator, cfg: ScenarioConfig,
                  driver: ContentionDriver, metrics: MetricsAccumulator,
-                 user_ids: list[str], blocks: dict[str, DeliveryBlock],
-                 trace: SignallingTrace):
+                 user_ids: list[str], trace: SignallingTrace):
         self.sim = sim
         self.cfg = cfg
         self.driver = driver
         self.metrics = metrics
-        self.blocks = blocks
         self.trace = trace
         self.rotation = 0
         self.cfp_intervals: list[tuple[int, int]] = []
@@ -192,12 +191,13 @@ class _HapRun:
     def _fire_cfp(self, grants, cfp_end: int, next_tbtt: int) -> None:
         """Fire the period's events in queue order, queueing the rest.
 
-        Each event is (time, rank, seq, line suffix, machine or grant),
+        Each event is (time, rank, seq, line suffix, machine or user),
         numbered in the order the queue would have been handed them, so
         sorting the tuples sorts them as the queue would: by (time,
         rank), then seq. The pass fires a prefix of that order, the
-        events before the horizon up to ``cfp-end``; the rest is queued
-        in seq order, so the queue orders it as before.
+        events before the horizon up to ``cfp-end``, and queues the rest
+        in the same order: each takes a later engine seq than anything
+        queued before it, so the queue orders it as before.
         """
         step = fsm_step
         fsms, trace = self.fsms, self.trace
@@ -215,8 +215,9 @@ class _HapRun:
                     tick_us += SUBFRAME_US
                     events.append((tick_us, _TIMER, len(events), tick, fsm))
             trace.grants.append(grant)
+            # a marker with no work: it stays in the trace so every hash holds
             events.append((grant.start_us + grant.duration_us, _TXOP_END,
-                           len(events), f" txop-end {uid}\n", grant))
+                           len(events), f" txop-end {uid}\n", uid))
         events.append((cfp_end, _CFP_END, len(events), " cfp-end hap\n",
                        None))
         events.sort()
@@ -225,19 +226,15 @@ class _HapRun:
         # the pass stops at the horizon, and after cfp-end in any case
         fired = bisect_left(events, min(horizon, (cfp_end, _CFP_END + 1)))
         if fired < len(events):
-            self._queue(sorted(events[fired:], key=itemgetter(2)), step,
-                        next_tbtt)
+            self._queue(events[fired:], step, next_tbtt)
         if not fired:
             return
-        deliver = self._deliver
         lines = []
         for time, rank, _, suffix, item in events[:fired]:
             lines.append(f"{time}{suffix}")
             if rank == _TIMER:
                 step(item, "subframe-tick", time)
-            elif rank == _TXOP_END:
-                deliver(item)
-        # ticks and deliveries read no clock; cfp-end reads the logged one
+        # ticks read no clock; cfp-end reads the logged one
         log(lines, events[fired - 1][0])
         if events[fired - 1][1] == _CFP_END:
             self._open_cp(next_tbtt)
@@ -249,16 +246,10 @@ class _HapRun:
                 schedule(time, "timer", item.ue_id,
                          partial(step, item, "subframe-tick", time))
             elif rank == _TXOP_END:
-                schedule(time, "txop-end", item.user_id,
-                         partial(self._deliver, item))
+                schedule(time, "txop-end", item)
             else:
                 schedule(time, "cfp-end", "hap",
                          partial(self._open_cp, next_tbtt))
-
-    def _deliver(self, grant) -> None:
-        bits = cfp_transmit(grant, self.blocks[grant.user_id])
-        self.metrics.add_lte_bits(grant.user_id, bits)
-        self.metrics.add_lte_airtime(grant.user_id, grant.duration_us)
 
     def _open_cp(self, next_tbtt: int) -> None:
         now = self.sim.now
@@ -297,16 +288,24 @@ def run_scenario(config: ScenarioConfig, seed: int) -> RunResult:
     trace: SignallingTrace | None = None
     if config.scheme in ("hap-sa", "hap-uca"):
         trace = SignallingTrace()
-        blocks = {uid: DeliveryBlock(links[uid], config.channel,
-                                     user_rngs[uid])
-                  for uid in user_ids}
-        hap = _HapRun(sim, config, driver, metrics, user_ids, blocks, trace)
+        hap = _HapRun(sim, config, driver, metrics, user_ids, trace)
     else:
         driver.open_window(0, t_end)
 
     summary = sim.run_until(t_end)
     driver.finalize(t_end)
     metrics.assert_ledger(t_end)
+    if trace is not None:
+        # every grant ends by t_end: a CFP never overruns its interval,
+        # and the run is a whole number of intervals
+        by_user: dict[str, list] = {}
+        for grant in trace.grants:
+            by_user.setdefault(grant.user_id, []).append(grant)
+        for uid, grants in by_user.items():
+            metrics.add_lte_bits(uid, cfp_transmit(
+                grants, links[uid].mean_snr, user_rngs[uid], config.channel))
+            metrics.add_lte_airtime(uid, sum([g.duration_us
+                                              for g in grants]))
 
     dur_s = t_end / 1e6
     wifi_agg = (sum(st.success_count for st in stations)

@@ -11,12 +11,14 @@ the queue's (time, rank, seq) order by construction, so the
 coordinator that fires a period in one pass must give the same trace,
 transitions, grants, busy periods, ledger and row.
 
-It also delivers each grant as the coordinator did before delivery
-blocks: it draws the grant's gains, one per subframe segment, from the
-user's stream with ``fading_gains(rng, k).tolist()`` and sums them with
-``radio.delivered_bits``. It reads only the stream and the mean SNR of
-the ``DeliveryBlock`` it is handed, never its drawn gains, so the
-block's bits must equal these.
+It queues each ``txop-end`` with no callback, as the coordinator does:
+a run delivers its grants' data after ``run_until`` returns.
+``reference_delivery`` delivers grant by grant, as each ``txop-end``
+once did: each grant, in order, draws its own gains, one per subframe
+segment, from a fresh stream of its user (``grant_bits``), and delivers
+``lte_rate`` at each faded SNR times its segment's length, summed in
+segment order; the ledger adds each grant's bits and airtime in grant
+order.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from functools import partial
 
 from coexsim.analytics import MetricsAccumulator
 from coexsim.contention import ContentionDriver
-from coexsim.engine import Simulator
-from coexsim.hap import DeliveryBlock, build_superframe
+from coexsim.engine import Simulator, make_stream
+from coexsim.hap import build_superframe
 from coexsim.radio import (FRAME_HEADER_US, FRAME_SUBFRAMES, SUBFRAME_US,
-                           delivered_bits, fading_gains)
+                           fading_gains, link_budget, lte_rate, place_users)
 from coexsim.scenario import ScenarioConfig
 from coexsim.signalling import (SaDrxFsm, SaDtxFsm, SignallingTrace, UcaFsm,
                                 fsm_step)
@@ -59,13 +61,11 @@ class ReferenceHapRun:
 
     def __init__(self, sim: Simulator, cfg: ScenarioConfig,
                  driver: ContentionDriver, metrics: MetricsAccumulator,
-                 user_ids: list[str], blocks: dict[str, DeliveryBlock],
-                 trace: SignallingTrace):
+                 user_ids: list[str], trace: SignallingTrace):
         self.sim = sim
         self.cfg = cfg
         self.driver = driver
         self.metrics = metrics
-        self.blocks = blocks
         self.trace = trace
         self.rotation = 0
         self.cfp_intervals: list[tuple[int, int]] = []
@@ -139,19 +139,40 @@ class ReferenceHapRun:
                 schedule(tick_us, "timer", uid,
                          partial(fsm_step, fsm, "subframe-tick", tick_us))
         self.trace.grants.append(grant)
-        self.sim.schedule(grant.end_us, "txop-end", uid,
-                          partial(self._deliver, grant))
-
-    def _deliver(self, grant) -> None:
-        block = self.blocks[grant.user_id]
-        data_us = grant.data_us
-        gains = fading_gains(block.rng, -(-data_us // SUBFRAME_US),
-                             self.cfg.channel).tolist()
-        bits = delivered_bits(block.snr, gains, data_us, self.cfg.channel)
-        self.metrics.add_lte_bits(grant.user_id, bits)
-        self.metrics.add_lte_airtime(grant.user_id, grant.duration_us)
+        self.sim.schedule(grant.end_us, "txop-end", uid)
 
     def _open_cp(self, next_tbtt: int) -> None:
         now = self.sim.now
         if now < next_tbtt:
             self.driver.open_window(now, next_tbtt)
+
+
+def grant_bits(grant, snr: float, rng, channel) -> float:
+    """One grant's bits at mean SNR ``snr``, from its own draw of gains
+    on ``rng``: 1 ms subframe segments, the last one shorter if the data
+    window ends mid subframe, each delivering ``lte_rate`` at its faded
+    SNR times its length, summed in segment order."""
+    full, tail = divmod(grant.data_us, SUBFRAME_US)
+    seconds = [SUBFRAME_US * 1e-6] * full + ([tail * 1e-6] if tail else [])
+    gains = fading_gains(rng, len(seconds), channel).tolist()
+    return sum([lte_rate(snr * g, channel) * s
+                for g, s in zip(gains, seconds)])
+
+
+def reference_delivery(cfg: ScenarioConfig, seed: int, grants
+                       ) -> tuple[dict[str, float], dict[str, int]]:
+    """Each user's delivered bits and granted airtime, grant by grant."""
+    rng = make_stream(seed, "placement")
+    snrs = {p.node_id: link_budget(p, cfg.channel).mean_snr
+            for p in place_users(cfg.m_lte, cfg.radius_m, rng)}
+    streams: dict = {}
+    bits: dict[str, float] = {}
+    airtime: dict[str, int] = {}
+    for grant in grants:
+        uid = grant.user_id
+        if uid not in streams:
+            streams[uid] = make_stream(seed, uid)
+        bits[uid] = bits.get(uid, 0.0) + grant_bits(
+            grant, snrs[uid], streams[uid], cfg.channel)
+        airtime[uid] = airtime.get(uid, 0) + grant.duration_us
+    return bits, airtime

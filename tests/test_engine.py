@@ -103,6 +103,35 @@ def test_run_until_pins_clock_even_with_no_events():
     assert sim.now == 12345
 
 
+def test_run_until_never_moves_the_clock_back():
+    # an end before the clock would rewind it, and a later schedule at a
+    # time already passed would be accepted and fire
+    sim = Simulator(root_seed=0, hash_trace=True)
+    sim.schedule(80, "timer", "x")
+    sim.run_until(100)
+    for end in (50, 99):
+        with pytest.raises(SchedulingError, match="clock is already at 100"):
+            sim.run_until(end)
+    assert sim.now == 100
+    with pytest.raises(SchedulingError, match="clock is already"):
+        sim.schedule(60, "timer", "late")
+    # an end at the clock runs nothing and keeps it
+    assert sim.run_until(100).processed == 1
+    assert sim.now == 100
+
+
+def test_run_until_rejects_a_non_integer_end():
+    sim = Simulator(root_seed=0)
+    sim.schedule(3, "timer", "x")
+    for end in (150.0, 99.5, np.float64(120), Fraction(200), True,
+                np.bool_(True)):
+        with pytest.raises(SchedulingError, match="integer microsecond"):
+            sim.run_until(end)
+    assert sim.now == 0
+    summary = sim.run_until(np.int64(7))
+    assert (summary.processed, sim.now, type(sim.now)) == (1, 7, int)
+
+
 def test_run_until_includes_events_at_t_end():
     sim = Simulator(root_seed=0, hash_trace=True)
     fired = []

@@ -9,10 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 import coexsim.hap as hap
 from coexsim.engine import make_stream
 from coexsim.hap import (
-    FADING_BLOCK,
     SA_N_CHOICES,
     SA_TXOP_US,
-    DeliveryBlock,
     TxopGrant,
     build_superframe,
     cfp_budget_us,
@@ -20,8 +18,8 @@ from coexsim.hap import (
     round_txop,
     sa_txop_duration,
 )
-from coexsim.radio import (SUBFRAME_US, ChannelParams, LinkBudget,
-                           delivered_bits, fading_gains)
+from coexsim.radio import SUBFRAME_US, ChannelParams
+from reference_hap import grant_bits
 
 
 # -- TXOP grid -------------------------------------------------------------
@@ -219,55 +217,83 @@ def test_overlapping_grants_raise(monkeypatch):
 RATE_AT_SNR_1 = 17142857.142857143   # bit/s at SNR 1 (0 dB), no fading
 
 
-def _block(link, channel):
-    return DeliveryBlock(link, channel, np.random.default_rng(0))
+def _rng():
+    return np.random.default_rng(0)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The counts of the fading_gains calls cfp_transmit makes."""
+    counts = []
+    real_gains = hap.fading_gains
+
+    def counting_gains(rng, count, channel):
+        counts.append(count)
+        return real_gains(rng, count, channel)
+
+    monkeypatch.setattr(hap, "fading_gains", counting_gains)
+    return counts
+
+
+def _expected_bits(grants, snr, rng, channel) -> float:
+    """Each grant's bits from its own draw, added in grant order."""
+    total = 0.0
+    for grant in grants:
+        total += grant_bits(grant, snr, rng, channel)
+    return total
 
 
 def test_cfp_transmit_standalone_without_fading():
-    link = LinkBudget("lte-00", 10.0, 66.4, 1.0)
     channel = ChannelParams(fading="none")
     grant = TxopGrant("lte-00", 500, 8064, n_subframes=8)
-    bits = cfp_transmit(grant, _block(link, channel))
+    bits = cfp_transmit([grant], 1.0, _rng(), channel)
     assert bits == pytest.approx(8 * RATE_AT_SNR_1 * 1e-3, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [6, 7])
-def test_standalone_grant_delivers_exactly_n_subframes(n, monkeypatch):
+def test_standalone_grant_delivers_exactly_n_subframes(n, draws):
     # n=6 and n=7 grants are padded to 6080 and 7072 us on the 32 us grid;
     # the padding carries no bits and reads no fading gain
-    link = LinkBudget("lte-00", 10.0, 66.4, 1.0)
     grant = TxopGrant("lte-00", 500, sa_txop_duration(n), n_subframes=n)
-    bits = cfp_transmit(grant, _block(link, ChannelParams(fading="none")))
+    bits = cfp_transmit([grant], 1.0, _rng(), ChannelParams(fading="none"))
     assert bits == pytest.approx(n * RATE_AT_SNR_1 * 1e-3, rel=1e-12)
-
-    drawn = []
-    real_gains = hap.fading_gains
-
-    def counting_gains(rng, count, channel):
-        drawn.append(count)
-        return real_gains(rng, count, channel)
-
-    monkeypatch.setattr(hap, "fading_gains", counting_gains)
-    block = _block(link, ChannelParams())
-    cfp_transmit(grant, block)
-    # one draw of the block, of which the grant reads n gains
-    assert drawn == [FADING_BLOCK]
-    assert block.at == n
+    cfp_transmit([grant], 1.0, _rng(), ChannelParams())
+    assert draws == [n, n]
 
 
 def test_cfp_transmit_partial_tail_subframe():
-    link = LinkBudget("lte-00", 10.0, 66.4, 1.0)
     channel = ChannelParams(fading="none")
     grant = TxopGrant("lte-00", 0, 1504)   # uca style: 1.504 ms, no header
-    bits = cfp_transmit(grant, _block(link, channel))
+    bits = cfp_transmit([grant], 1.0, _rng(), channel)
     assert bits == pytest.approx(RATE_AT_SNR_1 * 1504e-6, rel=1e-12)
 
 
 def test_cfp_transmit_zero_snr_delivers_nothing():
-    link = LinkBudget("lte-00", 10.0, 66.4, 0.0)
     grant = TxopGrant("lte-00", 500, 8064, n_subframes=8)
-    bits = cfp_transmit(grant, _block(link, ChannelParams()))
-    assert bits == 0.0
+    assert cfp_transmit([grant] * 3, 0.0, _rng(), ChannelParams()) == 0.0
+
+
+# aggregation grants with and without a tail, and a standalone one
+_SEGMENT_GRANTS = [TxopGrant("lte-00", 0, d) for d in (8000, 1504, 32, 2464)]
+_SEGMENT_GRANTS.append(TxopGrant("lte-00", 0, SA_TXOP_US[6], n_subframes=6))
+
+
+@pytest.mark.parametrize("grants", [[g] for g in _SEGMENT_GRANTS]
+                         + [_SEGMENT_GRANTS],
+                         ids=[f"{g.data_us}us" for g in _SEGMENT_GRANTS]
+                         + ["all"])
+@pytest.mark.parametrize("snr", [0.0, 1.0, 37.5, 1e9])
+def test_cfp_transmit_is_the_sum_of_lte_rate_per_segment(grants, snr,
+                                                         draws):
+    # bit for bit: the rate of each 1 ms segment (the last one pro rata)
+    # at its faded SNR, summed in segment order, then grant by grant;
+    # all of the grants' gains come from one draw
+    channel = ChannelParams(pathloss_exponent=2.0, control_overhead=0.1)
+    expected = _expected_bits(grants, snr, np.random.default_rng(7),
+                              channel)
+    bits = cfp_transmit(grants, snr, np.random.default_rng(7), channel)
+    assert bits.hex() == expected.hex()
+    assert draws == [sum([-(-g.data_us // SUBFRAME_US) for g in grants])]
 
 
 @st.composite
@@ -304,21 +330,13 @@ _GRANT = st.one_of(
          grants=[TxopGrant("lte-00", 0, 8160), TxopGrant("lte-00", 0, 8000),
                  TxopGrant("lte-00", 0, 3104)] * 10)
 @settings(max_examples=200, deadline=None)
-def test_a_block_delivers_each_grant_as_its_own_draw_did(draw, grants, seed):
-    # Before delivery blocks, each grant drew its own gains, one per
-    # subframe segment, and summed them with delivered_bits. A block
-    # draws FADING_BLOCK at a time from the same stream, and a grant
-    # reads its slice; a grant list this long crosses refills.
+def test_one_draw_delivers_each_grant_as_its_own_draw_did(draw, grants,
+                                                          seed):
+    # A user's grants take their gains from one draw, in grant order,
+    # and must deliver the bits they would if each grant drew its own
+    # gains, one per subframe segment, from the same stream in turn.
     channel, snr = draw
-    link = LinkBudget("lte-00", 1.0, 0.0, snr)
-    old_rng = make_stream(seed, "lte-00")
-    expected = []
-    for grant in grants:
-        data_us = grant.data_us
-        gains = fading_gains(old_rng, -(-data_us // SUBFRAME_US),
-                             channel).tolist()
-        expected.append(delivered_bits(snr, gains, data_us, channel).hex())
-    block = DeliveryBlock(link, channel, make_stream(seed, "lte-00"))
-    assert [cfp_transmit(g, block).hex() for g in grants] == expected
-    # a block holds one draw and what a grant left unread before it
-    assert len(block.gains) < FADING_BLOCK + 9
+    expected = _expected_bits(grants, snr, make_stream(seed, "lte-00"),
+                              channel)
+    bits = cfp_transmit(grants, snr, make_stream(seed, "lte-00"), channel)
+    assert bits.hex() == expected.hex()

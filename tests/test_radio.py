@@ -8,7 +8,6 @@ import pytest
 from coexsim.radio import (
     ChannelParams,
     NodePosition,
-    delivered_bits,
     fading_gains,
     link_budget,
     lte_rate,
@@ -101,21 +100,6 @@ def test_place_users_empty_is_fine():
     assert place_users(0, 100.0, np.random.default_rng(0)) == []
 
 
-@pytest.mark.parametrize("data_us", [8000, 6000, 1504, 32, 2464])
-@pytest.mark.parametrize("snr", [0.0, 1.0, 37.5, 1e9])
-def test_delivered_bits_is_the_sum_of_lte_rate_per_segment(data_us, snr):
-    # bit for bit: the rate of each 1 ms segment (the last one pro rata)
-    # at its faded SNR, summed in segment order
-    channel = ChannelParams(pathloss_exponent=2.0, control_overhead=0.1)
-    full, tail = divmod(data_us, 1000)
-    segments = [1000] * full + ([tail] if tail else [])
-    gains = fading_gains(np.random.default_rng(data_us), len(segments),
-                         channel).tolist()
-    expected = sum([lte_rate(snr * g, channel) * (seg * 1e-6)
-                    for seg, g in zip(segments, gains)])
-    assert delivered_bits(snr, gains, data_us, channel) == expected
-
-
 # with 4.7/0.3 and 7.1/2/14 a capped segment's bits change if the four
 # factors are multiplied in another order
 @pytest.mark.parametrize("cap,overhead", [(6.0, 0.1), (4.7, 0.3),
@@ -139,13 +123,6 @@ def test_segment_bits_is_lte_rate_at_the_cap_edge(cap, overhead, step,
             got = segment_bits(mean, [gain], seconds, channel)
             assert [x.hex() for x in got] == [
                 (lte_rate(mean * gain, channel) * seconds).hex()]
-
-
-def test_delivered_bits_rejects_a_gain_count_off_its_segments():
-    with pytest.raises(ValueError, match="2 fading gains for 3 segments"):
-        delivered_bits(1.0, [1.0, 1.0], 2500, DEFAULT)
-    with pytest.raises(ValueError, match="non-negative"):
-        delivered_bits(-1.0, [1.0], 1000, DEFAULT)
 
 
 def test_fading_gains_none_mode_is_all_ones():

@@ -21,7 +21,7 @@ from coexsim.scenario import ConfigError, ScenarioConfig
 from coexsim.signalling import conformance_check
 from coexsim import simulate
 from coexsim.simulate import CSV_COLUMNS, run_scenario
-from reference_hap import ReferenceHapRun
+from reference_hap import ReferenceHapRun, reference_delivery
 
 # short-range channel so LTE links run far from the noise floor
 NEAR = ChannelParams(pathloss_exponent=2.0)
@@ -303,6 +303,11 @@ def test_the_one_pass_coordinator_fires_as_the_queue_would():
         assert res.metrics == ref.metrics
         assert list(res.metrics.lte_bits) == list(ref.metrics.lte_bits)
         assert res.row.csv_values() == ref.row.csv_values()
+        # each grant delivered as if it drew its own gains when it ended
+        bits, airtime = reference_delivery(cfg, seed, res.signalling.grants)
+        assert [(uid, b.hex()) for uid, b in res.metrics.lte_bits.items()] \
+            == [(uid, b.hex()) for uid, b in bits.items()]
+        assert res.metrics.lte_airtime_us == airtime
 
     check()
     assert reached == {"horizon", "run end"}
