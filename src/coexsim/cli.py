@@ -156,6 +156,8 @@ def _cmd_oracle(args) -> int:
         timing = config.timing
         access_mode = access_mode or config.access_mode
     access_mode = access_mode or "basic"
+    if not args.n:
+        raise ConfigError("n", "must be non-empty")
     header = ["n", "tau", "p", "throughput_bps"]
     body = []
     for n in args.n:
@@ -173,7 +175,11 @@ def _cmd_report(args) -> int:
     columns = {"scheme": str, "n_wifi": int, "m_lte": int,
                **dict.fromkeys(AGG_METRICS, float)}
     with open(args.runs, newline="") as fh:
-        reader = csv.DictReader(fh)
+        try:
+            reader = csv.DictReader(fh.readlines())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                "runs", f"{args.runs}: not UTF-8: {exc}") from exc
         for key in columns:
             if key not in (reader.fieldnames or ()):
                 raise ConfigError(key, f"no such column in {args.runs}")

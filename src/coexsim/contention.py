@@ -52,13 +52,16 @@ contention period between beacons), and gives its end once. A window is
 open while its anchor lies before its end. A decision is queued only if
 it falls before its window's end, so a queued decision always fires. It
 ends only at its end: its last exchange may overrun it (the next beacon
-then defers to the busy boundary), or the decision that finds the window
-closing first ends it idle on the spot. That decision consumes the
-window's idle slots, never more than the smallest effective backoff,
+then defers to the busy boundary), or the decision that finds nobody
+before the window's end ends it idle on the spot. That decision consumes
+the window's idle slots, never more than the smallest effective backoff,
 books the idle time to the window's end and moves the anchor there. No
 exchange may run past the end of the run, which the driver is given
 once: in the window that ends there, a decision whose exchange would end
-later is frozen, never scheduled, and the window ends idle the same way.
+later is frozen, never scheduled, and the window ends idle the same way,
+its winners left at zero. Each decision tests once whether anyone
+contends before the window's end, before it picks its winners, and once
+whether its exchange would outlast the run.
 ``close_window`` changes nothing: it is the beacon's check that the
 medium is idle and its window over.
 
@@ -92,10 +95,21 @@ callback that made it does. The ``tx-end`` that ends each exchange is
 always queued, through ``Simulator.schedule``, even where the queue
 would fire it next: the benchmark's tracer counts exchanges as the
 callbacks of queued ``tx-end`` events, so one fired inline would vanish
-from its per-exchange figures. ``busy_until``, ``phase_start`` and
-``window_end`` stay attributes, and V is written back to ``_vslot``
-whenever it moves, so it is current at every wait. ``finalize`` closes
-the process, which frees its frame and the driver it holds.
+from its per-exchange figures. V and the anchor are locals of the
+process alone. Three attributes are read from outside it:
+``window_end``, given when a window opens; ``busy_until``, written as
+each exchange starts, since beacons, ``close_window`` and ``finalize``
+read it while an exchange is in flight; and ``phase_start``, the
+window's start while it is open and its last anchor once it is over,
+written where a window opens and where it ends, since only
+``open_window`` and ``close_window`` read it. ``finalize`` closes the
+process, which frees its frame and the driver it holds.
+
+Every LTE-U node of a run shares one ``LbtParams``, since
+``run_scenario`` builds them all from one config, and the driver
+rejects nodes that do not: the medium reads one burst length and one
+CCA per run. An exchange with a burst lasts the burst, or the longer of
+the burst and a Wi-Fi collision when it collides.
 
 Busy periods are recorded once per exchange, as ``(start, end)`` pairs:
 ``tx_intervals`` for exchanges with a Wi-Fi station in them and
@@ -177,11 +191,14 @@ class ContentionDriver:
         self.channel = channel
         if self.lbt_nodes and channel is None:
             raise ValueError("LTE-U nodes need channel parameters")
+        if len({n.params for n in self.lbt_nodes}) > 1:
+            raise ValueError("LTE-U nodes must share one LbtParams")
 
-        self.phase_start = 0        # window anchor; open while < window_end
+        # a window's start while it is open, its last anchor once it is
+        # over; open while < window_end
+        self.phase_start = 0
         self.window_end = 0
         self.busy_until = 0         # the medium is busy before this time
-        self._vslot = 0             # V: slots consumed since the run began
         self._calendar: dict[int, list[int]] = {}  # expiry slot -> entities
         for i, st in enumerate(stations):
             self._calendar.setdefault(st.counter, []).append(i)
@@ -236,9 +253,9 @@ class ContentionDriver:
         success, the common exchange, takes one ``solo`` branch before
         its exchange and one after, which files the station again
         without a sort, a loop or a test for a collision or a burst.
-        The window's ledger stays in locals until the window ends; both
-        ways out of its loop, idle and after its last exchange, lead to
-        where it is booked.
+        The window's ledger stays in locals until the window ends; each
+        way out of its loop, idle, frozen or after its last exchange,
+        leads to where it is booked.
         """
         sim = self.sim
         schedule = sim.schedule
@@ -248,21 +265,25 @@ class ContentionDriver:
         stations, nodes, channel = self.stations, self.lbt_nodes, self.channel
         n_wifi = len(stations)
         calendar, expiries = self._calendar, self._expiries
+        # every node shares one LbtParams, checked in __init__
+        burst = cca = 0
+        if nodes:
+            burst, cca = nodes[0].params.burst_us, nodes[0].params.cca_us
         # nodes outside the calendar, by the time their CCA ends:
         # (wake + CCA, index); wake_due is the first key, or never, which
         # lies past every window
-        sleepers = [(n.wake_at_us + n.params.cca_us, j)
-                    for j, n in enumerate(nodes)]
+        sleepers = [(n.wake_at_us + cca, j) for j, n in enumerate(nodes)]
         heapify(sleepers)
         never = self.run_end_us + 1
         wake_due = sleepers[0][0] if sleepers else never
         slot = self.timing.slot_us
         t_success = self.durations.t_success_ticks
         t_collision = self.durations.t_collision_ticks
+        lte_collision = max(burst, t_collision)     # a burst in a collision
         run_end = self.run_end_us
         wifi_log = self.tx_intervals.flat.append
         lte_log = self.lte_intervals.flat.append
-        vslot = 0
+        vslot = 0                   # V: slots consumed since the run began
 
         while True:
             yield                   # no window open: open_window resumes
@@ -299,40 +320,33 @@ class ContentionDriver:
                     else:
                         bucket.append(n_wifi + j)
                     continue
-                if tx_time < window_end:    # so the calendar holds someone
-                    if s_min < 0:
-                        raise RuntimeError(
-                            f"backoff ran {-s_min} slots past zero")
-                    winners = calendar[head]
-                    e = winners[0]
-                    solo = len(winners) == 1 and e < n_wifi
-                    if solo:        # one station: a success
-                        duration = t_success
-                    else:
-                        collision = len(winners) > 1
-                        if collision:   # stations first, then nodes
-                            winners.sort()
-                            e = winners[0]
-                        lte = winners[-1] >= n_wifi
-                        duration = t_collision if collision else 0
-                        if lte:     # as long as the longest burst
-                            for j in reversed(winners):
-                                if j < n_wifi:
-                                    break
-                                burst = nodes[j - n_wifi].params.burst_us
-                                if burst > duration:
-                                    duration = burst
-                    end = tx_time + duration
-                    if end > window_end and window_end == run_end:
-                        tx_time = window_end    # would outlast the run
                 if tx_time >= window_end:
-                    # the window closes first: it ends idle now, taking
-                    # its idle slots but never more than s_min, so a
-                    # frozen decision keeps its winners at zero
-                    k = (window_end - anchor) // slot
-                    if s_min < k:
-                        k = s_min
-                    self._vslot = vslot = vslot + k
+                    # nobody before the window's end: it ends idle now,
+                    # taking its idle slots but never more than s_min
+                    vslot += min(s_min, (window_end - anchor) // slot)
+                    self.phase_start = anchor = window_end
+                    break
+                if s_min < 0:
+                    raise RuntimeError(f"backoff ran {-s_min} slots past zero")
+                winners = calendar[head]
+                e = winners[0]
+                solo = len(winners) == 1 and e < n_wifi
+                if solo:            # one station: a success
+                    duration = t_success
+                else:
+                    collision = len(winners) > 1
+                    if collision:   # stations first, then nodes
+                        winners.sort()
+                        e = winners[0]
+                    lte = winners[-1] >= n_wifi
+                    duration = ((lte_collision if collision else burst)
+                                if lte else t_collision)
+                end = tx_time + duration
+                if end > window_end and window_end == run_end:
+                    # the exchange would outlast the run: the window ends
+                    # idle, its s_min slots taken, so the winners stay at
+                    # zero
+                    vslot = head
                     self.phase_start = anchor = window_end
                     break
 
@@ -355,7 +369,7 @@ class ContentionDriver:
                 yield               # in flight: the engine resumes at end
 
                 # -- it ends: consume s_min + 1 slots, book, redraw -----
-                self._vslot = vslot = head + 1     # V + s_min + 1
+                vslot = head + 1    # V + s_min + 1
                 # unfile the winners' bucket; a station is filed again at
                 # the slot where its fresh backoff expires, a node sleeps
                 del calendar[heappop(expiries)]
@@ -391,19 +405,18 @@ class ContentionDriver:
                         else:
                             j = e - n_wifi
                             node = nodes[j]
-                            metrics.add_lte_airtime(node.node_id,
-                                                    node.params.burst_us)
+                            metrics.add_lte_airtime(node.node_id, burst)
                             if not collision:
                                 metrics.add_lte_bits(
                                     node.node_id, burst_transmit(node, channel))
                             node.start_duty_off(end)
                             node.draw_backoff()
-                            heappush(sleepers,
-                                     (node.wake_at_us + node.params.cca_us, j))
+                            heappush(sleepers, (node.wake_at_us + cca, j))
                             wake_due = sleepers[0][0]
-                self.phase_start = anchor = end
-                if end >= window_end:
-                    break           # overrun, or ended at the window's end
+                anchor = end
+                if end >= window_end:   # overrun, or ended at its end
+                    self.phase_start = end
+                    break
 
             # -- the window is over: book its ledger --------------------
             # exchanges run back to back from anchor to anchor, so what

@@ -169,10 +169,10 @@ def config_from_dict(payload: dict) -> ScenarioConfig:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    text = Path(path).read_text()
     try:
-        payload = json.loads(text)
-    except ValueError as exc:   # JSONDecodeError, or an over-long integer
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        # a UnicodeDecodeError, a JSONDecodeError or an over-long integer
         raise ConfigError("$", f"not valid JSON: {exc}") from exc
     return config_from_dict(payload)
 

@@ -174,6 +174,11 @@ def test_oracle_rejects_zero_stations(capsys):
     assert "station counts" in capsys.readouterr().err
 
 
+def test_oracle_rejects_an_empty_station_list(capsys):
+    assert main(["oracle", "--n", ""]) == 2
+    assert capsys.readouterr().err == "error: n: must be non-empty\n"
+
+
 @pytest.mark.parametrize("argv,table", [
     (["--n", "1,5,30"],
      "n,tau,p,throughput_bps\n"
@@ -286,6 +291,14 @@ def test_report_names_a_non_numeric_column(tmp_path, capsys):
     assert rc == 2
     assert "error: total_bps: " in err
     assert "line 2: not a number: 'fast'" in err
+
+
+def test_report_rejects_a_runs_file_that_is_not_utf_8(tmp_path, capsys):
+    runs = _runs_csv(tmp_path, capsys)
+    runs.write_bytes(b"\xff" + runs.read_bytes())
+    assert main(["report", "--runs", str(runs)]) == 2
+    assert f"error: runs: {runs}: not UTF-8: " in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -444,6 +457,15 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_a_config_that_is_not_utf_8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff{"n_wifi": 2}')
+    rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error: $: not valid JSON: 'utf-8' codec can't decode" in (
+        capsys.readouterr().err)
 
 
 def test_over_long_integer_literal_exits_2(tmp_path, capsys):

@@ -11,13 +11,15 @@ the test itself (an exchange takes the smallest effective backoff plus
 one, a window that ends idle its idle slots, never more than that
 backoff). They watch the driver at the seams it offers: where a window
 opens, where an exchange starts, as its ``slot-boundary`` fires inline
-or from the queue (the clock is then the exchange's start and
-``phase_start`` its anchor), where the winners redraw (the clock and
+or from the queue (the clock is then the exchange's start, and the
+anchor the scan's), where the winners redraw (the clock and
 ``busy_until`` are then the exchange's end), where a beacon checks that
-a window is over, and where the run ends. Every exchange the driver
-starts must be the one a scan of all counters makes, every window that
-ends idle must hold no decision before its end, and every counter must
-agree before every exchange and after every window.
+a window is over, and where the run ends, before ``finalize`` frees the
+medium. V and the anchor are locals of the medium process, read from
+its frame. Every exchange the driver starts must be the one a scan of
+all counters makes, every window that ends idle must hold no decision
+before its end, and every counter must agree before every exchange and
+after every window.
 
 ``reference_medium.ReferenceMedium`` steps the medium slot by slot by the
 rules alone; patched in for the driver, it must give every scheme the
@@ -52,12 +54,19 @@ def _lead(node, anchor_us, slot_us):
                     // slot_us))
 
 
+def _medium(driver, name):
+    """A local of the driver's medium process, suspended or running: V
+    is ``vslot``, the anchor ``anchor``. ``finalize`` frees them."""
+    return driver._process.gi_frame.f_locals[name]
+
+
 def _left(driver, anchor_us):
     """Every count the driver leaves at the anchor: (stations, nodes).
     A filed entity's is its expiry slot less V, a filed node's less its
     lead at the anchor too; a sleeping node's is its counter, as drawn."""
     n_wifi, slot_us = len(driver.stations), driver.timing.slot_us
-    filed = [(e, slot - driver._vslot)
+    vslot = _medium(driver, "vslot")
+    filed = [(e, slot - vslot)
              for slot, bucket in driver._calendar.items() for e in bucket]
     left = dict(filed)
     assert len(left) == len(filed)      # no entity is filed twice
@@ -230,7 +239,7 @@ class _Scan:
         s_min, wifi_w, lte_w = self.decide()
         self.agree()
         now = driver.sim.now
-        assert driver.phase_start == self.anchor
+        assert _medium(driver, "anchor") == self.anchor
         assert now == self.anchor + s_min * driver.timing.slot_us
         collision = len(wifi_w) + len(lte_w) > 1
         self.pending = ({"wifi": wifi_w, "lte": lte_w},
@@ -495,7 +504,18 @@ def test_the_driver_runs_the_medium_as_a_slot_stepping_reference(
     # media alike, as beacons cut a coordinated run
     if cfg.scheme in ("hap-sa", "hap-uca"):
         window_us = None
-    driver, res = _run_with(ContentionDriver, cfg, seed, window_us)
+    # the counters left when the run ends, its last idle slots taken,
+    # read as finalize begins: it frees the medium's frame, and V in it
+    finalize = ContentionDriver.finalize
+    left = []
+
+    def keeping(driver, t_end):
+        left.append(_left(driver, driver.phase_start))
+        finalize(driver, t_end)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ContentionDriver, "finalize", keeping)
+        driver, res = _run_with(ContentionDriver, cfg, seed, window_us)
     ref, ref_res = _run_with(ReferenceMedium, cfg, seed, window_us)
     assert driver.tx_intervals == ref.tx_intervals
     assert driver.lte_intervals == ref.lte_intervals
@@ -512,8 +532,7 @@ def test_the_driver_runs_the_medium_as_a_slot_stepping_reference(
                  "success_events", "collision_events"):
         assert getattr(res.metrics, name) == getattr(ref_res.metrics, name)
     assert res.row.csv_values() == ref_res.row.csv_values()
-    # the counters left when the run ends, its last idle slots taken
-    assert _left(driver, driver.phase_start) == (ref.wifi_left, ref.lte_left)
+    assert left == [(ref.wifi_left, ref.lte_left)]
 
 
 def _driver(n_wifi=1, m_lte=0, run_end_us=1_000_000, wakes_us=(),
@@ -562,6 +581,25 @@ def test_a_counter_past_zero_is_an_error():
         driver.open_window(0, 1_000)
 
 
+@pytest.mark.parametrize("other", [{"burst_us": 4_064}, {"cca_us": 34}],
+                         ids=["burst", "cca"])
+def test_lte_u_nodes_must_share_one_lbt_params(other):
+    # the medium reads one burst length and one CCA per run, as
+    # run_scenario builds every node from one config.lbt
+    _, driver = _driver(m_lte=2)
+    nodes = driver.lbt_nodes
+
+    def rebuild():
+        ContentionDriver(driver.sim, driver.timing, driver.durations, [],
+                         MetricsAccumulator(), driver.run_end_us, nodes, NEAR)
+
+    nodes[1].params = LbtParams()   # equal params built apart are one
+    rebuild()
+    nodes[1].params = LbtParams(**other)
+    with pytest.raises(ValueError, match="share one LbtParams"):
+        rebuild()
+
+
 def test_an_idle_close_takes_from_a_walked_node_only_the_slots_after_its_lead():
     # The window (0, 100) has 11 idle slots, before the station's expiry
     # at slot 20. Node 0's CCA ends at 50 us (lead 6 slots), within them,
@@ -576,7 +614,7 @@ def test_an_idle_close_takes_from_a_walked_node_only_the_slots_after_its_lead():
     driver.open_window(0, 100)
     assert sim.run_until(100).processed == 0
     driver.close_window(100)
-    assert driver._vslot == 11
+    assert _medium(driver, "vslot") == 11
     assert _left(driver, 100)[1] == [5, 10]
 
 
@@ -624,7 +662,7 @@ def test_with_nobody_to_contend_a_window_ends_idle_as_it_opens():
     driver.open_window(0, 1_000)
     assert driver.phase_start == driver.window_end == 1_000
     assert driver.metrics.idle_us == 1_000
-    assert driver._vslot == 1_000 // driver.timing.slot_us
+    assert _medium(driver, "vslot") == 1_000 // driver.timing.slot_us
     assert sim.run_until(1_000).processed == 0
     driver.close_window(1_000)
     assert driver.tx_intervals == [] and driver.busy_until == 0
@@ -665,13 +703,14 @@ def test_a_window_closes_only_at_its_end(lte):
     driver.open_window(0, end)
     assert driver.phase_start == driver.window_end == end
     assert driver.metrics.idle_us == end
-    assert driver._vslot == counter
+    assert _medium(driver, "vslot") == counter
     with pytest.raises(RuntimeError, match="not over"):
         driver.close_window(end - 1)
     assert sim.run_until(end).processed == 0
     driver.close_window(end)
     driver.close_window(end)   # a check: it changes nothing
-    assert driver.metrics.idle_us == end and driver._vslot == counter
+    assert driver.metrics.idle_us == end
+    assert _medium(driver, "vslot") == counter
     # all idle slots consumed: the next window starts with the exchange
     driver.open_window(end, 2 * end)
     sim.run_until(end)
@@ -733,11 +772,11 @@ def test_only_the_runs_last_window_freezes_an_exchange_past_its_end(lte):
         driver.open_window(0, end + 1)
     driver.open_window(0, end)
     assert sim.run_until(end).processed == 0
+    assert _medium(driver, "vslot") == counter
     driver.finalize(end)
     assert driver.tx_intervals == [] and driver.busy_until == 0
     assert driver.metrics.idle_us == end
     assert driver.phase_start == driver.window_end
-    assert driver._vslot == counter
 
 
 def test_busy_periods_read_as_a_list_of_pairs():
