@@ -36,9 +36,15 @@ from .simulate import CSV_COLUMNS, ResultRow, run_scenario
 
 
 def _int_list(text: str) -> list[int]:
+    """A comma-separated list of integers; blank text is the empty list,
+    which each command rejects by name. An empty entry is an argument
+    error, so a stray comma cannot drop a value."""
     if not text.strip():
         return []
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    tokens = text.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
+    return [int(tok) for tok in tokens]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:

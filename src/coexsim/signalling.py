@@ -14,8 +14,8 @@ Machines are deterministic: a (state, event) pair either maps to exactly
 one successor or raises ProtocolViolation. A machine is the coordinator's
 only record of its user. Each class's ``BEACON_PATH`` maps a resting
 state to the events a beacon drives it through; a machine in the middle
-of its cycle hears nothing, and ``schedulable`` tells the planner which
-users may take a grant. Every transition and every ``TxopGrant`` the
+of its cycle hears nothing, and only a machine in ``GRANTABLE_STATES``
+(``schedulable``) may take a grant. Every transition and every ``TxopGrant`` the
 planner issues is appended to a shared trace that ``conformance_check``
 replays and audits in one forward pass; a user whose records go back in
 time fails it.
@@ -24,9 +24,17 @@ A machine is its ``TABLE``, read as written with no compile pass: each
 (state, event) maps to a successor state or to the handler function
 that computes one, so a step is one lookup and a handler is replaced
 by replacing it in the table. ``fsm_step`` is ``_Fsm.step`` itself and
-returns the new state. A run steps machines many thousands of times (a
-standalone user takes ten subframe ticks per grant), and a
-``TransitionRecord`` is a named tuple, built without a Python frame.
+returns the new state. A ``TransitionRecord`` is a named tuple, built
+without a Python frame.
+
+A run would step machines many thousands of times (a standalone user
+takes ten subframe ticks per grant, and every beacon walks every
+resting machine), though a cycle and a beacon path go the same way
+every time. ``cycle_walk`` and ``beacon_walks`` work those walks out
+from ``TABLE``, by stepping a machine with no trace, and the coordinator
+derives them afresh for each run, so a replaced handler takes effect
+from the next run; it then applies a walk in place, one record per
+step, and checks each tick's machine is where the walk expects it.
 """
 
 from __future__ import annotations
@@ -113,7 +121,8 @@ class _Fsm:
         return self.state in GRANTABLE_STATES
 
 
-# The module-level name the coordinator steps every machine by.
+# The module-level name the coordinator steps a machine by where it
+# applies no walk: association, data-requests and queued ticks.
 fsm_step = _Fsm.step
 
 
@@ -207,6 +216,40 @@ class SaDrxFsm(_CycleFsm):
 
 
 FSM_KINDS = {"uca": UcaFsm, "sa-dtx": SaDtxFsm, "sa-drx": SaDrxFsm}
+
+
+def cycle_walk(cls: type[_CycleFsm],
+               n: int) -> tuple[tuple[int, str, str], ...]:
+    """The subframe ticks of a cycle of n as ``TABLE`` steps them, after
+    a data-request in ``RESUME_STATE``: one (ticks heard, state before,
+    state after) per tick, ``FRAME_SUBFRAMES`` of them."""
+    fsm = cls("walk")
+    fsm.state = cls.RESUME_STATE
+    fsm.step("data-request", n=n)
+    walk = []
+    for _ in range(FRAME_SUBFRAMES):
+        before = fsm.state
+        after = fsm.step("subframe-tick")
+        walk.append((fsm.ticks, before, after))
+    return tuple(walk)
+
+
+def beacon_walks(cls: type[_Fsm]
+                 ) -> dict[str, tuple[tuple[str, str, str], ...]]:
+    """Each resting state's ``BEACON_PATH`` as ``TABLE`` steps it: one
+    (state before, event, state after) per event. Every path step is a
+    plain successor in the tables, which reads nothing of the machine
+    but its state, so a walk holds for every machine of the class."""
+    walks = {}
+    for resting, events in cls.BEACON_PATH.items():
+        fsm = cls("walk")
+        fsm.state = resting
+        walk = []
+        for event in events:
+            before = fsm.state
+            walk.append((before, event, fsm.step(event)))
+        walks[resting] = tuple(walk)
+    return walks
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,12 @@ The coordinator queues only the next beacon, never the run's later
 ones. A beacon plans its contention-free period (CFP) and, since Wi-Fi
 is silent until the CFP ends, fires the period's subframe ticks, TXOP
 ends and CFP end itself, in one pass in queue order, up to the engine's
-horizon (``Simulator.lookahead``): a tick costs the machine's step and
-its tick handler, and no queue entry. It queues, as
+horizon (``Simulator.lookahead``). A tick costs no queue entry and no
+Python call: the run derives each duty cycle's walk from the machine's
+``TABLE`` once (``signalling.cycle_walk``), and a tick checks its
+machine's state, moves it and appends its record in place. Each
+beacon walks the resting machines through their ``BEACON_PATH`` the
+same way (``signalling.beacon_walks``). It queues, as
 ``functools.partial`` callbacks, only the sleep ticks that outlast the
 period and whatever an earlier queued event or the end of
 ``run_until`` cuts off. So the event heap a contention exchange pushes
@@ -35,11 +39,11 @@ from .dcf import WifiStation, exchange_durations
 from .engine import KIND_RANK, Simulator
 from .hap import build_superframe, cfp_transmit
 from .lbt import LbtNode
-from .radio import (FRAME_HEADER_US, FRAME_SUBFRAMES, SUBFRAME_US,
-                    link_budget, place_users)
+from .radio import FRAME_HEADER_US, SUBFRAME_US, link_budget, place_users
 from .scenario import ScenarioConfig
-from .signalling import (SaDrxFsm, SaDtxFsm, SignallingTrace, UcaFsm,
-                         fsm_step)
+from .signalling import (GRANTABLE_STATES, ProtocolViolation, SaDrxFsm,
+                         SaDtxFsm, SignallingTrace, TransitionRecord,
+                         UcaFsm, beacon_walks, cycle_walk, fsm_step)
 
 
 _TXOP_END = KIND_RANK["txop-end"]
@@ -101,8 +105,9 @@ class _HapRun:
     config bounds that deferral below one exchange, so a deferred beacon
     still fires before the next boundary. Each beacon checks that the
     medium is idle and has ended its contention window, walks every
-    resting machine through its ``BEACON_PATH``, plans the next
-    contention-free period around the machines still inside a duty
+    resting machine through its ``BEACON_PATH``, applying the walk the
+    run derived for its state and appending a record per step, plans the
+    next contention-free period around the machines still inside a duty
     cycle, and hands the rest of the interval back to the contention
     driver.
 
@@ -111,15 +116,18 @@ class _HapRun:
     grant's ``txop-end`` and the period's ``cfp-end``. Wi-Fi is silent
     until ``cfp-end``, so the beacon fires them itself, in one pass in
     queue order, up to the engine's horizon (``Simulator.lookahead``):
-    every tick steps its machine, and ``cfp-end`` opens the contention
-    period last. It queues, as ``functools.partial`` callbacks, only
-    what the queue must order: an event at or past the horizon, which an
-    event queued earlier (a tick of an earlier period) or the end of
-    ``run_until`` cuts off, with everything after it, and the sleep
-    ticks that outlast the period, queued before ``cfp-end`` opens the
-    medium. It records each grant in
-    the signalling trace, from which ``run_scenario`` delivers the
-    grants' data after the run. ``fsm_step`` and ``build_superframe``
+    every tick applies its step of the cycle's walk, derived once per run
+    and n from the machine's ``TABLE``, and ``cfp-end`` opens the
+    contention period last. A machine that is not in the state its tick
+    expects raises ``ProtocolViolation``. It queues, as
+    ``functools.partial`` callbacks, only what the queue must order: an
+    event at or past the horizon, which an event queued earlier (a tick
+    of an earlier period) or the end of ``run_until`` cuts off, with
+    everything after it, and the sleep ticks that outlast the period,
+    queued before ``cfp-end`` opens the medium; a queued tick steps its
+    machine through ``fsm_step``. It records each grant in the
+    signalling trace, from which ``run_scenario`` delivers the grants'
+    data after the run. ``fsm_step`` and ``build_superframe``
     are looked up in this module as the run goes, so a name patched here
     (coexbench's tracer patches both) takes effect from the next beacon
     on.
@@ -145,6 +153,14 @@ class _HapRun:
                 self.fsms[uid] = SaDtxFsm(uid, trace)
             else:
                 self.fsms[uid] = SaDrxFsm(uid, trace)
+        # walks are derived from the tables for each run, so a table
+        # entry replaced between runs takes effect from the next one
+        paths = {cls: beacon_walks(cls)
+                 for cls in {type(fsm) for fsm in self.fsms.values()}}
+        # each machine with its class's walks, by resting state
+        self.machines = [(uid, fsm, paths[type(fsm)])
+                         for uid, fsm in self.fsms.items()]
+        self.cycles: dict = {}      # (class, n) -> cycle_walk(class, n)
         if cfg.sa_mode == "uca" and user_ids:
             # licensed-band association settles before the first beacon
             sim.schedule(0, "timer", "hap-assoc", self._associate_uca)
@@ -165,16 +181,23 @@ class _HapRun:
         beacon_end = now + self.cfg.beacon_us
         self.metrics.beacon_us += self.cfg.beacon_us
         self.beacon_intervals.append((now, beacon_end))
-        for fsm in self.fsms.values():
-            for event in fsm.BEACON_PATH.get(fsm.state, ()):
-                fsm_step(fsm, event, now)
+        append, new = self.trace.transitions.append, tuple.__new__
+        busy = set()
+        for uid, fsm, paths in self.machines:
+            state = fsm.state
+            walk = paths.get(state)
+            if walk is not None:
+                for before, event, state in walk:
+                    append(new(TransitionRecord,
+                               (now, uid, before, event, state, None)))
+                fsm.state = state
+            if state not in GRANTABLE_STATES:
+                busy.add(uid)
 
         plan = build_superframe(
             len(self.fsms), self.cfg.n_wifi, self.cfg.interval_us,
             self.cfg.sa_mode, beacon_us=self.cfg.beacon_us, start_us=now,
-            rotation=self.rotation, user_ids=list(self.fsms),
-            busy={uid for uid, fsm in self.fsms.items()
-                  if not fsm.schedulable})
+            rotation=self.rotation, user_ids=list(self.fsms), busy=busy)
         self.rotation = plan.next_rotation
         cfp_end = beacon_end + plan.cfp_us
         next_tbtt = (k + 1) * self.cfg.interval_us
@@ -191,16 +214,17 @@ class _HapRun:
     def _fire_cfp(self, grants, cfp_end: int, next_tbtt: int) -> None:
         """Fire the period's events in queue order, queueing the rest.
 
-        Each event is (time, rank, seq, line suffix, machine or user),
-        numbered in the order the queue would have been handed them, so
-        sorting the tuples sorts them as the queue would: by (time,
-        rank), then seq. The pass fires a prefix of that order, the
-        events before the horizon up to ``cfp-end``, and queues the rest
-        in the same order: each takes a later engine seq than anything
-        queued before it, so the queue orders it as before.
+        Each event is (time, rank, seq, line suffix, machine or user,
+        walk step), numbered in the order the queue would have been
+        handed them, so sorting the tuples sorts them as the queue
+        would: by (time, rank), then seq. A tick's walk step is (ticks
+        heard, state before, state after). The pass fires a prefix of
+        that order, the events before the horizon up to ``cfp-end``, and
+        queues the rest in the same order: each takes a later engine seq
+        than anything queued before it, so the queue orders it as before.
         """
         step = fsm_step
-        fsms, trace = self.fsms, self.trace
+        fsms, trace, cycles = self.fsms, self.trace, self.cycles
         events = []
         for grant in grants:
             uid = grant.user_id
@@ -208,18 +232,23 @@ class _HapRun:
             if n is not None:       # a standalone grant starts a duty cycle
                 fsm = fsms[uid]
                 step(fsm, "data-request", grant.start_us, n=n)
+                key = type(fsm), n
+                walk = cycles.get(key)
+                if walk is None:
+                    walk = cycles[key] = cycle_walk(*key)
                 tick = f" timer {uid}\n"
                 tick_us = grant.start_us + FRAME_HEADER_US
-                for _ in range(FRAME_SUBFRAMES):
-                    # n active ticks inside the grant, 10-n sleep ticks after
+                # n active ticks inside the grant, 10-n sleep ticks after
+                for move in walk:
                     tick_us += SUBFRAME_US
-                    events.append((tick_us, _TIMER, len(events), tick, fsm))
+                    events.append((tick_us, _TIMER, len(events), tick, fsm,
+                                   move))
             trace.grants.append(grant)
             # a marker with no work: it stays in the trace so every hash holds
             events.append((grant.start_us + grant.duration_us, _TXOP_END,
-                           len(events), f" txop-end {uid}\n", uid))
+                           len(events), f" txop-end {uid}\n", uid, None))
         events.append((cfp_end, _CFP_END, len(events), " cfp-end hap\n",
-                       None))
+                       None, None))
         events.sort()
 
         horizon, log = self.sim.lookahead()
@@ -230,10 +259,18 @@ class _HapRun:
         if not fired:
             return
         lines = []
-        for time, rank, _, suffix, item in events[:fired]:
+        append, new = trace.transitions.append, tuple.__new__
+        for time, rank, _, suffix, fsm, move in events[:fired]:
             lines.append(f"{time}{suffix}")
             if rank == _TIMER:
-                step(item, "subframe-tick", time)
+                ticks, before, after = move
+                if fsm.state != before:
+                    raise ProtocolViolation(fsm.KIND, fsm.ue_id, fsm.state,
+                                            "subframe-tick")
+                fsm.state = after
+                fsm.ticks = ticks
+                append(new(TransitionRecord, (time, fsm.ue_id, before,
+                                              "subframe-tick", after, None)))
         # ticks read no clock; cfp-end reads the logged one
         log(lines, events[fired - 1][0])
         if events[fired - 1][1] == _CFP_END:
@@ -241,7 +278,7 @@ class _HapRun:
 
     def _queue(self, events, step, next_tbtt: int) -> None:
         schedule = self.sim.schedule
-        for time, rank, _, _, item in events:
+        for time, rank, _, _, item, _ in events:
             if rank == _TIMER:
                 schedule(time, "timer", item.ue_id,
                          partial(step, item, "subframe-tick", time))
@@ -327,7 +364,8 @@ def run_scenario(config: ScenarioConfig, seed: int) -> RunResult:
         airtime_cfp_frac=metrics.cfp_us / t_end,
         airtime_beacon_frac=metrics.beacon_us / t_end,
     )
-    lte_tx = (BusyPeriods([(g.start_us, g.end_us) for g in trace.grants])
+    lte_tx = (BusyPeriods([(start, start + duration)
+                           for _, start, duration, _ in trace.grants])
               if trace is not None else driver.lte_intervals)
     return RunResult(
         row=row, metrics=metrics, trace_hash=summary.trace_hash,

@@ -43,7 +43,14 @@ and 19.9, the block's set-up and first draw spread over the three to
 ten grants a user gets in this 1 s run. The run then delivered each
 user's grants after it ended, in one ``cfp_transmit`` call that draws
 all of the user's gains at once, where each ``txop-end`` had delivered
-its grant and booked it to the ledger: 62.7 and 14.64.
+its grant and booked it to the ledger: 62.7 and 14.64. A run then
+worked each duty cycle and beacon path out once from the machines'
+tables, and a tick fired in the pass, or a beacon-path step, moved its
+machine and appended its record in place, where each had been a step
+frame (and a tick a handler frame too); the busy set came from the
+states, not a ``schedulable`` frame per machine, and the LTE busy
+periods from the grants' fields, not an ``end_us`` frame per grant:
+36.75 and 11.63.
 
 The 0.2 s lbt run delivers no LTE-U burst: each node bursts once
 before its duty-off of M+N-1 bursts, and every first burst collides. A
@@ -72,10 +79,10 @@ from coexsim.scenario import ScenarioConfig
 from coexsim.simulate import RunResult, run_scenario
 
 # The figures these runs make, rounded up; the grant and burst budgets
-# are about 1% above theirs. hap-sa makes 62.69 alone and 62.70 after
-# other tests have run in the process; hap-uca makes 14.63 and 14.64.
+# are about 1% above theirs. hap-sa makes 36.75 alone and 36.72 after
+# other tests have run in the process; hap-uca makes 11.63 and 11.64.
 BUDGET = {("wifi-only", 30): 7, ("lbt", 30): 8, ("wifi-only", 120): 9}
-GRANT_BUDGET = {"hap-sa": 63.4, "hap-uca": 14.8}
+GRANT_BUDGET = {"hap-sa": 37.1, "hap-uca": 11.8}
 BURST_BUDGET = 17.4     # lbt N=30, M=10, duty-off of one burst: 17.21
 
 

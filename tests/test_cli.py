@@ -179,6 +179,30 @@ def test_oracle_rejects_an_empty_station_list(capsys):
     assert capsys.readouterr().err == "error: n: must be non-empty\n"
 
 
+@pytest.mark.parametrize("command,flag,text", [
+    ("oracle", "--n", "1,,5"),
+    ("sweep", "--values", "2,,3"),
+    ("sweep", "--seeds", "1,2,"),
+    ("run", "--seeds", " ,1"),
+])
+def test_an_empty_list_entry_exits_2_naming_its_flag(tmp_path, small_config,
+                                                     capsys, command, flag,
+                                                     text):
+    # a stray comma must not drop a value and run the rest
+    argv = {"oracle": ["oracle"],
+            "sweep": ["sweep", "--config", str(small_config), "--out",
+                      str(tmp_path / "o"), "--axis", "n_wifi",
+                      "--values", "2"],
+            "run": ["run", "--config", str(small_config), "--out",
+                    str(tmp_path / "o")]}[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, flag, text])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: empty entry in {text!r}" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv,table", [
     (["--n", "1,5,30"],
      "n,tau,p,throughput_bps\n"

@@ -16,7 +16,9 @@ from coexsim.signalling import (
     TransitionRecord,
     UcaFsm,
     _CycleFsm,
+    beacon_walks,
     conformance_check,
+    cycle_walk,
     fsm_step,
 )
 
@@ -124,6 +126,12 @@ def test_a_cycle_of_n_runs_n_active_then_the_rest_asleep(cls, n):
     assert path == ([cls.ACTIVE_STATE] * n
                     + [cls.SLEEP_STATE] * (FRAME_SUBFRAMES - n)
                     + [cls.RESUME_STATE])
+    # the walk a run derives from the table is the traced machine's ticks
+    ticks = trace.transitions[-FRAME_SUBFRAMES:]
+    assert trace.transitions[-FRAME_SUBFRAMES - 1].event == "data-request"
+    assert cycle_walk(cls, n) == tuple(
+        (k, rec.state_before, rec.state_after)
+        for k, rec in enumerate(ticks, 1))
     with pytest.raises(ProtocolViolation):
         fsm.step("subframe-tick", 12_000)
     report = conformance_check(trace)
@@ -145,12 +153,21 @@ def test_tables_are_deterministic_and_kinds_registered():
 
 def test_beacon_paths_are_legal_and_leave_the_machine_schedulable():
     for cls in FSM_KINDS.values():
+        walks = beacon_walks(cls)
+        assert walks.keys() == cls.BEACON_PATH.keys()
         for resting, events in cls.BEACON_PATH.items():
-            fsm = cls("lte-00")
+            trace = SignallingTrace()
+            fsm = cls("lte-00", trace)
             fsm.state = resting
             for event in events:
+                # a walk applied in place runs no handler
+                assert isinstance(cls.TABLE[fsm.state, event], str)
                 fsm.step(event)
             assert fsm.schedulable, (cls.KIND, resting)
+            # the walk a run derives is the traced machine's steps
+            assert walks[resting] == tuple(
+                (rec.state_before, rec.event, rec.state_after)
+                for rec in trace.transitions)
         # a machine inside its duty cycle hears nothing
         mid_cycle = {"transferring", "dtx-sleep", "receiving", "drx-sleep"}
         assert not mid_cycle & set(cls.BEACON_PATH)

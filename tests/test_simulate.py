@@ -16,9 +16,10 @@ from coexsim.analytics import saturation_throughput
 from coexsim.dcf import MacTiming, exchange_durations
 from coexsim.engine import Simulator
 from coexsim.hap import build_superframe
-from coexsim.radio import ChannelParams
+from coexsim.radio import FRAME_SUBFRAMES, ChannelParams
 from coexsim.scenario import ConfigError, ScenarioConfig
-from coexsim.signalling import conformance_check
+from coexsim.signalling import (ProtocolViolation, SaDtxFsm,
+                                conformance_check, fsm_step)
 from coexsim import simulate
 from coexsim.simulate import CSV_COLUMNS, run_scenario
 from reference_hap import ReferenceHapRun, reference_delivery
@@ -311,6 +312,58 @@ def test_the_one_pass_coordinator_fires_as_the_queue_would():
 
     check()
     assert reached == {"horizon", "run end"}
+
+
+def test_a_machine_off_its_walk_raises_and_writes_no_tick(monkeypatch):
+    # An in-pass tick applies the walk derived from the table without a
+    # step; a machine that is not where the walk expects it must stop the
+    # run, not get the walk's record.
+    pushed = []
+
+    def push_off(fsm, event, time_us=0, n=None):
+        after = fsm_step(fsm, event, time_us, n)
+        if event == "data-request" and not pushed:
+            fsm.state = fsm.SLEEP_STATE     # the walk expects ACTIVE_STATE
+            pushed.append(fsm)
+        return after
+
+    monkeypatch.setattr(simulate, "fsm_step", push_off)
+    with pytest.raises(ProtocolViolation) as err:
+        _run("hap-sa", 2, 3, 0.2)
+    fsm, = pushed
+    assert (err.value.state, err.value.event) == (fsm.SLEEP_STATE,
+                                                  "subframe-tick")
+    assert fsm.state == fsm.SLEEP_STATE
+    assert [rec.event for rec in fsm.trace.transitions
+            if rec.ue_id == fsm.ue_id][-1] == "data-request"
+
+
+def test_a_table_entry_replaced_between_runs_takes_effect_from_the_next(
+        monkeypatch):
+    # Walks are derived from the tables for each run: a handler replaced
+    # between two runs changes the second run's records as it changes a
+    # coordinator's that steps every tick through the table.
+    def one_more_active_tick(fsm, _n):
+        ticks = fsm.ticks = fsm.ticks + 1
+        if ticks <= fsm.n:
+            return fsm.ACTIVE_STATE
+        if ticks < FRAME_SUBFRAMES:
+            return fsm.SLEEP_STATE
+        return fsm.RESUME_STATE
+
+    cfg = ScenarioConfig(scheme="hap-sa", n_wifi=2, m_lte=4, duration_s=0.3,
+                         channel=NEAR)
+    before = run_scenario(cfg, seed=1)
+    monkeypatch.setattr(SaDtxFsm, "TABLE", {
+        **SaDtxFsm.TABLE,
+        ("transferring", "subframe-tick"): one_more_active_tick,
+        ("dtx-sleep", "subframe-tick"): one_more_active_tick})
+    replaced = run_scenario(cfg, seed=1)
+    ref, _, _ = _recorded_run(cfg, 1, None, ReferenceHapRun)
+    assert replaced.signalling.transitions != before.signalling.transitions
+    assert replaced.signalling == ref.signalling
+    monkeypatch.undo()
+    assert run_scenario(cfg, seed=1).signalling == before.signalling
 
 
 @given(scheme=st.sampled_from(["wifi-only", "lbt"]),
