@@ -35,16 +35,21 @@ from .scenario import ConfigError, ScenarioConfig, expand_sweep, load_config
 from .simulate import CSV_COLUMNS, ResultRow, run_scenario
 
 
-def _int_list(text: str) -> list[int]:
-    """A comma-separated list of integers; blank text is the empty list,
-    which each command rejects by name. An empty entry is an argument
-    error, so a stray comma cannot drop a value."""
+def _name_list(text: str) -> list[str]:
+    """A comma-separated list, each entry stripped; blank text is the
+    empty list, which each command rejects by name. An empty entry is an
+    argument error, so a stray comma cannot drop a value."""
     if not text.strip():
         return []
-    tokens = text.split(",")
-    if not all(tok.strip() for tok in tokens):
+    tokens = [tok.strip() for tok in text.split(",")]
+    if not all(tokens):
         raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
-    return [int(tok) for tok in tokens]
+    return tokens
+
+
+def _int_list(text: str) -> list[int]:
+    """A comma-separated list of integers, parsed as ``_name_list``."""
+    return [int(tok) for tok in _name_list(text)]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -141,14 +146,13 @@ def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     if args.seeds is not None:
         config = dataclasses.replace(config, seeds=tuple(args.seeds))
-    schemes = args.schemes.split(",") if args.schemes else None
-    configs = expand_sweep(config, args.axis, args.values, schemes)
+    configs = expand_sweep(config, args.axis, args.values, args.schemes)
     points = [(cfg, seed) for cfg in configs for seed in cfg.seeds]
     rows = _run_all(points, args.parallel)
     out = Path(args.out)
     _emit_rows(out, "sweep_runs", rows, config, {
         "command": "sweep", "axis": args.axis, "values": args.values,
-        "schemes": schemes or [config.scheme]})
+        "schemes": args.schemes or [config.scheme]})
     header, body = _agg_table([dataclasses.asdict(r) for r in rows])
     _write_csv(out / "sweep.csv", header, body)
     print(f"wrote {out / 'sweep.csv'}", file=sys.stderr)
@@ -232,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                          required=True)
     p_sweep.add_argument("--values", type=_int_list, required=True,
                          help="comma-separated axis values")
-    p_sweep.add_argument("--schemes", default=None,
+    p_sweep.add_argument("--schemes", type=_name_list, default=None,
                          help="comma-separated scheme list")
     p_sweep.set_defaults(fn=_cmd_sweep)
 

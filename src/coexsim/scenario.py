@@ -191,7 +191,10 @@ def expand_sweep(base: ScenarioConfig, axis: str, values: list[int],
             raise ConfigError("values", f"bad sweep value {value!r}")
     if len(set(values)) < len(values):
         raise ConfigError("values", "must not repeat a value")
-    schemes = schemes or [base.scheme]
+    if schemes is None:
+        schemes = [base.scheme]
+    elif not schemes:
+        raise ConfigError("schemes", "must be non-empty")
     if len(set(schemes)) < len(schemes):
         raise ConfigError("schemes", "must not repeat a scheme")
     return list(dict.fromkeys(replace(base, scheme=scheme, **{axis: value})

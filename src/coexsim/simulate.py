@@ -20,6 +20,10 @@ same way (``signalling.beacon_walks``). It queues, as
 period and whatever an earlier queued event or the end of
 ``run_until`` cuts off. So the event heap a contention exchange pushes
 into holds about one entry, whatever the run's length or the CFP's.
+Every interval repeats the superframe, so a period is fixed by the
+machines still inside a duty cycle (the busy set) and the rotation
+cursor: a run plans each (busy set, rotation) once, and a later beacon
+with the same pair shifts that period's grants and events to its time.
 
 A coordinated user's LTE data depends only on its grants and its own
 fading stream, and nothing in the run reads it, so ``run_scenario``
@@ -37,7 +41,7 @@ from .analytics import MetricsAccumulator
 from .contention import BusyPeriods, ContentionDriver
 from .dcf import WifiStation, exchange_durations
 from .engine import KIND_RANK, Simulator
-from .hap import build_superframe, cfp_transmit
+from .hap import TxopGrant, build_superframe, cfp_transmit
 from .lbt import LbtNode
 from .radio import FRAME_HEADER_US, SUBFRAME_US, link_budget, place_users
 from .scenario import ScenarioConfig
@@ -127,10 +131,21 @@ class _HapRun:
     queued before ``cfp-end`` opens the medium; a queued tick steps its
     machine through ``fsm_step``. It records each grant in the
     signalling trace, from which ``run_scenario`` delivers the grants'
-    data after the run. ``fsm_step`` and ``build_superframe``
-    are looked up in this module as the run goes, so a name patched here
-    (coexbench's tracer patches both) takes effect from the next beacon
-    on.
+    data after the run.
+
+    A period depends on the beacon's time only by a shift: the rest of
+    its plan is fixed by the busy set and the rotation cursor. So the run
+    keeps, in ``periods``, the first period it plans for each (busy set,
+    rotation): its beacon time, grants, CFP length, next rotation and
+    sorted events. A later beacon with the same key shifts the grants and
+    events by the distance between the two beacons and plans nothing;
+    every beacon still runs its grants' ``data-request``s, checks its
+    ticks, records its grants and checks that its CFP ends before the
+    next beacon. ``fsm_step`` and ``build_superframe`` are looked up in
+    this module as the run goes, so a name patched here (coexbench's
+    tracer patches both) takes effect from the next beacon on for
+    ``fsm_step``, and from the next beacon that plans a period, one whose
+    key is new to the run, for ``build_superframe``.
     """
 
     def __init__(self, sim: Simulator, cfg: ScenarioConfig,
@@ -161,6 +176,9 @@ class _HapRun:
         self.machines = [(uid, fsm, paths[type(fsm)])
                          for uid, fsm in self.fsms.items()]
         self.cycles: dict = {}      # (class, n) -> cycle_walk(class, n)
+        # (busy set, rotation) -> the first period planned for it, as
+        # _plan returns it
+        self.periods: dict = {}
         if cfg.sa_mode == "uca" and user_ids:
             # licensed-band association settles before the first beacon
             sim.schedule(0, "timer", "hap-assoc", self._associate_uca)
@@ -194,62 +212,85 @@ class _HapRun:
             if state not in GRANTABLE_STATES:
                 busy.add(uid)
 
-        plan = build_superframe(
-            len(self.fsms), self.cfg.n_wifi, self.cfg.interval_us,
-            self.cfg.sa_mode, beacon_us=self.cfg.beacon_us, start_us=now,
-            rotation=self.rotation, user_ids=list(self.fsms), busy=busy)
-        self.rotation = plan.next_rotation
-        cfp_end = beacon_end + plan.cfp_us
+        key = frozenset(busy), self.rotation
+        period = self.periods.get(key)
+        if period is None:
+            period = self.periods[key] = self._plan(now, busy)
+        base, grants, cfp_us, self.rotation, events = period
+        shift = now - base
+        if shift:
+            # the period an earlier beacon planned, moved to this one: a
+            # shift moves no duration and no n, so each grant's checks
+            # hold and TxopGrant.__new__ need not run them again
+            grants = [new(TxopGrant, (uid, start + shift, duration, n))
+                      for uid, start, duration, n in grants]
+            events = [(time + shift, rank, seq, suffix, item, move)
+                      for time, rank, seq, suffix, item, move in events]
+        cfp_end = beacon_end + cfp_us
         next_tbtt = (k + 1) * self.cfg.interval_us
         if cfp_end > next_tbtt:
             raise RuntimeError("CFP ran into the next beacon")
         if next_tbtt < self.driver.run_end_us:
             self.sim.schedule(next_tbtt, "beacon", "hap",
                               partial(self._on_beacon, k + 1))
-        self.metrics.cfp_us += plan.cfp_us
-        if plan.grants:
+        self.metrics.cfp_us += cfp_us
+        if grants:
             self.cfp_intervals.append((beacon_end, cfp_end))
-        self._fire_cfp(plan.grants, cfp_end, next_tbtt)
+        self._fire_cfp(grants, events, cfp_end, next_tbtt)
 
-    def _fire_cfp(self, grants, cfp_end: int, next_tbtt: int) -> None:
-        """Fire the period's events in queue order, queueing the rest.
+    def _plan(self, now: int, busy: set) -> tuple:
+        """Plan the period a beacon at ``now`` opens.
 
-        Each event is (time, rank, seq, line suffix, machine or user,
-        walk step), numbered in the order the queue would have been
-        handed them, so sorting the tuples sorts them as the queue
-        would: by (time, rank), then seq. A tick's walk step is (ticks
-        heard, state before, state after). The pass fires a prefix of
-        that order, the events before the horizon up to ``cfp-end``, and
-        queues the rest in the same order: each takes a later engine seq
-        than anything queued before it, so the queue orders it as before.
+        Returns (now, grants, CFP length, next rotation, events). Each
+        event is (time, rank, seq, line suffix, machine or user, walk
+        step), numbered in the order the queue would have been handed
+        them, so sorting the tuples sorts them as the queue would: by
+        (time, rank), then seq. A tick's walk step is (ticks heard,
+        state before, state after).
         """
-        step = fsm_step
-        fsms, trace, cycles = self.fsms, self.trace, self.cycles
+        cfg, fsms, cycles = self.cfg, self.fsms, self.cycles
+        plan = build_superframe(
+            len(fsms), cfg.n_wifi, cfg.interval_us, cfg.sa_mode,
+            beacon_us=cfg.beacon_us, start_us=now, rotation=self.rotation,
+            user_ids=list(fsms), busy=busy)
         events = []
-        for grant in grants:
-            uid = grant.user_id
-            n = grant.n_subframes
+        for uid, start, duration, n in plan.grants:
             if n is not None:       # a standalone grant starts a duty cycle
                 fsm = fsms[uid]
-                step(fsm, "data-request", grant.start_us, n=n)
                 key = type(fsm), n
                 walk = cycles.get(key)
                 if walk is None:
                     walk = cycles[key] = cycle_walk(*key)
                 tick = f" timer {uid}\n"
-                tick_us = grant.start_us + FRAME_HEADER_US
+                tick_us = start + FRAME_HEADER_US
                 # n active ticks inside the grant, 10-n sleep ticks after
                 for move in walk:
                     tick_us += SUBFRAME_US
                     events.append((tick_us, _TIMER, len(events), tick, fsm,
                                    move))
-            trace.grants.append(grant)
             # a marker with no work: it stays in the trace so every hash holds
-            events.append((grant.start_us + grant.duration_us, _TXOP_END,
-                           len(events), f" txop-end {uid}\n", uid, None))
-        events.append((cfp_end, _CFP_END, len(events), " cfp-end hap\n",
-                       None, None))
+            events.append((start + duration, _TXOP_END, len(events),
+                           f" txop-end {uid}\n", uid, None))
+        events.append((now + cfg.beacon_us + plan.cfp_us, _CFP_END,
+                       len(events), " cfp-end hap\n", None, None))
         events.sort()
+        return now, plan.grants, plan.cfp_us, plan.next_rotation, events
+
+    def _fire_cfp(self, grants, events, cfp_end: int,
+                  next_tbtt: int) -> None:
+        """Start the grants' duty cycles and fire the period's events in
+        queue order, queueing the rest.
+
+        The pass fires a prefix of ``events``, those before the horizon
+        up to ``cfp-end``, and queues the rest in the same order: each
+        takes a later engine seq than anything queued before it, so the
+        queue orders it as before.
+        """
+        step, fsms, trace = fsm_step, self.fsms, self.trace
+        for uid, start, _, n in grants:
+            if n is not None:
+                step(fsms[uid], "data-request", start, n=n)
+        trace.grants += grants
 
         horizon, log = self.sim.lookahead()
         # the pass stops at the horizon, and after cfp-end in any case

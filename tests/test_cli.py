@@ -156,6 +156,30 @@ def test_sweep_rejects_unknown_scheme(tmp_path, capsys):
     assert "unknown scheme" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["", " "])
+def test_sweep_rejects_an_empty_scheme_list(tmp_path, small_config, capsys,
+                                            text):
+    # a blank list must not fall back to the config's own scheme
+    rc = main(["sweep", "--config", str(small_config),
+               "--out", str(tmp_path / "o"), "--axis", "n_wifi",
+               "--values", "2", "--schemes", text])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: schemes: must be non-empty\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_strips_each_scheme(tmp_path, small_config):
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", str(small_config), "--out", str(out),
+               "--axis", "n_wifi", "--values", "2", "--seeds", "1",
+               "--schemes", " hap-sa , lbt"])
+    assert rc == 0
+    with open(out / "sweep_runs.csv", newline="") as fh:
+        assert [r["scheme"] for r in csv.DictReader(fh)] == ["hap-sa", "lbt"]
+    meta = json.loads((out / "sweep_runs.meta.json").read_text())
+    assert meta["schemes"] == ["hap-sa", "lbt"]
+
+
 def test_oracle_table_to_stdout(capsys):
     rc = main(["oracle", "--n", "1,5"])
     assert rc == 0
@@ -184,6 +208,8 @@ def test_oracle_rejects_an_empty_station_list(capsys):
     ("sweep", "--values", "2,,3"),
     ("sweep", "--seeds", "1,2,"),
     ("run", "--seeds", " ,1"),
+    ("sweep", "--schemes", ","),
+    ("sweep", "--schemes", "lbt,,wifi-only"),
 ])
 def test_an_empty_list_entry_exits_2_naming_its_flag(tmp_path, small_config,
                                                      capsys, command, flag,

@@ -252,6 +252,8 @@ def test_expand_sweep_validation():
         expand_sweep(base, "n_wifi", [-3])
     with pytest.raises(ConfigError, match="values: must not repeat"):
         expand_sweep(base, "n_wifi", [3, 3])
+    with pytest.raises(ConfigError, match="schemes: must be non-empty"):
+        expand_sweep(base, "n_wifi", [3], schemes=[])
     with pytest.raises(ConfigError, match="schemes: must not repeat"):
         expand_sweep(base, "n_wifi", [3], schemes=["wifi-only", "wifi-only"])
     with pytest.raises(ConfigError, match="unknown scheme 'laa'"):

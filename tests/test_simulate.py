@@ -223,12 +223,15 @@ def test_coordinated_runs_keep_ledger_isolation_and_conformance(seed, **draw):
 def _recorded_run(cfg, seed, cut_us, coordinator):
     """Run cfg with ``coordinator`` as the hap coordinator, advancing the
     engine to cut_us first if it is set. Returns the result, the last
-    trace summary, and the fallbacks the one-pass coordinator took: a
-    period cut short by an event queued earlier ("horizon") or by the end
-    of ``run_until`` ("run end")."""
+    trace summary, and the paths the one-pass coordinator took: a period
+    cut short by an event queued earlier ("horizon") or by the end of
+    ``run_until`` ("run end"), a period shifted from one planned by an
+    earlier beacon ("hit"), and such a period cut short ("hit, horizon"
+    or "hit, run end")."""
     run_until, lookahead = Simulator.run_until, Simulator.lookahead
     schedule = Simulator.schedule
-    ends, summaries, passes = [], [], []     # passes: [horizon, cut]
+    ends, summaries, planned = [], [], []
+    passes = []     # [horizon, cut, planned by its own beacon]
 
     def in_pieces(sim, t_end):
         if cut_us is not None and cut_us < t_end:
@@ -238,9 +241,14 @@ def _recorded_run(cfg, seed, cut_us, coordinator):
         summaries.append(run_until(sim, t_end))
         return summaries[-1]
 
+    def recorded_build(*args, **kwargs):
+        planned.append(True)
+        return build_superframe(*args, **kwargs)
+
     def recorded_lookahead(sim):
         horizon, log = lookahead(sim)
-        passes.append([horizon, None])
+        passes.append([horizon, None, bool(planned)])
+        planned.clear()
         return horizon, log
 
     def recorded_schedule(sim, time, kind, target, fn=None):
@@ -251,6 +259,7 @@ def _recorded_run(cfg, seed, cut_us, coordinator):
         schedule(sim, time, kind, target, fn)
 
     patches = [(simulate, "_HapRun", coordinator),
+               (simulate, "build_superframe", recorded_build),
                (Simulator, "run_until", in_pieces),
                (Simulator, "lookahead", recorded_lookahead),
                (Simulator, "schedule", recorded_schedule)]
@@ -262,14 +271,22 @@ def _recorded_run(cfg, seed, cut_us, coordinator):
     finally:
         for owner, name, value in saved:
             setattr(owner, name, value)
-    return res, summaries[-1], {cut for _, cut in passes if cut}
+    paths = set()
+    for _, cut, built in passes:
+        if cut:
+            paths.add(cut)
+        if not built:
+            paths.add(f"hit, {cut}" if cut else "hit")
+    return res, summaries[-1], paths
 
 
 def test_the_one_pass_coordinator_fires_as_the_queue_would():
     # The reference queues every event of a period and the engine fires
-    # them in (time, rank, seq) order; firing them in one pass from the
-    # beacon must change nothing a run reports. A run advanced in two
-    # run_until calls cuts a period at the first call's end.
+    # them in (time, rank, seq) order, and plans every period afresh;
+    # firing them in one pass from the beacon, from a plan made for that
+    # beacon or shifted from an earlier one, must change nothing a run
+    # reports. A run advanced in two run_until calls cuts a period at the
+    # first call's end.
     reached = set()
 
     @given(cut=st.one_of(st.none(), st.floats(0.0, 1.0)), **COORDINATED)
@@ -280,6 +297,16 @@ def test_the_one_pass_coordinator_fires_as_the_queue_would():
              bit_rate_mbps=54.0, payload_bytes=1500, seed=1)
     # the first run_until ends inside a period
     @example(cut=0.3, scheme="hap-uca", n=1, m=2, interval_us=20_000,
+             beacon_us=500, intervals=2, slot_us=9, cw_min=16,
+             cw_doublings=6, max_stage=6, access_mode="rts-cts",
+             bit_rate_mbps=54.0, payload_bytes=1500, seed=1)
+    # a period shifted from an earlier one is cut by an overhanging tick
+    @example(cut=None, scheme="hap-sa", n=0, m=3, interval_us=10_000,
+             beacon_us=100, intervals=5, slot_us=9, cw_min=16,
+             cw_doublings=6, max_stage=6, access_mode="basic",
+             bit_rate_mbps=54.0, payload_bytes=1500, seed=1)
+    # the first run_until ends inside a shifted period
+    @example(cut=0.8, scheme="hap-uca", n=1, m=2, interval_us=20_000,
              beacon_us=500, intervals=2, slot_us=9, cw_min=16,
              cw_doublings=6, max_stage=6, access_mode="rts-cts",
              bit_rate_mbps=54.0, payload_bytes=1500, seed=1)
@@ -311,7 +338,8 @@ def test_the_one_pass_coordinator_fires_as_the_queue_would():
         assert res.metrics.lte_airtime_us == airtime
 
     check()
-    assert reached == {"horizon", "run end"}
+    assert reached == {"horizon", "run end", "hit", "hit, horizon",
+                       "hit, run end"}
 
 
 def test_a_machine_off_its_walk_raises_and_writes_no_tick(monkeypatch):
@@ -364,6 +392,34 @@ def test_a_table_entry_replaced_between_runs_takes_effect_from_the_next(
     assert replaced.signalling == ref.signalling
     monkeypatch.undo()
     assert run_scenario(cfg, seed=1).signalling == before.signalling
+
+
+@pytest.mark.parametrize("m_lte,plans", [(10, 1), (30, 30)])
+def test_a_run_plans_each_period_once_per_busy_set_and_rotation(
+        monkeypatch, m_lte, plans):
+    # Every interval repeats the superframe, so a beacon whose busy set
+    # and rotation an earlier beacon of the run had shifts that beacon's
+    # period instead of planning it again. At N=2, M=10 every user gets a
+    # grant and rests again by the next beacon, so the rotation comes
+    # back to 0: one plan for 100 beacons. At M=30 a period holds 11
+    # grants, so the rotation takes all 30 values. A second run in the
+    # same process plans its own periods.
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(True)
+        return build_superframe(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "build_superframe", counted)
+    cfg = ScenarioConfig(scheme="hap-sa", n_wifi=2, m_lte=m_lte,
+                         duration_s=10.0, channel=NEAR)
+    first = run_scenario(cfg, seed=1)
+    assert len(first.beacon_intervals) == 100
+    assert len(built) == plans
+    built.clear()
+    second = run_scenario(cfg, seed=1)
+    assert len(built) == plans
+    assert second.signalling == first.signalling
 
 
 @given(scheme=st.sampled_from(["wifi-only", "lbt"]),
