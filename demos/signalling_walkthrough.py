@@ -11,9 +11,9 @@ Run:  python3 demos/signalling_walkthrough.py
 """
 
 from coexsim.hap import TxopGrant, sa_txop_duration
-from coexsim.signalling import (SaDrxFsm, SaDtxFsm, SignallingTrace,
-                                TransitionRecord, UcaFsm, conformance_check,
-                                fsm_step)
+from coexsim.signalling import (GRANTABLE_STATES, SaDrxFsm, SaDtxFsm,
+                                SignallingTrace, TransitionRecord, UcaFsm,
+                                conformance_check, fsm_step)
 
 TAMPER = False
 
@@ -57,7 +57,7 @@ dtx_script = [(grant.start_us, "data-request")]
 dtx_script += [(1000 + 1000 * (k + 1), "subframe-tick") for k in range(7)]
 drive(dtx, dtx_script, n=grant.n_subframes)
 print(f"   beacon while {dtx.state!r}: path {beacon(dtx, 8500)}, "
-      f"schedulable={dtx.schedulable}\n")
+      f"grantable={dtx.state in GRANTABLE_STATES}\n")
 drive(dtx, [(1000 + 1000 * (k + 1), "subframe-tick") for k in range(7, 10)])
 
 # standalone downlink user: periodic control-channel checks, then the

@@ -57,7 +57,6 @@ def solve_fixed_point(n_stations: int,
     lo, hi = 1e-15, 1.0 - 1e-15
     if residual(lo) > 0 or residual(hi) < 0:
         raise FixedPointError("fixed point not bracketed")
-    tau = 0.5 * (lo + hi)
     for _ in range(MAX_ITER):
         tau = 0.5 * (lo + hi)
         r = residual(tau)

@@ -59,24 +59,16 @@ books the idle time to the window's end and moves the anchor there. No
 exchange may run past the end of the run, which the driver is given
 once: in the window that ends there, a decision whose exchange would end
 later is frozen, never scheduled, and the window ends idle the same way,
-its winners left at zero. Each decision tests once whether anyone
-contends before the window's end, before it picks its winners, and once
-whether its exchange would outlast the run.
-``close_window`` changes nothing: it is the beacon's check that the
-medium is idle and its window over.
+its winners left at zero.
 
-The medium is one simulation process, the generator ``_medium``. It
-keeps its hot state in locals: V, the window's anchor and end, the slot
-and exchange lengths, the calendar and the sleepers, and the window's
-ledger. A window's success and collision airtime and counts build up
-in locals, a lone station's success only as a count, and are added to
-the ``MetricsAccumulator`` once, when the window ends, idle or overrun,
-with its idle time: the span from its start to its last anchor less
-that airtime, since each exchange starts where the idle time before it
-ends and the next anchor is that exchange's end. So the ledger is whole
-at every window's end: at every beacon, and at the run's end. An LTE-U
-node's airtime and bits are booked per burst. It waits at three
-points, and each wait is resumed by one party:
+The medium is one simulation process, the generator ``_medium``, which
+keeps its hot state in locals: V, the window's anchor and end, the
+calendar and the sleepers, and the window's ledger. A window's airtime
+and counts are added to the ``MetricsAccumulator`` once, when the
+window ends, so the ledger is whole at every window's end: at every
+beacon, and at the run's end. An LTE-U node's airtime and bits are
+booked per burst. The process waits at three points, and each wait is
+resumed by one party:
 
 - no window open: ``open_window`` resumes it, and it decides;
 - a queued ``slot-boundary``: the engine resumes it when the decision
@@ -86,24 +78,19 @@ points, and each wait is resumed by one party:
   exchange to the window's ledger, redraws the winners and decides
   again.
 
-The engine resumes it through one prebound ``resume``, the generator's
-``__next__``. A decision is logged with ``fire_start``, the engine's
-firer for ``("slot-boundary", "medium")``, bound once per run, when the
-queue would fire it next anyway, and the exchange then starts on the
-spot; otherwise it is queued. Either way it is the last thing the
-callback that made it does. The ``tx-end`` that ends each exchange is
-always queued, through ``Simulator.schedule``, even where the queue
-would fire it next: the benchmark's tracer counts exchanges as the
-callbacks of queued ``tx-end`` events, so one fired inline would vanish
-from its per-exchange figures. V and the anchor are locals of the
-process alone. Three attributes are read from outside it:
-``window_end``, given when a window opens; ``busy_until``, written as
-each exchange starts, since beacons, ``close_window`` and ``finalize``
-read it while an exchange is in flight; and ``phase_start``, the
-window's start while it is open and its last anchor once it is over,
-written where a window opens and where it ends, since only
-``open_window`` and ``close_window`` read it. ``finalize`` closes the
-process, which frees its frame and the driver it holds.
+A decision is logged through the engine's firer for ``("slot-boundary",
+"medium")`` when the queue would fire it next anyway, and the exchange
+then starts on the spot; otherwise it is queued. The ``tx-end`` that
+ends each exchange is always queued, even where the queue would fire it
+next: the benchmark's tracer counts exchanges as the callbacks of queued
+``tx-end`` events, so one fired inline would vanish from its
+per-exchange figures. Three attributes are read from outside the
+process: ``window_end``; ``busy_until``, written as each exchange
+starts, since beacons, ``close_window`` and ``finalize`` read it while
+an exchange is in flight; and ``phase_start``, which only
+``open_window`` and ``close_window`` read, so it is written only where
+a window opens and where it ends. ``finalize`` closes the process,
+which frees its frame and the driver it holds.
 
 Every LTE-U node of a run shares one ``LbtParams``, since
 ``run_scenario`` builds them all from one config, and the driver
@@ -111,16 +98,12 @@ rejects nodes that do not: the medium reads one burst length and one
 CCA per run. An exchange with a burst lasts the burst, or the longer of
 the burst and a Wi-Fi collision when it collides.
 
-Busy periods are recorded once per exchange, as ``(start, end)`` pairs:
-``tx_intervals`` for exchanges with a Wi-Fi station in them and
-``lte_intervals`` for those with an LTE-U burst. Each is a
-``BusyPeriods``, which keeps its pairs flat in one int64 array, 16 bytes
-a pair where a list of tuples takes about 129, and the medium logs an
-exchange with two prebound ``array.append`` calls; it reads as a
-sequence of pairs (``len``, iteration, ``==``, ``append``). Counts are
-kept once:
-each station counts its own successes and collisions, and
-``run_scenario`` reads the Wi-Fi bits from those counts.
+Busy periods are recorded once per exchange: ``tx_intervals`` for
+exchanges with a Wi-Fi station in them and ``lte_intervals`` for those
+with an LTE-U burst. Each is a ``BusyPeriods``, 16 bytes a pair where a
+list of tuples takes about 129. Counts are kept once: each station
+counts its own successes and collisions, and ``run_scenario`` reads the
+Wi-Fi bits from those counts.
 """
 
 from __future__ import annotations
@@ -244,18 +227,13 @@ class ContentionDriver:
     def _medium(self):
         """The medium, from window to window and exchange to exchange.
 
-        Each decision reads the calendar head: s_min is its expiry slot
-        less V, and its bucket holds the winners; with an empty calendar
-        nobody contends, and the window ends idle. If the first
-        sleeper's CCA ends within min(s_min, idle) slots, the decision
-        files it instead and starts again, so the head it goes on with
-        holds every node the wake rule reaches. A lone station's
+        A decision files the sleepers the wake rule reaches, one per
+        pass, before it reads the calendar head. A lone station's
         success, the common exchange, takes one ``solo`` branch before
         its exchange and one after, which files the station again
         without a sort, a loop or a test for a collision or a burst.
-        The window's ledger stays in locals until the window ends; each
-        way out of its loop, idle, frozen or after its last exchange,
-        leads to where it is booked.
+        Each way out of a window's loop, idle, frozen or after its last
+        exchange, leads to where its ledger is booked.
         """
         sim = self.sim
         schedule = sim.schedule

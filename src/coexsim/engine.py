@@ -9,28 +9,16 @@ fires: nothing is ever withdrawn, so a caller schedules only what it
 knows will happen (the contention driver, for one, schedules a decision
 only if it falls before its window's end).
 
-A callback may also log a follow-up event as fired on the spot instead
-of queueing it, and then run the follow-up's work itself as its own
-last statement. It does so through a firer, ``inline_firer(kind,
-target)``, bound once for one (kind, target): the kind is checked and
-its rank and line suffix worked out when the firer is made, so each call
-``fire(time)`` only checks the time. That is only allowed where the
-queue would fire the event next anyway: inside ``run_until``, at or
-before its end time, and with the heap head sorting strictly after the
-event's (time, rank). On an equal (time, rank) the queued event goes
-first, since it has the lower sequence number, so ``fire`` declines and
-the caller schedules as usual. Either way the clock, the count and the
-hash are those that queueing would give. A firer holds the heap and the
-line buffer themselves, so neither list is ever rebound.
-
-A callback that knows a run of follow-up events at once can fire them
-all by the same rule, with no call per event: ``lookahead()`` gives the
-queue's horizon, the heap head's (time, rank) capped at ``run_until``'s
-end, and a logger bound to the clock, the line buffer and the flush.
-The callback does the work of every event that sorts before the
-horizon, in (time, rank) order, queues the rest, and logs the fired
-events' lines with one call, which moves the clock to the last of them.
-Nothing it queues meanwhile may sort before what it fires.
+A callback may also fire follow-up events itself instead of queueing
+them: one event through a firer, ``inline_firer(kind, target)``, bound
+once per (kind, target), or a run of events through ``lookahead()``,
+logged with one call. That is only allowed where the queue would fire
+them next anyway: inside ``run_until``, at or before its end time, and
+with the heap head sorting strictly after each event's (time, rank). On
+an equal (time, rank) the queued event goes first, since it has the
+lower sequence number. Either way the clock, the count and the hash are
+those that queueing would give. A firer holds the heap and the line
+buffer themselves, so neither list is ever rebound.
 
 Every fired event is one trace line, "time kind target", and nothing
 else. Lines are buffered, at most ``HASH_BATCH`` of them beyond the
@@ -114,7 +102,7 @@ class Simulator:
         self._heap: list[tuple[int, int, int, str, str,
                                Optional[Callable[[], None]]]] = []
         self._seq = itertools.count()
-        self._streams: dict[str, np.random.Generator] = {}
+        self._streams: set[str] = set()     # the ids forked so far
         self._hasher = hashlib.sha256() if hash_trace else None
         self._lines: list[str] = []     # trace lines not yet flushed
         self._flushed = 0               # trace lines flushed so far
@@ -256,7 +244,7 @@ class Simulator:
         if stream_id in self._streams:
             raise ValueError(f"rng stream {stream_id!r} already exists")
         gen = make_stream(self.root_seed, stream_id)
-        self._streams[stream_id] = gen
+        self._streams.add(stream_id)
         return gen
 
 

@@ -15,12 +15,8 @@ Two user classes:
   is split evenly across all users with no header, ack, or sync cost.
 
 ``TxopGrant`` is the one home of this layout: a named tuple that checks
-n when built and reports the data window (``data_us``) that delivery
-reads. Delivery takes one user's grants of a whole run at once: it draws
-the user's fading gains, one per subframe segment, in one call, turns
-them into their subframes' bits (``radio.segment_bits``), with a
-pro-rata tail segment when an aggregation grant ends mid subframe, and
-sums them grant by grant.
+its duration and n when built. Delivery takes one user's grants of a
+whole run at once (``cfp_transmit``).
 
 This module is pure planning and payload arithmetic; event wiring lives
 in the run loop.
@@ -119,14 +115,6 @@ class TxopGrant(_GrantFields):
     def end_us(self) -> int:
         return self.start_us + self.duration_us
 
-    @property
-    def data_us(self) -> int:
-        """Airtime that carries LTE data: the n subframes of a standalone
-        frame, or the whole of an aggregation grant."""
-        if self.n_subframes is None:
-            return self.duration_us
-        return self.n_subframes * SUBFRAME_US
-
 
 @dataclass(frozen=True)
 class SuperframePlan:
@@ -149,33 +137,25 @@ def _pack_standalone(budget: int, user_ids: list[str], cfp_start: int,
     grants: list[TxopGrant] = []
     m = len(user_ids)
     offset = cfp_start
-    attempts = 0
     for k in range(m):
         uid = user_ids[(rotation + k) % m]
         if uid in busy:
-            attempts = k + 1
             continue
-        placed = False
         for n, dur in SA_TXOP_US.items():
             if offset + dur - cfp_start <= budget:
                 grants.append(TxopGrant(uid, offset, dur, n_subframes=n))
                 offset += dur
-                placed = True
                 break
-        if not placed:
+        else:
             # budget exhausted: this user heads the queue next interval
-            attempts = k
-            break
-        attempts = k + 1
-    return grants, (rotation + attempts) % m
+            return grants, (rotation + k) % m
+    return grants, rotation % m     # every user placed or busy
 
 
 def _pack_uca(budget: int, user_ids: list[str],
               cfp_start: int) -> list[TxopGrant]:
     m = len(user_ids)
     share = (budget // m) // TXOP_QUANTUM_US * TXOP_QUANTUM_US
-    if share < TXOP_QUANTUM_US:
-        return []
     grants: list[TxopGrant] = []
     offset = cfp_start
     for uid in user_ids:
@@ -239,15 +219,16 @@ def cfp_transmit(grants: list[TxopGrant], snr: float,
                  rng: np.random.Generator, channel: ChannelParams) -> float:
     """Delivered bits of one user's grants, in order, at mean SNR ``snr``.
 
-    Each grant's data window is ``grant.data_us``. A standalone grant
-    delivers exactly its n subframes; header, ack and grid padding carry
-    no bits. An aggregation grant may end mid subframe, in which case the
-    tail segment delivers pro rata. Every segment gets a fresh fading
-    gain, drawn for all the grants in one call, in segment order. A
-    grant's bits are summed in segment order, and the grants' sums are
-    added up in grant order.
+    A standalone grant delivers exactly its n subframes; header, ack and
+    grid padding carry no bits. An aggregation grant carries data over
+    its whole duration and may end mid subframe, in which case the tail
+    segment delivers pro rata. Every segment gets a fresh fading gain,
+    drawn for all the grants in one call, in segment order. A grant's
+    bits are summed in segment order, and the grants' sums are added up
+    in grant order.
     """
-    spans = [divmod(grant.data_us, SUBFRAME_US) for grant in grants]
+    spans = [divmod(duration if n is None else n * SUBFRAME_US, SUBFRAME_US)
+             for _, _, duration, n in grants]
     gains = fading_gains(rng, sum([full + (tail > 0) for full, tail in spans]),
                          channel).tolist()
     bits = segment_bits(snr, gains, SUBFRAME_US * 1e-6, channel)

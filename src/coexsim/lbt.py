@@ -33,8 +33,9 @@ class LbtParams:
     duty_off_factor: int | None = None  # None: duty_off_us uses M+N-1
 
     def __post_init__(self):
-        if self.contention_window < 1:
-            raise ValueError("contention_window must be >= 1")
+        # a backoff is drawn as an int64 below the window
+        if not 1 <= self.contention_window <= 2**63:
+            raise ValueError("contention_window must be in [1, 2**63]")
         if self.burst_us < FRAME_HEADER_US + FRAME_ACK_US + SUBFRAME_US:
             raise ValueError("burst_us must hold the header, the ack and "
                              "at least one subframe")

@@ -90,7 +90,7 @@ class ScenarioConfig:
                     "must be a whole number of repetition intervals "
                     f"({self.interval_us} µs each) for beacon schemes")
             # A beacon defers by less than one exchange and no CFP is
-            # longer than this one, planned with every user schedulable,
+            # longer than this one, planned with no user busy,
             # so each CFP then ends before the next beacon and no
             # exchange outlasts the run.
             exchange = exchange_durations(

@@ -3,7 +3,7 @@
 Three machine flavours, all driven by abstract message tokens:
 
 * ``UcaFsm``: carrier-aggregation user whose control plane stays on the
-  licensed band; it becomes schedulable once the association handshake
+  licensed band; it may take a grant once the association handshake
   completes and a beacon has been heard.
 * ``SaDtxFsm``: standalone uplink user; after association it alternates
   n active subframes with 10-n sleeping ones per grant.
@@ -15,8 +15,8 @@ one successor or raises ProtocolViolation. A machine is the coordinator's
 only record of its user. Each class's ``BEACON_PATH`` maps a resting
 state to the events a beacon drives it through; a machine in the middle
 of its cycle hears nothing, and only a machine in ``GRANTABLE_STATES``
-(``schedulable``) may take a grant. Every transition and every ``TxopGrant`` the
-planner issues is appended to a shared trace that ``conformance_check``
+may take a grant. Every transition and every ``TxopGrant`` the planner
+issues is appended to a shared trace that ``conformance_check``
 replays and audits in one forward pass; a user whose records go back in
 time fails it.
 
@@ -115,10 +115,6 @@ class _Fsm:
             self.trace.transitions.append(tuple.__new__(TransitionRecord, (
                 time_us, self.ue_id, before, event, after, n)))
         return after
-
-    @property
-    def schedulable(self) -> bool:
-        return self.state in GRANTABLE_STATES
 
 
 # The module-level name the coordinator steps a machine by where it

@@ -2,28 +2,9 @@
 
 One call of ``run_scenario`` owns a Simulator, a metrics ledger, the
 station/node populations, and (for the coordinated schemes) the beacon
-and grant machinery. It returns both the flat result row used for CSV
-emission and the raw artifacts (busy intervals, signalling trace, event
-trace hash) that the invariant checks inspect.
-
-The coordinator queues only the next beacon, never the run's later
-ones. A beacon plans its contention-free period (CFP) and, since Wi-Fi
-is silent until the CFP ends, fires the period's subframe ticks, TXOP
-ends and CFP end itself, in one pass in queue order, up to the engine's
-horizon (``Simulator.lookahead``). A tick costs no queue entry and no
-Python call: the run derives each duty cycle's walk from the machine's
-``TABLE`` once (``signalling.cycle_walk``), and a tick checks its
-machine's state, moves it and appends its record in place. Each
-beacon walks the resting machines through their ``BEACON_PATH`` the
-same way (``signalling.beacon_walks``). It queues, as
-``functools.partial`` callbacks, only the sleep ticks that outlast the
-period and whatever an earlier queued event or the end of
-``run_until`` cuts off. So the event heap a contention exchange pushes
-into holds about one entry, whatever the run's length or the CFP's.
-Every interval repeats the superframe, so a period is fixed by the
-machines still inside a duty cycle (the busy set) and the rotation
-cursor: a run plans each (busy set, rotation) once, and a later beacon
-with the same pair shifts that period's grants and events to its time.
+and grant machinery, ``_HapRun``. It returns both the flat result row
+used for CSV emission and the raw artifacts (busy intervals, signalling
+trace, event trace hash) that the invariant checks inspect.
 
 A coordinated user's LTE data depends only on its grants and its own
 fading stream, and nothing in the run reads it, so ``run_scenario``
@@ -129,7 +110,9 @@ class _HapRun:
     of an earlier period) or the end of ``run_until`` cuts off, with
     everything after it, and the sleep ticks that outlast the period,
     queued before ``cfp-end`` opens the medium; a queued tick steps its
-    machine through ``fsm_step``. It records each grant in the
+    machine through ``fsm_step``. So the event heap a contention
+    exchange pushes into holds about one entry, whatever the run's
+    length or the CFP's. It records each grant in the
     signalling trace, from which ``run_scenario`` delivers the grants'
     data after the run.
 

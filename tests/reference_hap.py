@@ -32,8 +32,8 @@ from coexsim.hap import build_superframe
 from coexsim.radio import (FRAME_HEADER_US, FRAME_SUBFRAMES, SUBFRAME_US,
                            fading_gains, link_budget, lte_rate, place_users)
 from coexsim.scenario import ScenarioConfig
-from coexsim.signalling import (SaDrxFsm, SaDtxFsm, SignallingTrace, UcaFsm,
-                                fsm_step)
+from coexsim.signalling import (GRANTABLE_STATES, SaDrxFsm, SaDtxFsm,
+                                SignallingTrace, UcaFsm, fsm_step)
 
 
 class ReferenceHapRun:
@@ -108,7 +108,7 @@ class ReferenceHapRun:
             self.cfg.sa_mode, beacon_us=self.cfg.beacon_us, start_us=now,
             rotation=self.rotation, user_ids=list(self.fsms),
             busy={uid for uid, fsm in self.fsms.items()
-                  if not fsm.schedulable})
+                  if fsm.state not in GRANTABLE_STATES})
         self.rotation = plan.next_rotation
         cfp_end = beacon_end + plan.cfp_us
         next_tbtt = (k + 1) * self.cfg.interval_us
@@ -147,12 +147,20 @@ class ReferenceHapRun:
             self.driver.open_window(now, next_tbtt)
 
 
+def data_us(grant) -> int:
+    """Airtime of ``grant`` that carries LTE data: the n subframes of a
+    standalone frame, or the whole of an aggregation grant."""
+    if grant.n_subframes is None:
+        return grant.duration_us
+    return grant.n_subframes * SUBFRAME_US
+
+
 def grant_bits(grant, snr: float, rng, channel) -> float:
     """One grant's bits at mean SNR ``snr``, from its own draw of gains
     on ``rng``: 1 ms subframe segments, the last one shorter if the data
     window ends mid subframe, each delivering ``lte_rate`` at its faded
     SNR times its length, summed in segment order."""
-    full, tail = divmod(grant.data_us, SUBFRAME_US)
+    full, tail = divmod(data_us(grant), SUBFRAME_US)
     seconds = [SUBFRAME_US * 1e-6] * full + ([tail * 1e-6] if tail else [])
     gains = fading_gains(rng, len(seconds), channel).tolist()
     return sum([lte_rate(snr * g, channel) * s

@@ -641,3 +641,16 @@ def test_a_nested_field_of_the_wrong_kind_is_a_config_error(
     rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"error: {block}.{field}: " in capsys.readouterr().err
+
+
+def test_an_lbt_window_past_an_int64_draw_exits_2_naming_it(tmp_path,
+                                                            capsys):
+    config = tmp_path / "cfg.json"
+    for window, rc in ((2**63 + 1, 2), (2**63, 0)):
+        config.write_text(json.dumps({
+            "scheme": "lbt", "n_wifi": 2, "m_lte": 2, "duration_s": 0.1,
+            "lbt": {"contention_window": window}}))
+        assert main(["run", "--config", str(config),
+                     "--out", str(tmp_path / str(window))]) == rc
+    err = capsys.readouterr().err
+    assert "error: lbt.contention_window: must be in [1, 2**63]" in err

@@ -18,8 +18,8 @@ from coexsim.hap import (
     round_txop,
     sa_txop_duration,
 )
-from coexsim.radio import SUBFRAME_US, ChannelParams
-from reference_hap import grant_bits
+from coexsim.radio import SUBFRAME_US, ChannelParams, lte_rate
+from reference_hap import data_us, grant_bits
 
 
 # -- TXOP grid -------------------------------------------------------------
@@ -86,12 +86,20 @@ def test_standalone_grant_duration_matches_its_frame():
 
 
 def test_grant_data_window():
+    # without fading, a grant delivers the rate at its mean SNR over its
+    # data window
+    channel = ChannelParams(fading="none")
+    rate = lte_rate(1.0, channel)
     # standalone: the n subframes only; header, ack and grid padding carry
     # no data
     for n, dur in ((8, 8064), (7, 7072), (6, 6080)):
-        assert TxopGrant("lte-00", 500, dur, n_subframes=n).data_us == n * 1000
+        grant = TxopGrant("lte-00", 500, dur, n_subframes=n)
+        assert cfp_transmit([grant], 1.0, _rng(), channel) == pytest.approx(
+            rate * n * 1e-3, rel=1e-12)
     # aggregation: the whole grant
-    assert TxopGrant("lte-00", 500, 1504).data_us == 1504
+    grant = TxopGrant("lte-00", 500, 1504)
+    assert cfp_transmit([grant], 1.0, _rng(), channel) == pytest.approx(
+        rate * 1504e-6, rel=1e-12)
 
 
 # -- budget and packing ----------------------------------------------------
@@ -127,6 +135,24 @@ def test_standalone_rotation_serves_every_user_equally():
     assert all(v == 3 for v in served.values())
 
 
+@pytest.mark.parametrize("m,n,rotation,busy,grantees,next_rotation", [
+    (3, 0, 2, set(), ["lte-02", "lte-00", "lte-01"], 2),   # every user placed
+    (3, 0, 1, {"lte-02"}, ["lte-01", "lte-00"], 1),   # placed or busy
+    (3, 30, 1, set(), ["lte-01"], 2),   # the budget runs out at lte-02
+    (3, 30, 0, {"lte-00"}, ["lte-01"], 2),   # busy ahead of the cut
+    (3, 30, 0, {"lte-01"}, ["lte-00"], 2),   # busy between grant and cut
+    (3, 30, 0, {"lte-00", "lte-01"}, ["lte-02"], 0),   # placed or busy
+], ids=["all-placed", "placed-or-busy", "cut", "busy-ahead", "busy-between",
+        "one-free"])
+def test_standalone_rotation_restarts_at_the_first_user_left_out(
+        m, n, rotation, busy, grantees, next_rotation):
+    # M=3, N=30: a budget of 9045 us fits one 8-subframe frame (8064 us)
+    # and no second frame; at N=0 every user fits
+    plan = build_superframe(m, n, rotation=rotation, busy=busy)
+    assert [g.user_id for g in plan.grants] == grantees
+    assert plan.next_rotation == next_rotation
+
+
 def test_standalone_eligibility_skips_sleeping_users():
     plan = build_superframe(3, 0, user_ids=["lte-00", "lte-01", "lte-02"],
                             busy={"lte-00"})
@@ -154,6 +180,15 @@ def test_uca_chunks_large_shares_under_the_cap():
     assert sum(g.duration_us for g in plan.grants) == 99_488
     assert [g.duration_us for g in plan.grants[:-1]] == [8160] * 12
     assert plan.grants[-1].duration_us == 99_488 - 12 * 8160
+
+
+def test_uca_share_below_the_grid_packs_nothing():
+    # a budget of 300 us over ten users: 30 us each, 0 on the 32 us grid
+    plan = build_superframe(10, 0, interval_us=800, beacon_us=500,
+                            mode="uca")
+    assert plan.grants == ()
+    assert plan.cfp_us == 0
+    assert plan.remainder_us == 300
 
 
 def test_superframe_with_no_lte_users_is_all_contention():
@@ -280,7 +315,7 @@ _SEGMENT_GRANTS.append(TxopGrant("lte-00", 0, SA_TXOP_US[6], n_subframes=6))
 
 @pytest.mark.parametrize("grants", [[g] for g in _SEGMENT_GRANTS]
                          + [_SEGMENT_GRANTS],
-                         ids=[f"{g.data_us}us" for g in _SEGMENT_GRANTS]
+                         ids=[f"{data_us(g)}us" for g in _SEGMENT_GRANTS]
                          + ["all"])
 @pytest.mark.parametrize("snr", [0.0, 1.0, 37.5, 1e9])
 def test_cfp_transmit_is_the_sum_of_lte_rate_per_segment(grants, snr,
@@ -293,7 +328,7 @@ def test_cfp_transmit_is_the_sum_of_lte_rate_per_segment(grants, snr,
                               channel)
     bits = cfp_transmit(grants, snr, np.random.default_rng(7), channel)
     assert bits.hex() == expected.hex()
-    assert draws == [sum([-(-g.data_us // SUBFRAME_US) for g in grants])]
+    assert draws == [sum([-(-data_us(g) // SUBFRAME_US) for g in grants])]
 
 
 @st.composite

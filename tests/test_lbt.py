@@ -32,6 +32,10 @@ def test_data_subframes_inside_default_burst():
 def test_params_validation():
     with pytest.raises(ValueError):
         LbtParams(contention_window=0)
+    # a backoff is an int64 below the window: 2**63 is the widest window
+    with pytest.raises(ValueError, match="^contention_window "):
+        LbtParams(contention_window=2**63 + 1)
+    LbtParams(contention_window=2**63)
     # a burst must carry the header, the ack and at least one subframe
     for burst in (0, 64, 1063):
         with pytest.raises(ValueError, match="burst_us"):

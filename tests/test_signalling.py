@@ -9,6 +9,7 @@ from coexsim.radio import FRAME_SUBFRAMES
 from coexsim.signalling import (
     DATA_STATES,
     FSM_KINDS,
+    GRANTABLE_STATES,
     ProtocolViolation,
     SaDrxFsm,
     SaDtxFsm,
@@ -27,12 +28,13 @@ from coexsim.signalling import (
 
 def test_uca_association_happy_path():
     fsm = UcaFsm("lte-00")
-    assert fsm.state == "idle" and not fsm.schedulable
+    assert fsm.state == "idle" and fsm.state not in GRANTABLE_STATES
     assert fsm_step(fsm, "assoc-request") == "association-requested"
     assert fsm_step(fsm, "ul-grant") == "granted"
     assert fsm_step(fsm, "identity") == "identity-sent"
     assert fsm_step(fsm, "rrc") == "rrc-configured"
-    assert fsm_step(fsm, "beacon") == "aggregating" and fsm.schedulable
+    assert fsm_step(fsm, "beacon") == "aggregating"
+    assert fsm.state in GRANTABLE_STATES
     # further beacons keep the session alive
     assert fsm.step("beacon") == "aggregating"
 
@@ -52,16 +54,16 @@ def test_dtx_full_cycle_n6():
     assert fsm.state == "idle"
     assert fsm_step(fsm, "beacon") == "discovery"
     assert fsm.step("identity") == "associated"
-    assert fsm.schedulable
+    assert fsm.state in GRANTABLE_STATES
     assert fsm.step("data-request", n=6) == "transferring"
-    assert not fsm.schedulable
+    assert fsm.state not in GRANTABLE_STATES
     for _ in range(5):
         assert fsm.step("subframe-tick") == "transferring"
     assert fsm.step("subframe-tick") == "dtx-sleep"   # 6th active tick
     for _ in range(3):
         assert fsm.step("subframe-tick") == "dtx-sleep"
     assert fsm.step("subframe-tick") == "associated"  # 4th sleep tick
-    assert fsm.schedulable
+    assert fsm.state in GRANTABLE_STATES
 
 
 def test_dtx_n10_skips_sleep_entirely():
@@ -163,7 +165,7 @@ def test_beacon_paths_are_legal_and_leave_the_machine_schedulable():
                 # a walk applied in place runs no handler
                 assert isinstance(cls.TABLE[fsm.state, event], str)
                 fsm.step(event)
-            assert fsm.schedulable, (cls.KIND, resting)
+            assert fsm.state in GRANTABLE_STATES, (cls.KIND, resting)
             # the walk a run derives is the traced machine's steps
             assert walks[resting] == tuple(
                 (rec.state_before, rec.event, rec.state_after)
@@ -243,7 +245,7 @@ def test_conformance_rejects_broken_cycle_arithmetic(monkeypatch):
     fsm.step("identity", 500)
     fsm.step("data-request", 1000, n=6)
     t = 1000
-    while not fsm.schedulable:
+    while fsm.state not in GRANTABLE_STATES:
         t += 1000
         fsm.step("subframe-tick", t)
     report = conformance_check(trace)
