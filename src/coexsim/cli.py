@@ -184,7 +184,8 @@ def _cmd_report(args) -> int:
     # the columns the report reads, each with its parser
     columns = {"scheme": str, "n_wifi": int, "m_lte": int,
                **dict.fromkeys(AGG_METRICS, float)}
-    with open(args.runs, newline="") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheet tools write
+    with open(args.runs, newline="", encoding="utf-8-sig") as fh:
         try:
             reader = csv.DictReader(fh.readlines())
         except UnicodeDecodeError as exc:
@@ -206,6 +207,9 @@ def _cmd_report(args) -> int:
                     raise ConfigError(
                         key, f"{args.runs} line {reader.line_num}: "
                              f"not a number: {rec[key]!r}") from None
+            if not row["scheme"]:
+                raise ConfigError("scheme", f"{args.runs} line "
+                                            f"{reader.line_num}: empty cell")
             raw.append(row)
     header, body = _agg_table(raw)
     _emit_table(args.out, "report.csv", header, body)

@@ -118,7 +118,8 @@ class _Fsm:
 
 
 # The module-level name the coordinator steps a machine by where it
-# applies no walk: association, data-requests and queued ticks.
+# applies no walk: association and data-requests. A subframe tick, fired
+# in a beacon's pass or from the queue, applies its step of the walk.
 fsm_step = _Fsm.step
 
 
@@ -214,20 +215,15 @@ class SaDrxFsm(_CycleFsm):
 FSM_KINDS = {"uca": UcaFsm, "sa-dtx": SaDtxFsm, "sa-drx": SaDrxFsm}
 
 
-def cycle_walk(cls: type[_CycleFsm],
-               n: int) -> tuple[tuple[int, str, str], ...]:
+def cycle_walk(cls: type[_CycleFsm], n: int) -> tuple[tuple[str, str], ...]:
     """The subframe ticks of a cycle of n as ``TABLE`` steps them, after
-    a data-request in ``RESUME_STATE``: one (ticks heard, state before,
-    state after) per tick, ``FRAME_SUBFRAMES`` of them."""
+    a data-request in ``RESUME_STATE``: one (state before, state after)
+    per tick, ``FRAME_SUBFRAMES`` of them."""
     fsm = cls("walk")
     fsm.state = cls.RESUME_STATE
     fsm.step("data-request", n=n)
-    walk = []
-    for _ in range(FRAME_SUBFRAMES):
-        before = fsm.state
-        after = fsm.step("subframe-tick")
-        walk.append((fsm.ticks, before, after))
-    return tuple(walk)
+    return tuple([(fsm.state, fsm.step("subframe-tick"))
+                  for _ in range(FRAME_SUBFRAMES)])
 
 
 def beacon_walks(cls: type[_Fsm]

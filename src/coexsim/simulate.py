@@ -17,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import partial
+from operator import itemgetter
 
 from .analytics import MetricsAccumulator
 from .contention import BusyPeriods, ContentionDriver
@@ -100,21 +101,20 @@ class _HapRun:
     standalone grant's ``data-request`` and its ten subframe ticks, each
     grant's ``txop-end`` and the period's ``cfp-end``. Wi-Fi is silent
     until ``cfp-end``, so the beacon fires them itself, in one pass in
-    queue order, up to the engine's horizon (``Simulator.lookahead``):
-    every tick applies its step of the cycle's walk, derived once per run
-    and n from the machine's ``TABLE``, and ``cfp-end`` opens the
-    contention period last. A machine that is not in the state its tick
-    expects raises ``ProtocolViolation``. It queues, as
-    ``functools.partial`` callbacks, only what the queue must order: an
-    event at or past the horizon, which an event queued earlier (a tick
-    of an earlier period) or the end of ``run_until`` cuts off, with
-    everything after it, and the sleep ticks that outlast the period,
-    queued before ``cfp-end`` opens the medium; a queued tick steps its
-    machine through ``fsm_step``. So the event heap a contention
+    queue order, up to the engine's horizon (``Simulator.lookahead``).
+    It queues only what the queue must order: an event at or past the
+    horizon, which an event queued earlier (a tick of an earlier period)
+    or the end of ``run_until`` cuts off, with everything after it, and
+    the sleep ticks that outlast the period, queued before ``cfp-end``
+    opens the medium. Fired in the pass or from the queue, an event's
+    work is done by one method, ``_do_events``: a tick applies its step
+    of the cycle's walk, derived once per run and n from the machine's
+    ``TABLE``, and raises ``ProtocolViolation`` if its machine is not in
+    the state the step expects; ``cfp-end`` opens the contention period.
+    So no tick steps through the table, and the event heap a contention
     exchange pushes into holds about one entry, whatever the run's
-    length or the CFP's. It records each grant in the
-    signalling trace, from which ``run_scenario`` delivers the grants'
-    data after the run.
+    length or the CFP's. It records each grant in the signalling trace,
+    from which ``run_scenario`` delivers the grants' data after the run.
 
     A period depends on the beacon's time only by a shift: the rest of
     its plan is fixed by the busy set and the rotation cursor. So the run
@@ -207,8 +207,8 @@ class _HapRun:
             # hold and TxopGrant.__new__ need not run them again
             grants = [new(TxopGrant, (uid, start + shift, duration, n))
                       for uid, start, duration, n in grants]
-            events = [(time + shift, rank, seq, suffix, item, move)
-                      for time, rank, seq, suffix, item, move in events]
+            events = [(time + shift, rank, suffix, item, move)
+                      for time, rank, suffix, item, move in events]
         cfp_end = beacon_end + cfp_us
         next_tbtt = (k + 1) * self.cfg.interval_us
         if cfp_end > next_tbtt:
@@ -225,11 +225,11 @@ class _HapRun:
         """Plan the period a beacon at ``now`` opens.
 
         Returns (now, grants, CFP length, next rotation, events). Each
-        event is (time, rank, seq, line suffix, machine or user, walk
-        step), numbered in the order the queue would have been handed
-        them, so sorting the tuples sorts them as the queue would: by
-        (time, rank), then seq. A tick's walk step is (ticks heard,
-        state before, state after).
+        event is (time, rank, line suffix, machine or user, walk step),
+        appended in the order the queue would have been handed them, and
+        sorted stably on (time, rank), so ties keep that order as the
+        queue's seq would. A tick's walk step is (state before, state
+        after).
         """
         cfg, fsms, cycles = self.cfg, self.fsms, self.cycles
         plan = build_superframe(
@@ -249,14 +249,13 @@ class _HapRun:
                 # n active ticks inside the grant, 10-n sleep ticks after
                 for move in walk:
                     tick_us += SUBFRAME_US
-                    events.append((tick_us, _TIMER, len(events), tick, fsm,
-                                   move))
+                    events.append((tick_us, _TIMER, tick, fsm, move))
             # a marker with no work: it stays in the trace so every hash holds
-            events.append((start + duration, _TXOP_END, len(events),
+            events.append((start + duration, _TXOP_END,
                            f" txop-end {uid}\n", uid, None))
         events.append((now + cfg.beacon_us + plan.cfp_us, _CFP_END,
-                       len(events), " cfp-end hap\n", None, None))
-        events.sort()
+                       " cfp-end hap\n", None, None))
+        events.sort(key=itemgetter(0, 1))
         return now, plan.grants, plan.cfp_us, plan.next_rotation, events
 
     def _fire_cfp(self, grants, events, cfp_end: int,
@@ -265,9 +264,9 @@ class _HapRun:
         queue order, queueing the rest.
 
         The pass fires a prefix of ``events``, those before the horizon
-        up to ``cfp-end``, and queues the rest in the same order: each
-        takes a later engine seq than anything queued before it, so the
-        queue orders it as before.
+        up to ``cfp-end``. The rest are queued first, in the same order:
+        each takes a later engine seq than anything queued before it, so
+        the queue orders it as before.
         """
         step, fsms, trace = fsm_step, self.fsms, self.trace
         for uid, start, _, n in grants:
@@ -278,44 +277,39 @@ class _HapRun:
         horizon, log = self.sim.lookahead()
         # the pass stops at the horizon, and after cfp-end in any case
         fired = bisect_left(events, min(horizon, (cfp_end, _CFP_END + 1)))
-        if fired < len(events):
-            self._queue(events[fired:], step, next_tbtt)
-        if not fired:
-            return
+        schedule, do = self.sim.schedule, self._do_events
+        for event in events[fired:]:
+            # the line the pass would log: " kind target\n"
+            kind, target = event[2].split()
+            schedule(event[0], kind, target,
+                     partial(do, (event,), None, next_tbtt))
+        if fired:
+            do(events[:fired], log, next_tbtt)
+
+    def _do_events(self, events, log, next_tbtt: int) -> None:
+        """Do the work of ``events``, period events in queue order, and
+        log their lines with ``log``, or with None for a queued event,
+        whose line the queue logged. A tick checks that its machine is
+        where its walk step expects it and applies the step; ``cfp-end``
+        opens the contention period once its line is logged."""
         lines = []
-        append, new = trace.transitions.append, tuple.__new__
-        for time, rank, _, suffix, fsm, move in events[:fired]:
+        append, new = self.trace.transitions.append, tuple.__new__
+        for time, rank, suffix, fsm, move in events:
             lines.append(f"{time}{suffix}")
             if rank == _TIMER:
-                ticks, before, after = move
+                before, after = move
                 if fsm.state != before:
                     raise ProtocolViolation(fsm.KIND, fsm.ue_id, fsm.state,
                                             "subframe-tick")
                 fsm.state = after
-                fsm.ticks = ticks
                 append(new(TransitionRecord, (time, fsm.ue_id, before,
                                               "subframe-tick", after, None)))
-        # ticks read no clock; cfp-end reads the logged one
-        log(lines, events[fired - 1][0])
-        if events[fired - 1][1] == _CFP_END:
-            self._open_cp(next_tbtt)
-
-    def _queue(self, events, step, next_tbtt: int) -> None:
-        schedule = self.sim.schedule
-        for time, rank, _, _, item, _ in events:
-            if rank == _TIMER:
-                schedule(time, "timer", item.ue_id,
-                         partial(step, item, "subframe-tick", time))
-            elif rank == _TXOP_END:
-                schedule(time, "txop-end", item)
-            else:
-                schedule(time, "cfp-end", "hap",
-                         partial(self._open_cp, next_tbtt))
-
-    def _open_cp(self, next_tbtt: int) -> None:
-        now = self.sim.now
-        if now < next_tbtt:
-            self.driver.open_window(now, next_tbtt)
+        if log is not None:
+            # moves the clock to the last event's time, which open_window
+            # schedules from; ticks read no clock
+            log(lines, time)
+        if rank == _CFP_END and time < next_tbtt:
+            self.driver.open_window(time, next_tbtt)
 
 
 def run_scenario(config: ScenarioConfig, seed: int) -> RunResult:

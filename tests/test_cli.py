@@ -1,5 +1,6 @@
 """Command line behaviour: files written, determinism, and exit codes."""
 
+import codecs
 import concurrent.futures
 import csv
 import json
@@ -349,6 +350,27 @@ def test_report_rejects_a_runs_file_that_is_not_utf_8(tmp_path, capsys):
     assert main(["report", "--runs", str(runs)]) == 2
     assert f"error: runs: {runs}: not UTF-8: " in (
         capsys.readouterr().err)
+
+
+def test_report_rejects_a_row_with_an_empty_scheme(tmp_path, capsys):
+    # an empty cell would group the row under a scheme named ""
+    runs = _runs_csv(tmp_path, capsys)
+    header, row = runs.read_text().splitlines()
+    runs.write_text(f"{header}\n{row}\n,{row.split(',', 1)[1]}\n")
+    assert main(["report", "--runs", str(runs)]) == 2
+    assert f"error: scheme: {runs} line 3: empty cell" in (
+        capsys.readouterr().err)
+
+
+def test_report_reads_a_runs_file_with_a_byte_order_mark(tmp_path, capsys):
+    # spreadsheet tools write UTF-8 with a byte-order mark, which must not
+    # become part of the first column's name
+    runs = _runs_csv(tmp_path, capsys)
+    assert main(["report", "--runs", str(runs)]) == 0
+    plain = capsys.readouterr().out
+    runs.write_bytes(codecs.BOM_UTF8 + runs.read_bytes())
+    assert main(["report", "--runs", str(runs)]) == 0
+    assert capsys.readouterr().out == plain
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

@@ -132,8 +132,7 @@ def test_a_cycle_of_n_runs_n_active_then_the_rest_asleep(cls, n):
     ticks = trace.transitions[-FRAME_SUBFRAMES:]
     assert trace.transitions[-FRAME_SUBFRAMES - 1].event == "data-request"
     assert cycle_walk(cls, n) == tuple(
-        (k, rec.state_before, rec.state_after)
-        for k, rec in enumerate(ticks, 1))
+        (rec.state_before, rec.state_after) for rec in ticks)
     with pytest.raises(ProtocolViolation):
         fsm.step("subframe-tick", 12_000)
     report = conformance_check(trace)

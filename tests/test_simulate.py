@@ -7,14 +7,15 @@ acceptance suite, which runs the full-length matrix.
 import dataclasses
 import importlib.util
 import sys
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from coexsim.analytics import saturation_throughput
-from coexsim.dcf import MacTiming, exchange_durations
-from coexsim.engine import Simulator
+from coexsim.dcf import MacTiming, WifiStation, exchange_durations
+from coexsim.engine import _NOT_RUNNING, Simulator
 from coexsim.hap import build_superframe
 from coexsim.radio import FRAME_SUBFRAMES, ChannelParams
 from coexsim.scenario import ConfigError, ScenarioConfig
@@ -366,6 +367,163 @@ def test_a_machine_off_its_walk_raises_and_writes_no_tick(monkeypatch):
             if rec.ue_id == fsm.ue_id][-1] == "data-request"
 
 
+def _overhang_config():
+    """The hap-sa run of the one-pass test's first example: with no
+    Wi-Fi the next beacon comes soon after each CFP, so the last sleep
+    ticks of every period are queued, and one overhangs the next
+    period's first events and cuts its pass."""
+    fields, _ = _coordinated_fields(
+        scheme="hap-sa", n=0, m=3, interval_us=10_000, beacon_us=100,
+        intervals=3, slot_us=9, cw_min=16, cw_doublings=6, max_stage=6,
+        access_mode="basic", bit_rate_mbps=54.0, payload_bytes=1500)
+    return ScenarioConfig(**fields)
+
+
+def test_only_association_and_data_requests_step_through_the_table(
+        monkeypatch):
+    # A subframe tick applies its step of the walk whether the beacon's
+    # pass fires it or the queue does, so fsm_step, the table's step,
+    # sees no tick.
+    seen, queued = set(), set()
+    schedule = Simulator.schedule
+
+    def recorded_step(fsm, event, time_us=0, n=None):
+        seen.add(event)
+        return fsm_step(fsm, event, time_us, n)
+
+    def recorded_schedule(sim, time, kind, target, fn=None):
+        queued.add(kind)
+        schedule(sim, time, kind, target, fn)
+
+    monkeypatch.setattr(simulate, "fsm_step", recorded_step)
+    monkeypatch.setattr(Simulator, "schedule", recorded_schedule)
+    res = run_scenario(_overhang_config(), seed=1)
+    assert "timer" in queued        # some ticks went through the queue
+    assert any(rec.event == "subframe-tick"
+               for rec in res.signalling.transitions)
+    assert "data-request" in seen
+    assert seen <= {"assoc-request", "ul-grant", "identity", "rrc",
+                    "data-request"}
+
+
+def test_a_machine_off_its_walk_before_a_queued_tick_raises(monkeypatch):
+    # A queued tick applies its walk step as an in-pass tick does. Moved
+    # between its active and sleep states, where the table's tick handler
+    # would still take the tick, a machine must stop the run at its next
+    # queued tick, and the tick must write no record.
+    machines, moved = {}, []
+    schedule = Simulator.schedule
+
+    def recorded_step(fsm, event, time_us=0, n=None):
+        machines[fsm.ue_id] = fsm
+        return fsm_step(fsm, event, time_us, n)
+
+    def move_before_first_tick(sim, time, kind, target, fn=None):
+        fsm = machines.get(target)
+        if kind == "timer" and fsm is not None and not moved:
+            def off_walk():
+                fsm.state = (fsm.ACTIVE_STATE if fsm.state == fsm.SLEEP_STATE
+                             else fsm.SLEEP_STATE)
+                moved.append((fsm, fsm.state, len(fsm.trace.transitions)))
+                fn()
+            schedule(sim, time, kind, target, off_walk)
+        else:
+            schedule(sim, time, kind, target, fn)
+
+    monkeypatch.setattr(simulate, "fsm_step", recorded_step)
+    monkeypatch.setattr(Simulator, "schedule", move_before_first_tick)
+    with pytest.raises(ProtocolViolation) as err:
+        run_scenario(_overhang_config(), seed=1)
+    (fsm, state, records), = moved
+    assert (err.value.state, err.value.event) == (state, "subframe-tick")
+    assert fsm.state == state
+    assert len(fsm.trace.transitions) == records
+
+
+def _split_run(cfg, seed, cuts_us):
+    """Run cfg, advancing the engine to each of cuts_us in turn before
+    the run's own run_until call. Returns the result, the trace summary
+    after each call, the time of each event in trace order, and whether
+    a firer declined an event because it lay past a run_until's end."""
+    run_until, inline_firer = Simulator.run_until, Simulator.inline_firer
+    flush = Simulator._flush_hash
+    summaries, times, past_end = [], [], []
+
+    def in_pieces(sim, t_end):
+        for end in [*cuts_us, t_end]:
+            summaries.append(run_until(sim, end))
+        return summaries[-1]
+
+    def watched_firer(sim, kind, target):
+        fire = inline_firer(sim, kind, target)
+
+        def watched(time):
+            running = sim._t_end != _NOT_RUNNING
+            if running and time > sim._t_end:
+                past_end.append(time)
+            return fire(time)
+        return watched
+
+    def recorded_flush(sim):
+        times.extend(int(line.split(" ", 1)[0]) for line in sim._lines)
+        flush(sim)
+
+    patches = [(Simulator, "run_until", in_pieces),
+               (Simulator, "inline_firer", watched_firer),
+               (Simulator, "_flush_hash", recorded_flush)]
+    saved = [(owner, name, vars(owner)[name]) for owner, name, _ in patches]
+    try:
+        for owner, name, value in patches:
+            setattr(owner, name, value)
+        res = run_scenario(cfg, seed)
+    finally:
+        for owner, name, value in saved:
+            setattr(owner, name, value)
+    return res, summaries, times, bool(past_end)
+
+
+def test_an_uncoordinated_run_split_by_run_until_reports_as_one_call():
+    # The medium fires a decision itself only inside run_until and at or
+    # before its end; one past it is queued, and the next call fires it.
+    # A run advanced in several run_until calls must report what one
+    # call does, and each call must stop at its end.
+    reached = []
+
+    @given(scheme=st.sampled_from(["wifi-only", "lbt"]),
+           n=st.integers(1, 10), m=st.integers(1, 5),
+           duty_off_factor=st.one_of(st.none(), st.integers(0, 3)),
+           access_mode=st.sampled_from(["basic", "rts-cts"]),
+           cuts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+           seed=st.integers(1, 1000))
+    # the first call ends between an exchange's end and the decision
+    # after it
+    @example(scheme="wifi-only", n=5, m=1, duty_off_factor=None,
+             access_mode="basic", cuts=[0.5038], seed=1)
+    @settings(max_examples=25, deadline=None)
+    def check(scheme, n, m, duty_off_factor, access_mode, cuts, seed):
+        lbt = dataclasses.replace(ScenarioConfig().lbt,
+                                  duty_off_factor=duty_off_factor)
+        cfg = ScenarioConfig(scheme=scheme, n_wifi=n,
+                             m_lte=m if scheme == "lbt" else 0,
+                             duration_s=0.1, access_mode=access_mode,
+                             channel=NEAR, lbt=lbt)
+        cuts_us = sorted(round(c * cfg.duration_us) for c in cuts)
+        one, (one_summary,), times, _ = _split_run(cfg, seed, [])
+        res, summaries, _, past_end = _split_run(cfg, seed, cuts_us)
+        reached.append(past_end)
+        assert [s.processed for s in summaries[:-1]] == [
+            bisect_right(times, cut) for cut in cuts_us]
+        assert res.trace_hash == one.trace_hash
+        assert summaries[-1].processed == one_summary.processed
+        assert res.wifi_tx_intervals == one.wifi_tx_intervals
+        assert res.lte_tx_intervals == one.lte_tx_intervals
+        assert res.metrics == one.metrics
+        assert res.row.csv_values() == one.row.csv_values()
+
+    check()
+    assert any(reached)
+
+
 def test_a_table_entry_replaced_between_runs_takes_effect_from_the_next(
         monkeypatch):
     # Walks are derived from the tables for each run: a handler replaced
@@ -452,24 +610,38 @@ def test_a_hap_run_queues_one_beacon_at_a_time(scheme, monkeypatch):
     # Each exchange pushes its tx-end into the event heap, so every beacon
     # queued ahead of time deepens that push's sift. Queueing a beacon only
     # when the one before it fires keeps at most one in the heap, and the
-    # heap about one entry deep at a tx-end push (0.85 for hap-sa and 0.80
-    # for hap-uca here). Queueing every beacon at the start would hold 5
-    # on this run and about 2.0 entries at a push (49.6 on a 10 s run).
-    # These are counts, so host speed cannot move them.
+    # heap about one entry deep at the end of each exchange, sampled as
+    # its winners hear the outcome, whether its tx-end was queued or not
+    # (0.84 for hap-sa and 0.80 for hap-uca here). Queueing every beacon
+    # at the start would hold 5 on this run and about 2.0 entries at a
+    # tx-end push (49.6 on a 10 s run). These are counts, so host speed
+    # cannot move them.
     schedule = Simulator.schedule
-    heap_at_tx_end, beacons_queued = [], []
+    run, depth_at_end, beacons_queued = None, {}, []
 
     def counted(sim, time, kind, target, fn=None):
-        if kind == "tx-end":
-            heap_at_tx_end.append(len(sim._heap))
+        nonlocal run
+        run = sim
         schedule(sim, time, kind, target, fn)
         if kind == "beacon":
             beacons_queued.append(sum(e[3] == "beacon" for e in sim._heap))
 
+    def sampled(hear):
+        def at_exchange_end(station):
+            # a collision's winners all hear it at its end
+            depth_at_end[run.now] = len(run._heap)
+            return hear(station)
+        return at_exchange_end
+
     monkeypatch.setattr(Simulator, "schedule", counted)
-    _run(scheme, 30, 10, 0.5)
+    for name in ("on_success", "on_collision"):
+        monkeypatch.setattr(WifiStation, name,
+                            sampled(getattr(WifiStation, name)))
+    res = _run(scheme, 30, 10, 0.5)
+    assert len(depth_at_end) == (res.metrics.success_events
+                                 + res.metrics.collision_events)
     assert max(beacons_queued) == 1
-    assert sum(heap_at_tx_end) / len(heap_at_tx_end) <= 1.0
+    assert sum(depth_at_end.values()) / len(depth_at_end) <= 1.0
 
 
 def test_same_seed_same_row_and_trace():
