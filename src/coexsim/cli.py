@@ -31,7 +31,8 @@ from . import __version__
 from .analytics import (AGG_METRICS, aggregate, saturation_throughput,
                         solve_fixed_point)
 from .dcf import ACCESS_MODES
-from .scenario import ConfigError, ScenarioConfig, expand_sweep, load_config
+from .scenario import (SCHEMES, ConfigError, ScenarioConfig, expand_sweep,
+                       load_config)
 from .simulate import CSV_COLUMNS, ResultRow, run_scenario
 
 
@@ -181,9 +182,16 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    # the columns the report reads, each with its parser
-    columns = {"scheme": str, "n_wifi": int, "m_lte": int,
-               **dict.fromkeys(AGG_METRICS, float)}
+    # the columns the report reads, each with its parser, the test a
+    # parsed value must pass (a metric must also be finite) and what a
+    # value that fails it is
+    count = (int, lambda v: v >= 0, "negative")
+    metric = (float, lambda v: 0 <= v < math.inf, "negative or not finite")
+    columns = {"scheme": (str, SCHEMES.__contains__, f"not one of {SCHEMES}"),
+               "n_wifi": count, "m_lte": count,
+               **dict.fromkeys(AGG_METRICS, metric),
+               "collision_rate": (float, lambda v: 0 <= v <= 1,
+                                  "outside [0, 1]")}
     # utf-8-sig drops the byte-order mark spreadsheet tools write
     with open(args.runs, newline="", encoding="utf-8-sig") as fh:
         try:
@@ -197,19 +205,17 @@ def _cmd_report(args) -> int:
         raw = []
         for rec in reader:
             row = {}
-            for key, parse in columns.items():
+            for key, (parse, valid, fault) in columns.items():
+                cell = rec[key]
                 try:
-                    row[key] = parse(rec[key])
-                    # nan and inf parse as floats but measure nothing
-                    if parse is float and not math.isfinite(row[key]):
-                        raise ValueError
+                    value = row[key] = parse(cell)
+                    if valid(value):
+                        continue
                 except (TypeError, ValueError):
-                    raise ConfigError(
-                        key, f"{args.runs} line {reader.line_num}: "
-                             f"not a number: {rec[key]!r}") from None
-            if not row["scheme"]:
-                raise ConfigError("scheme", f"{args.runs} line "
-                                            f"{reader.line_num}: empty cell")
+                    fault = "not a number"
+                raise ConfigError(key, f"{args.runs} line {reader.line_num}: "
+                                  + (f"{fault}: {cell!r}" if cell
+                                     else "empty cell"))
             raw.append(row)
     header, body = _agg_table(raw)
     _emit_table(args.out, "report.csv", header, body)

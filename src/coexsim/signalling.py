@@ -30,17 +30,22 @@ without a Python frame.
 A run would step machines many thousands of times (a standalone user
 takes ten subframe ticks per grant, and every beacon walks every
 resting machine), though a cycle and a beacon path go the same way
-every time. ``cycle_walk`` and ``beacon_walks`` work those walks out
-from ``TABLE``, by stepping a machine with no trace, and the coordinator
-derives them afresh for each run, so a replaced handler takes effect
-from the next run; it then applies a walk in place, one record per
-step, and checks each tick's machine is where the walk expects it.
+every time. ``table_walk`` works every such walk out from ``TABLE``,
+by stepping a machine with no trace from a state through a list of
+events, and the coordinator derives its walks afresh for each run, so a
+replaced handler takes effect from the next run; it then applies a walk
+in place, one record per step, and checks each tick's machine is where
+the walk expects it.
+
+``conformance_check`` builds a replica of every registered machine
+before it replays a record, and its report's verdict is its first
+violation: the report passes when there is none.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -215,95 +220,80 @@ class SaDrxFsm(_CycleFsm):
 FSM_KINDS = {"uca": UcaFsm, "sa-dtx": SaDtxFsm, "sa-drx": SaDrxFsm}
 
 
-def cycle_walk(cls: type[_CycleFsm], n: int) -> tuple[tuple[str, str], ...]:
-    """The subframe ticks of a cycle of n as ``TABLE`` steps them, after
-    a data-request in ``RESUME_STATE``: one (state before, state after)
-    per tick, ``FRAME_SUBFRAMES`` of them."""
+def table_walk(cls: type[_Fsm], state: str, events: Sequence[str],
+               n: int | None = None) -> tuple[tuple[str, str, str], ...]:
+    """The steps ``TABLE`` takes a machine of ``cls`` through from
+    ``state`` on ``events``, each step passed ``n``: one (state before,
+    event, state after) per event. The machine keeps no trace, so a walk
+    derived from a plain successor, which reads nothing of the machine
+    but its state, holds for every machine of the class."""
     fsm = cls("walk")
-    fsm.state = cls.RESUME_STATE
-    fsm.step("data-request", n=n)
-    return tuple([(fsm.state, fsm.step("subframe-tick"))
-                  for _ in range(FRAME_SUBFRAMES)])
-
-
-def beacon_walks(cls: type[_Fsm]
-                 ) -> dict[str, tuple[tuple[str, str, str], ...]]:
-    """Each resting state's ``BEACON_PATH`` as ``TABLE`` steps it: one
-    (state before, event, state after) per event. Every path step is a
-    plain successor in the tables, which reads nothing of the machine
-    but its state, so a walk holds for every machine of the class."""
-    walks = {}
-    for resting, events in cls.BEACON_PATH.items():
-        fsm = cls("walk")
-        fsm.state = resting
-        walk = []
-        for event in events:
-            before = fsm.state
-            walk.append((before, event, fsm.step(event)))
-        walks[resting] = tuple(walk)
-    return walks
+    fsm.state = state
+    return tuple([(fsm.state, event, fsm.step(event, n=n))
+                  for event in events])
 
 
 @dataclass(frozen=True)
 class ConformanceReport:
-    passed: bool
     first_violation: str | None
     transitions_checked: int
     grants_checked: int
     cycles_checked: int
 
+    @property
+    def passed(self) -> bool:
+        return self.first_violation is None
+
     def __bool__(self) -> bool:
         return self.passed
-
-
-def _fail(msg: str, transitions: int, grants: int,
-          cycles: int) -> ConformanceReport:
-    return ConformanceReport(False, msg, transitions, grants, cycles)
 
 
 def conformance_check(trace: SignallingTrace) -> ConformanceReport:
     """Audit a run trace in one forward pass.
 
-    Replays every recorded transition through a fresh machine of the
-    registered kind, rejects a user whose records go back in time, and
-    verifies the n active / 10-n sleep arithmetic of every cycle as the
-    replay closes it. Each grant, in start order, must then find its
-    user in a data state reached through the association path, and no
-    grant may overlap the one before it.
+    Builds a fresh machine of each registered user's kind, replays every
+    recorded transition through it, rejects a user whose records go back
+    in time, and verifies the n active / 10-n sleep arithmetic of every
+    cycle as the replay closes it. Each grant, in start order, must then
+    find its user in a data state reached through the association path,
+    and no grant may overlap the one before it. The report's verdict is
+    its first violation, None if there is none.
     """
     n_cycles = 0
-    replicas: dict[str, _Fsm] = {}
-    # per user: the time of each record and the state after it
-    history: dict[str, tuple[list[int], list[str]]] = {}
+    # per user: its replica, and the time of each record and the state
+    # after it
+    users: dict[str, tuple[_Fsm, list[int], list[str]]] = {}
+    for uid, kind in trace.machines.items():
+        cls = FSM_KINDS.get(kind)
+        if cls is None:
+            return ConformanceReport(
+                f"machine {uid}: unknown kind {kind!r}", 0, 0, 0)
+        users[uid] = cls(uid), [], []
     # per user with a cycle in progress: [n, active ticks, sleep ticks]
     open_cycle: dict[str, list[int]] = {}
 
     for idx, rec in enumerate(trace.transitions):
-        kind = trace.machines.get(rec.ue_id)
-        if kind is None:
-            return _fail(f"record {idx}: unregistered ue {rec.ue_id!r}",
-                         idx, 0, n_cycles)
-        fsm = replicas.get(rec.ue_id)
-        if fsm is None:
-            fsm = FSM_KINDS[kind](rec.ue_id, trace=None)
-            replicas[rec.ue_id] = fsm
-            history[rec.ue_id] = ([], [])
-        times, states = history[rec.ue_id]
+        user = users.get(rec.ue_id)
+        if user is None:
+            return ConformanceReport(
+                f"record {idx}: unregistered ue {rec.ue_id!r}",
+                idx, 0, n_cycles)
+        fsm, times, states = user
         if times and rec.time_us < times[-1]:
-            return _fail(
+            return ConformanceReport(
                 f"record {idx}: {rec.ue_id} goes back in time to "
                 f"{rec.time_us} µs after a record at {times[-1]} µs",
                 idx, 0, n_cycles)
         if fsm.state != rec.state_before:
-            return _fail(
+            return ConformanceReport(
                 f"record {idx}: {rec.ue_id} claims state {rec.state_before!r}"
                 f" but replay holds {fsm.state!r}", idx, 0, n_cycles)
         try:
             after = fsm.step(rec.event, rec.time_us, rec.detail)
         except (ProtocolViolation, ValueError) as exc:
-            return _fail(f"record {idx}: {exc}", idx, 0, n_cycles)
+            return ConformanceReport(f"record {idx}: {exc}", idx, 0, n_cycles)
         if after != rec.state_after:
-            return _fail(
+            return ConformanceReport(
                 f"record {idx}: {rec.ue_id} claims successor "
                 f"{rec.state_after!r}, replay gives {after!r}",
                 idx, 0, n_cycles)
@@ -323,12 +313,12 @@ def conformance_check(trace: SignallingTrace) -> ConformanceReport:
             if after == fsm.RESUME_STATE:
                 n, active, sleep = open_cycle.pop(rec.ue_id)
                 if active != n:
-                    return _fail(
+                    return ConformanceReport(
                         f"record {idx}: {rec.ue_id} cycle closed with "
                         f"{active} active subframes, grant said {n}",
                         idx, 0, n_cycles)
                 if active + sleep != FRAME_SUBFRAMES:
-                    return _fail(
+                    return ConformanceReport(
                         f"record {idx}: {rec.ue_id} cycle active+sleep = "
                         f"{active + sleep}, expected {FRAME_SUBFRAMES}",
                         idx, 0, n_cycles)
@@ -337,18 +327,17 @@ def conformance_check(trace: SignallingTrace) -> ConformanceReport:
     n_transitions = len(trace.transitions)
     ordered = sorted(trace.grants, key=lambda g: (g.start_us, g.end_us))
     for i, grant in enumerate(ordered):
-        times, states = history.get(grant.user_id, ((), ()))
+        _, times, states = users.get(grant.user_id, (None, (), ()))
         k = bisect_right(times, grant.start_us)
         state = states[k - 1] if k else None
         if state not in DATA_STATES:
-            return _fail(
+            return ConformanceReport(
                 f"grant to {grant.user_id} at {grant.start_us} µs while in "
                 f"state {state!r}", n_transitions, i, n_cycles)
         if i > 0 and grant.start_us < ordered[i - 1].end_us:
-            return _fail(
+            return ConformanceReport(
                 f"grant to {grant.user_id} at {grant.start_us} µs overlaps "
                 f"previous grant ending {ordered[i - 1].end_us} µs",
                 n_transitions, i, n_cycles)
 
-    return ConformanceReport(True, None, n_transitions,
-                             len(trace.grants), n_cycles)
+    return ConformanceReport(None, n_transitions, len(trace.grants), n_cycles)

@@ -25,16 +25,19 @@ from .dcf import WifiStation, exchange_durations
 from .engine import KIND_RANK, Simulator
 from .hap import TxopGrant, build_superframe, cfp_transmit
 from .lbt import LbtNode
-from .radio import FRAME_HEADER_US, SUBFRAME_US, link_budget, place_users
+from .radio import (FRAME_HEADER_US, FRAME_SUBFRAMES, SUBFRAME_US,
+                    link_budget, place_users)
 from .scenario import ScenarioConfig
 from .signalling import (GRANTABLE_STATES, ProtocolViolation, SaDrxFsm,
                          SaDtxFsm, SignallingTrace, TransitionRecord,
-                         UcaFsm, beacon_walks, cycle_walk, fsm_step)
+                         UcaFsm, fsm_step, table_walk)
 
 
 _TXOP_END = KIND_RANK["txop-end"]
 _CFP_END = KIND_RANK["cfp-end"]
 _TIMER = KIND_RANK["timer"]
+# a duty cycle: its data-request, then one tick per subframe of the frame
+_CYCLE_EVENTS = ("data-request",) + ("subframe-tick",) * FRAME_SUBFRAMES
 
 
 @dataclass(frozen=True)
@@ -143,22 +146,21 @@ class _HapRun:
         self.cfp_intervals: list[tuple[int, int]] = []
         self.beacon_intervals: list[tuple[int, int]] = []
 
-        self.fsms = {}
-        for i, uid in enumerate(user_ids):
-            if cfg.sa_mode == "uca":
-                self.fsms[uid] = UcaFsm(uid, trace)
-            elif i % 2:
-                self.fsms[uid] = SaDtxFsm(uid, trace)
-            else:
-                self.fsms[uid] = SaDrxFsm(uid, trace)
+        # aggregation users, or standalone users alternating downlink
+        # and uplink
+        classes = (UcaFsm,) if cfg.sa_mode == "uca" else (SaDrxFsm, SaDtxFsm)
+        self.fsms = {uid: classes[i % len(classes)](uid, trace)
+                     for i, uid in enumerate(user_ids)}
         # walks are derived from the tables for each run, so a table
-        # entry replaced between runs takes effect from the next one
-        paths = {cls: beacon_walks(cls)
-                 for cls in {type(fsm) for fsm in self.fsms.values()}}
-        # each machine with its class's walks, by resting state
+        # entry replaced between runs takes effect from the next one:
+        # each class's beacon walks, by resting state
+        paths = {cls: {resting: table_walk(cls, resting, events)
+                       for resting, events in cls.BEACON_PATH.items()}
+                 for cls in classes}
+        # each machine with its class's beacon walks
         self.machines = [(uid, fsm, paths[type(fsm)])
                          for uid, fsm in self.fsms.items()]
-        self.cycles: dict = {}      # (class, n) -> cycle_walk(class, n)
+        self.cycles: dict = {}      # (class, n) -> the cycle's tick steps
         # (busy set, rotation) -> the first period planned for it, as
         # _plan returns it
         self.periods: dict = {}
@@ -240,10 +242,14 @@ class _HapRun:
         for uid, start, duration, n in plan.grants:
             if n is not None:       # a standalone grant starts a duty cycle
                 fsm = fsms[uid]
-                key = type(fsm), n
-                walk = cycles.get(key)
+                cls = type(fsm)
+                walk = cycles.get((cls, n))
                 if walk is None:
-                    walk = cycles[key] = cycle_walk(*key)
+                    # the ten ticks after the data-request, each as
+                    # (state before, state after)
+                    walk = cycles[cls, n] = tuple([
+                        (before, after) for before, _, after in table_walk(
+                            cls, cls.RESUME_STATE, _CYCLE_EVENTS, n)[1:]])
                 tick = f" timer {uid}\n"
                 tick_us = start + FRAME_HEADER_US
                 # n active ticks inside the grant, 10-n sleep ticks after

@@ -19,7 +19,7 @@ airtime.
 
 The coordinated schemes spend most of their time in the contention-free
 period, so they are held per planned grant, on 1 s runs at N=2, M=30:
-hap-sa 35.55, hap-uca 9.64. Every hap-uca period repeats, so each
+hap-sa 35.38, hap-uca 9.56. Every hap-uca period repeats, so each
 beacon after the first shifts the first period; hap-sa at M=30 plans
 every period and pays a ``_plan`` frame each.
 

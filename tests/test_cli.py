@@ -325,11 +325,12 @@ def test_report_names_a_missing_column(tmp_path, capsys):
     assert "error: m_lte: no such column" in capsys.readouterr().err
 
 
-def _report_with_total(tmp_path, capsys, cell):
-    """Exit code and stderr of `report` over a row whose total_bps is cell."""
+def _report_with_cell(tmp_path, capsys, cell, column="total_bps"):
+    """Exit code and stderr of `report` over a row whose cell in column
+    is cell."""
     runs = _runs_csv(tmp_path, capsys)
     lines = runs.read_text().splitlines()
-    col = lines[0].split(",").index("total_bps")
+    col = lines[0].split(",").index(column)
     cells = lines[1].split(",")
     cells[col] = cell
     runs.write_text("\n".join([lines[0], ",".join(cells)]) + "\n")
@@ -338,7 +339,7 @@ def _report_with_total(tmp_path, capsys, cell):
 
 
 def test_report_names_a_non_numeric_column(tmp_path, capsys):
-    rc, err = _report_with_total(tmp_path, capsys, "fast")
+    rc, err = _report_with_cell(tmp_path, capsys, "fast")
     assert rc == 2
     assert "error: total_bps: " in err
     assert "line 2: not a number: 'fast'" in err
@@ -375,9 +376,37 @@ def test_report_reads_a_runs_file_with_a_byte_order_mark(tmp_path, capsys):
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_report_rejects_a_non_finite_cell(tmp_path, capsys, cell):
-    rc, err = _report_with_total(tmp_path, capsys, cell)
+    rc, err = _report_with_cell(tmp_path, capsys, cell)
     assert rc == 2
     assert "error: total_bps: " in err and "line 2: " in err
+
+
+@pytest.mark.parametrize("column, cell, fault", [
+    ("scheme", "hap-zz", "not one of ('wifi-only', 'lbt', 'hap-sa', "
+                         "'hap-uca'): 'hap-zz'"),
+    ("n_wifi", "-3", "negative: '-3'"),
+    ("m_lte", "-1", "negative: '-1'"),
+    ("total_bps", "-0.5", "negative or not finite: '-0.5'"),
+    ("per_user_wifi_throughput_bps", "-1", "negative or not finite: '-1'"),
+    ("collision_rate", "1.000001", "outside [0, 1]: '1.000001'"),
+    ("collision_rate", "-0.1", "outside [0, 1]: '-0.1'"),
+], ids=["scheme", "n_wifi", "m_lte", "metric", "per-user", "rate-above-1",
+        "rate-below-0"])
+def test_report_rejects_a_cell_outside_what_a_run_writes(tmp_path, capsys,
+                                                         column, cell, fault):
+    # a hand-edited runs file must not be reported as if a run wrote it
+    rc, err = _report_with_cell(tmp_path, capsys, cell, column)
+    assert rc == 2
+    assert f"error: {column}: " in err and f"line 2: {fault}" in err
+
+
+@pytest.mark.parametrize("column, cell", [
+    ("n_wifi", "0"), ("collision_rate", "1.0"), ("collision_rate", "0"),
+    ("total_bps", "0.0")])
+def test_report_reads_a_cell_at_the_edge_of_its_range(tmp_path, capsys,
+                                                      column, cell):
+    rc, err = _report_with_cell(tmp_path, capsys, cell, column)
+    assert rc == 0 and err == ""
 
 
 @pytest.mark.parametrize("parallel", ["0", "-3"])

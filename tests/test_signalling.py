@@ -1,5 +1,6 @@
 """State machine transition tables and the trace conformance auditor."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -17,10 +18,9 @@ from coexsim.signalling import (
     TransitionRecord,
     UcaFsm,
     _CycleFsm,
-    beacon_walks,
     conformance_check,
-    cycle_walk,
     fsm_step,
+    table_walk,
 )
 
 
@@ -128,11 +128,13 @@ def test_a_cycle_of_n_runs_n_active_then_the_rest_asleep(cls, n):
     assert path == ([cls.ACTIVE_STATE] * n
                     + [cls.SLEEP_STATE] * (FRAME_SUBFRAMES - n)
                     + [cls.RESUME_STATE])
-    # the walk a run derives from the table is the traced machine's ticks
-    ticks = trace.transitions[-FRAME_SUBFRAMES:]
-    assert trace.transitions[-FRAME_SUBFRAMES - 1].event == "data-request"
-    assert cycle_walk(cls, n) == tuple(
-        (rec.state_before, rec.state_after) for rec in ticks)
+    # the walk a run derives from the table is the traced machine's
+    # data-request and ticks
+    cycle = trace.transitions[-FRAME_SUBFRAMES - 1:]
+    events = ("data-request",) + ("subframe-tick",) * FRAME_SUBFRAMES
+    assert [rec.event for rec in cycle] == list(events)
+    assert table_walk(cls, cls.RESUME_STATE, events, n) == tuple(
+        (rec.state_before, rec.event, rec.state_after) for rec in cycle)
     with pytest.raises(ProtocolViolation):
         fsm.step("subframe-tick", 12_000)
     report = conformance_check(trace)
@@ -154,8 +156,6 @@ def test_tables_are_deterministic_and_kinds_registered():
 
 def test_beacon_paths_are_legal_and_leave_the_machine_schedulable():
     for cls in FSM_KINDS.values():
-        walks = beacon_walks(cls)
-        assert walks.keys() == cls.BEACON_PATH.keys()
         for resting, events in cls.BEACON_PATH.items():
             trace = SignallingTrace()
             fsm = cls("lte-00", trace)
@@ -166,7 +166,7 @@ def test_beacon_paths_are_legal_and_leave_the_machine_schedulable():
                 fsm.step(event)
             assert fsm.state in GRANTABLE_STATES, (cls.KIND, resting)
             # the walk a run derives is the traced machine's steps
-            assert walks[resting] == tuple(
+            assert table_walk(cls, resting, events) == tuple(
                 (rec.state_before, rec.event, rec.state_after)
                 for rec in trace.transitions)
         # a machine inside its duty cycle hears nothing
@@ -192,8 +192,10 @@ def _clean_dtx_trace():
 
 def test_conformance_clean_trace_passes():
     report = conformance_check(_clean_dtx_trace())
-    assert report
-    assert report.passed and report.first_violation is None
+    # the verdict is the first violation, stored once
+    assert report.first_violation is None
+    assert report.passed is True and bool(report) is True
+    assert "passed" not in {f.name for f in dataclasses.fields(report)}
     assert report.transitions_checked == 13
     assert report.grants_checked == 1
     assert report.cycles_checked == 1
@@ -206,7 +208,7 @@ def test_conformance_rejects_tampered_successor():
         rec.time_us, rec.ue_id, rec.state_before, rec.event, "dtx-sleep",
         rec.detail)
     report = conformance_check(trace)
-    assert not report.passed
+    assert report.passed is False and bool(report) is False
     assert "claims successor" in report.first_violation
 
 
@@ -294,6 +296,19 @@ def test_conformance_rejects_overlapping_grants():
     report = conformance_check(trace)
     assert not report.passed
     assert "overlaps" in report.first_violation
+
+
+def test_conformance_reports_a_machine_of_unknown_kind():
+    # every replica is built before the replay, so an unknown kind is the
+    # first violation, found before any record is checked
+    trace = SignallingTrace()
+    trace.machines["lte-01"] = "sa-xx"
+    trace.transitions.append(
+        TransitionRecord(500, "lte-01", "idle", "beacon", "discovery"))
+    report = conformance_check(trace)
+    assert not report
+    assert report.first_violation == "machine lte-01: unknown kind 'sa-xx'"
+    assert report.transitions_checked == 0
 
 
 def test_conformance_rejects_illegal_replayed_event():
